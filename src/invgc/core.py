@@ -121,14 +121,17 @@ def inverse_convolve_dual(
     for ref in (refG, refQ):
         if G.d != ref.d:
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
-    Gn = unit_rows(G.data, G.ids)
-    Gset = EmbeddingSet(list(G.ids), Gn)
-    halves = []
-    for ref, r in ((refG, cfg.r_g), (refQ, cfg.r_q)):
-        S = build_adjacency(cosine_similarity_matrix(Gset, ref), cfg)
-        vals = _self_excluded(S.values, G.ids, ref.ids)
-        halves.append(row_normalize(Gn - r * _mm(vals, ref.data)))
+    Gset = EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
+    halves = [_dual_half(Gset, ref, r, cfg) for ref, r in ((refG, cfg.r_g), (refQ, cfg.r_q))]
     return EmbeddingSet(list(G.ids), 0.5 * (halves[0] + halves[1]))
+
+
+def _dual_half(Gset: EmbeddingSet, ref: EmbeddingSet, r: float, cfg: InvGCConfig) -> np.ndarray:
+    # One half per call, so its dense adjacency is freed before the next
+    # half builds its own.
+    S = build_adjacency(cosine_similarity_matrix(Gset, ref), cfg)
+    vals = _self_excluded(S.values, Gset.ids, ref.ids)
+    return row_normalize(Gset.data - r * _mm(vals, ref.data))
 
 
 def score_queries(Q: EmbeddingSet, Gp: EmbeddingSet) -> SimMatrix:

@@ -30,15 +30,18 @@ def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel: dict) -> dict:
     """1-based rank of the best-ranked relevant gallery item per query."""
     sims = cosine_similarity_matrix(Q, G).values
     g_index = {g: i for i, g in enumerate(G.ids)}
-    positions = np.empty(G.n, dtype=np.int64)
     ranks = {}
     for qi, qid in enumerate(Q.ids):
         rel_idx = [g_index[g] for g in rel.get(qid, ()) if g in g_index]
         if not rel_idx:
             raise ValueError(f"query {qid!r} has no relevant gallery item")
-        order = np.argsort(-sims[qi], kind="stable")
-        positions[order] = np.arange(G.n)
-        ranks[qid] = int(positions[rel_idx].min()) + 1
+        # The best relevant item has the top score s and, among relevant
+        # items with that score, the lowest index i; everything scoring
+        # higher, or equal at a lower index, sorts ahead of it.
+        row = sims[qi]
+        s = row[rel_idx].max()
+        i = min(j for j in rel_idx if row[j] == s)
+        ranks[qid] = int(np.count_nonzero(row > s) + np.count_nonzero(row[:i] == s)) + 1
     return ranks
 
 

@@ -11,18 +11,74 @@ binary  same row threshold, but retained entries become 1 and the rest 0
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .embio import EmbeddingSet
 
 
+class _OneBlasThread:
+    """Context that holds OpenBLAS at one thread while any call is inside.
+
+    The thread count is process-wide, so concurrent callers share one
+    pin: the first to enter saves the count and sets 1, the last to leave
+    restores it.
+    """
+
+    def __init__(self, get, set_):
+        self.get, self.set = get, set_
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._inside == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._inside += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                self.set(self._saved)
+
+
+def _find_blas_pin():
+    """A _OneBlasThread for numpy's bundled OpenBLAS, or None without it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _OneBlasThread(get, set_)
+    return None
+
+
+_BLAS_PIN = _find_blas_pin()
+
+
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Accumulation must stay in index order so results are bit-identical
-    # under any BLAS thread setting; einsum contracts on a single thread.
-    return np.einsum("ij,jk->ik", a, b)
+    # Results must be bit-identical under any BLAS thread setting, but a
+    # threaded dgemm splits the K reduction differently per thread count.
+    # So the product runs with OpenBLAS's process-wide thread count set to
+    # 1 for the length of the call.  Without the symbols (numpy on another
+    # BLAS), einsum contracts on a single thread in index order.
+    if _BLAS_PIN is None:
+        return np.einsum("ij,jk->ik", a, b)
+    with _BLAS_PIN:
+        return np.matmul(a, b)
 
 
 @dataclass

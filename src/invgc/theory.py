@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 MC_BLOCK = 65536
 
@@ -66,6 +65,9 @@ def _check_b(b, allow_one: bool) -> float:
 
 def cap_fraction_exact(n: int, b: float) -> float:
     """Exact cap volume fraction via the regularized incomplete beta."""
+    # Imported here: scipy.special costs every other command its start-up.
+    from scipy.special import betainc
+
     n = _check_n(n)
     b = _check_b(b, allow_one=True)
     return float(0.5 * betainc((n + 1) / 2.0, 0.5, b * b))

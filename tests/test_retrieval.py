@@ -61,6 +61,25 @@ def test_rank_matches_comparison_count_oracle():
             )
 
 
+def test_rank_matches_oracle_on_tie_heavy_integer_data():
+    # Few distinct integer directions, so equal rows give exactly equal
+    # similarities and most ranks depend on breaking ties by index.
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        n_q, n_g = int(rng.integers(1, 7)), int(rng.integers(2, 20))
+        Q = EmbeddingSet([f"q{i}" for i in range(n_q)], rng.integers(1, 3, (n_q, 2)).astype(float))
+        G = EmbeddingSet([f"g{i}" for i in range(n_g)], rng.integers(1, 3, (n_g, 2)).astype(float))
+        rel = {}
+        for qid in Q.ids:
+            picks = rng.choice(G.n, size=min(G.n, int(rng.integers(1, 4))), replace=False)
+            rel[qid] = {G.ids[i] for i in picks}
+        ranks = rank_queries(Q, G, rel)
+        sims = cosine_similarity_matrix(Q, G).values
+        for qi, qid in enumerate(Q.ids):
+            rel_idx = [G.ids.index(g) for g in rel[qid]]
+            assert ranks[qid] == oracles.rank_of_best_relevant(sims[qi].tolist(), rel_idx)
+
+
 def test_metric_hand_values():
     rep = compute_metrics({"a": 1, "b": 3, "c": 7}, (1, 5, 10))
     assert_allclose(rep.recall_at[1], 100.0 / 3.0, atol=1e-9)

@@ -1,12 +1,18 @@
 """Cosine matrix construction and the three adjacency variants."""
 
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+from invgc import simgraph
 from invgc.embio import EmbeddingSet
 from invgc.simgraph import (
+    _mm,
     SimMatrix,
     adjacency_binary,
     adjacency_full,
@@ -154,3 +160,108 @@ def test_local_survivor_count_matches_threshold_rule():
             # check covers ties as well
             assert survivors == np.count_nonzero(vals[i] >= thr)
             assert survivors >= m
+
+
+# Large enough that a threaded dgemm splits the K=5000 reduction.
+_HASH_MM = """
+import hashlib
+import numpy as np
+from invgc.simgraph import _mm
+rng = np.random.default_rng(7)
+a = rng.standard_normal((2000, 5000))
+b = rng.standard_normal((5000, 256))
+print(hashlib.sha256(_mm(a, b).tobytes()).hexdigest())
+"""
+
+
+def test_mm_is_bit_identical_across_blas_thread_counts(cli_env):
+    hashes = set()
+    for threads in ("1", "2", "4"):
+        env = dict(cli_env, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_MM], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.add(proc.stdout.strip())
+    assert len(hashes) == 1, hashes
+
+
+def test_mm_matches_the_einsum_fallback():
+    rng = np.random.default_rng(27)
+    a = rng.standard_normal((300, 400))
+    b = rng.standard_normal((400, 50))
+    assert_allclose(_mm(a, b), np.einsum("ij,jk->ik", a, b), rtol=0, atol=1e-12)
+    assert_allclose(_mm(a, a.T), np.einsum("ij,jk->ik", a, a.T), rtol=0, atol=1e-12)
+
+
+needs_openblas = pytest.mark.skipif(simgraph._BLAS_PIN is None, reason="numpy's OpenBLAS not found")
+
+
+@needs_openblas
+def test_mm_restores_the_blas_thread_count():
+    pin = simgraph._BLAS_PIN
+    original = pin.get()
+    rng = np.random.default_rng(28)
+    a = rng.standard_normal((200, 300))
+    try:
+        for threads in (1, 2):
+            pin.set(threads)
+            _mm(a, a.T)
+            assert pin.get() == threads
+            with pytest.raises(ValueError):
+                _mm(a, a)  # shape mismatch raises inside the pin
+            assert pin.get() == threads
+    finally:
+        pin.set(original)
+
+
+@needs_openblas
+def test_concurrent_mm_calls_share_one_pin():
+    # A caller that restored the count while another was still inside
+    # would let that one run threaded; the shared pin restores only after
+    # the last caller leaves.
+    pin = simgraph._BLAS_PIN
+    original = pin.get()
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((300, 400))
+    want = _mm(a, a.T)
+    seen = []
+
+    def spy_matmul(x, y, _matmul=np.matmul):
+        seen.append(pin.get())
+        return _matmul(x, y)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pin.set(2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "matmul", spy_matmul)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: _mm(a, a.T), range(64)))
+        assert pin.get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        pin.set(original)
+    assert seen == [1] * 64
+    for got in results:
+        assert_array_equal(got, want)
+
+
+def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(simgraph.ctypes, "CDLL", NoSymbols)
+    assert simgraph._find_blas_pin() is None
+
+    def no_matmul(*args, **kwargs):
+        raise AssertionError("matmul called on the fallback path")
+
+    monkeypatch.setattr(simgraph, "_BLAS_PIN", None)
+    monkeypatch.setattr(np, "matmul", no_matmul)
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((20, 30))
+    b = rng.standard_normal((30, 5))
+    assert_array_equal(_mm(a, b), np.einsum("ij,jk->ik", a, b))
