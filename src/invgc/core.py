@@ -22,6 +22,7 @@ from .embio import EmbeddingSet
 from .simgraph import (
     Adjacency,
     SimMatrix,
+    _check_percent,
     _mm,
     adjacency_binary,
     adjacency_full,
@@ -49,9 +50,8 @@ class InvGCConfig:
         for name, r in (("r_g", self.r_g), ("r_q", self.r_q)):
             if not (math.isfinite(r) and r >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {r}")
-        for name, pct in (("k_percent", self.k_percent), ("p_percent", self.p_percent)):
-            if not (0.0 < pct <= 100.0):
-                raise ValueError(f"{name} must lie in (0, 100], got {pct}")
+        _check_percent("k_percent", self.k_percent)
+        _check_percent("p_percent", self.p_percent)
 
 
 def build_adjacency(sim: SimMatrix, cfg: InvGCConfig) -> Adjacency:
@@ -82,10 +82,14 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _self_excluded(values: np.ndarray, x_ids: list, r_ids: list) -> np.ndarray:
+def _is_self(x_ids: list, r_ids: list) -> bool:
     # The self pair contributes only when the operand set is the reference
     # set itself; identity is detected by matching id lists.
-    if list(x_ids) == list(r_ids):
+    return list(x_ids) == list(r_ids)
+
+
+def _self_excluded(values: np.ndarray, x_ids: list, r_ids: list) -> np.ndarray:
+    if _is_self(x_ids, r_ids):
         values = values.copy()
         np.fill_diagonal(values, 0.0)
     return values
@@ -118,20 +122,50 @@ def inverse_convolve_dual(
     G: EmbeddingSet, refG: EmbeddingSet, refQ: EmbeddingSet, cfg: InvGCConfig
 ) -> EmbeddingSet:
     """Correct G against both reference sets and average the two halves."""
-    for ref in (refG, refQ):
-        if G.d != ref.d:
-            raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
-    Gset = EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
-    halves = [_dual_half(Gset, ref, r, cfg) for ref, r in ((refG, cfg.r_g), (refQ, cfg.r_q))]
+    Gn = _unit_gallery(G, refG, refQ)
+    halves = [
+        _dual_step(Gn.data, _aggregate(Gn, ref, cfg), r)
+        for ref, r in ((refG, cfg.r_g), (refQ, cfg.r_q))
+    ]
     return EmbeddingSet(list(G.ids), 0.5 * (halves[0] + halves[1]))
 
 
-def _dual_half(Gset: EmbeddingSet, ref: EmbeddingSet, r: float, cfg: InvGCConfig) -> np.ndarray:
-    # One half per call, so its dense adjacency is freed before the next
-    # half builds its own.
-    S = build_adjacency(cosine_similarity_matrix(Gset, ref), cfg)
-    vals = _self_excluded(S.values, Gset.ids, ref.ids)
-    return row_normalize(Gset.data - r * _mm(vals, ref.data))
+def _unit_gallery(G: EmbeddingSet, refG: EmbeddingSet, refQ: EmbeddingSet) -> EmbeddingSet:
+    for ref in (refG, refQ):
+        if G.d != ref.d:
+            raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
+    return EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
+
+
+def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig) -> np.ndarray:
+    """S @ ref for the configured adjacency S over Gn x ref, self pairs excluded.
+
+    The step sizes do not enter, so a search over them computes this once
+    per reference set.  local and avgpool build and free a dense adjacency
+    per call; full needs only a d x d map.
+    """
+    if cfg.variant == "full":
+        return _full_aggregate(Gn, ref)
+    S = build_adjacency(cosine_similarity_matrix(Gn, ref), cfg)
+    return _mm(_self_excluded(S.values, Gn.ids, ref.ids), ref.data)
+
+
+def _full_aggregate(Gn: EmbeddingSet, ref: EmbeddingSet) -> np.ndarray:
+    # The centered cosine adjacency is Gn @ Rn.T - mu with the scalar mean
+    # mu = mean_rows(Gn) . mean_rows(Rn), so its aggregate is the d x d map
+    # Gn @ (Rn.T @ R) minus mu * colsum(R), without the N x N_ref matrix.
+    Rn = unit_rows(ref.data, ref.ids)
+    mu = float((Gn.data.mean(axis=0) * Rn.mean(axis=0)).sum())
+    agg = _mm(Gn.data, _mm(Rn.T, ref.data)) - mu * ref.data.sum(axis=0)
+    if _is_self(Gn.ids, ref.ids):
+        diag = np.clip(np.einsum("ij,ij->i", Gn.data, Rn), -1.0, 1.0)
+        agg -= (diag - mu)[:, None] * ref.data
+    return agg
+
+
+def _dual_step(Gn: np.ndarray, A: np.ndarray, r: float) -> np.ndarray:
+    """One half of the dual update: norm(Gn - r * A) for an aggregate A."""
+    return row_normalize(Gn - r * A)
 
 
 def score_queries(Q: EmbeddingSet, Gp: EmbeddingSet) -> SimMatrix:

@@ -56,19 +56,37 @@ def intra_mean_sim(G: EmbeddingSet, ks, bins: int = 20) -> DegenerationReport:
     if G.n < 2:
         raise ValueError("need at least 2 points")
     ks = _check_ks(ks, G.n - 1)
+    # One N x N matrix; the diagonal is overwritten before each pass so the
+    # self pairs drop out of it, and only row blocks are ever copied.
     sims = cosine_similarity_matrix(G, G).values
-    off_diag = ~np.eye(G.n, dtype=bool)
-    pool = sims[off_diag]
-    ranked = np.sort(np.where(off_diag, sims, -np.inf), axis=1)[:, ::-1]
-    mean_at = {k: float(ranked[:, :k].mean()) for k in ks}
+    n_pairs = G.n * (G.n - 1)
+    np.fill_diagonal(sims, 0.0)
+    mean_sim = float(sims.sum() / n_pairs)
+    np.fill_diagonal(sims, mean_sim)
+    square_dev = sum(float(((sims[b] - mean_sim) ** 2).sum()) for b in _row_blocks(G.n))
+    np.fill_diagonal(sims, np.inf)
+    min_sim = float(sims.min())
+    np.fill_diagonal(sims, -np.inf)
+    top = G.n - max(ks)
+    # Sorting each block's top columns copies them, so no block's full
+    # partitioned copy outlives its iteration.
+    ranked = np.concatenate([
+        np.sort(np.partition(sims[b], top, axis=1)[:, top:], axis=1) for b in _row_blocks(G.n)
+    ])[:, ::-1]
     return DegenerationReport(
-        mean_sim=float(pool.mean()),
-        mean_sim_at=mean_at,
+        mean_sim=mean_sim,
+        mean_sim_at={k: float(ranked[:, :k].mean()) for k in ks},
         histogram=_nn_histogram(ranked[:, 0], bins),
         excluded_pairs=G.n,
-        std_sim=float(pool.std()),
-        min_sim=float(pool.min()),
+        std_sim=float(np.sqrt(square_dev / n_pairs)),
+        min_sim=min_sim,
     )
+
+
+def _row_blocks(n: int):
+    # Row slices of an n x n matrix, about 2**20 entries (8 MB) each.
+    step = max(1, (1 << 20) // n)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 20) -> DegenerationReport:

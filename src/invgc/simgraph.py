@@ -138,7 +138,9 @@ def row_percentile_threshold(row, k_percent: float) -> float:
 def _row_thresholds(values: np.ndarray, percent: float) -> np.ndarray:
     n_cols = values.shape[1]
     m = max(1, math.ceil(percent / 100.0 * n_cols))
-    return np.partition(values, n_cols - m, axis=1)[:, n_cols - m]
+    # A copy of the column, so the partitioned N x N_ref copy is freed
+    # here rather than kept alive by a view while the caller masks.
+    return np.partition(values, n_cols - m, axis=1)[:, n_cols - m].copy()
 
 
 def adjacency_full(sim: SimMatrix, center: bool) -> Adjacency:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvGCConfig, inverse_convolve_dual
+from .core import InvGCConfig, _aggregate, _dual_step, _unit_gallery, inverse_convolve_dual
 from .diagnostics import degeneration_score
 from .embio import EmbeddingSet
 from .retrieval import RetrievalReport, evaluate
@@ -53,21 +53,41 @@ def grid_search(
     if not rg_grid or not rq_grid:
         raise ValueError("grids must be non-empty")
     ks = sorted(set(recall_ks) | {1, 5})
+    cells = [
+        InvGCConfig(variant, rg, rq, k_percent, p_percent) for rg in rg_grid for rq in rq_grid
+    ]
+    correct = _dual_over_steps(valG, refG, refQ, cells[0], rg_grid, rq_grid)
     trace = []
     best = None
     best_key = None
-    for rg in rg_grid:
-        for rq in rq_grid:
-            cfg = InvGCConfig(variant, rg, rq, k_percent, p_percent)
-            corrected = inverse_convolve_dual(valG, refG, refQ, cfg)
-            report = evaluate(valQ, corrected, rel, ks)
-            r1, r5 = report.recall_at[1], report.recall_at[5]
-            mnr = report.mean_rank
-            trace.append((cfg, r1, r5, mnr))
-            key = (r1, r5, -mnr, -(rg + rq))
-            if best_key is None or key > best_key:
-                best, best_key = (cfg, report), key
+    for cfg in cells:
+        report = evaluate(valQ, correct(cfg), rel, ks)
+        r1, r5 = report.recall_at[1], report.recall_at[5]
+        mnr = report.mean_rank
+        trace.append((cfg, r1, r5, mnr))
+        key = (r1, r5, -mnr, -(cfg.r_g + cfg.r_q))
+        if best_key is None or key > best_key:
+            best, best_key = (cfg, report), key
     return TuneResult(best_cfg=best[0], best_report=best[1], grid_trace=trace)
+
+
+def _dual_over_steps(G, refG, refQ, cfg, rg_values, rq_values):
+    """inverse_convolve_dual(G, refG, refQ, c) as a function of c, for
+    configs c that differ from cfg at most in r_g (from rg_values) and
+    r_q (from rq_values).
+
+    The aggregates do not depend on the steps, so each is computed once,
+    and each half once per distinct step value; a call only averages two
+    halves, with the same arithmetic as inverse_convolve_dual.
+    """
+    Gn = _unit_gallery(G, refG, refQ)
+
+    def halves(ref, rs):
+        A = _aggregate(Gn, ref, cfg)
+        return {r: _dual_step(Gn.data, A, r) for r in dict.fromkeys(rs)}
+
+    g_half, q_half = halves(refG, rg_values), halves(refQ, rq_values)
+    return lambda c: EmbeddingSet(list(G.ids), 0.5 * (g_half[c.r_g] + q_half[c.r_q]))
 
 
 def subsample_reference(refG: EmbeddingSet, refQ: EmbeddingSet, ratio: float, seed: int):
@@ -104,24 +124,32 @@ def sweep_param(
     Emits (value, R@1, degeneration score of the corrected gallery) per
     point, sorted by value.  param "ratio" subsamples both reference
     sets; the other params override the corresponding config field.
+    Sweeps over a step size reuse the two aggregates across points.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = sorted(float(v) for v in values)
     if not values:
         raise ValueError("values must be non-empty")
+    if param in ("rg", "rq"):
+        field = "r_g" if param == "rg" else "r_q"
+        cfgs = [replace(base_cfg, **{field: v}) for v in values]
+        correct = _dual_over_steps(
+            valG, refG, refQ, base_cfg, [c.r_g for c in cfgs], [c.r_q for c in cfgs]
+        )
+        corrections = (correct(c) for c in cfgs)
+    elif param == "k":
+        corrections = (
+            inverse_convolve_dual(valG, refG, refQ, replace(base_cfg, k_percent=v))
+            for v in values
+        )
+    else:
+        corrections = (
+            inverse_convolve_dual(valG, *subsample_reference(refG, refQ, v, seed), base_cfg)
+            for v in values
+        )
     points = []
-    for v in values:
-        cfg, rG, rQ = base_cfg, refG, refQ
-        if param == "rg":
-            cfg = replace(base_cfg, r_g=v)
-        elif param == "rq":
-            cfg = replace(base_cfg, r_q=v)
-        elif param == "k":
-            cfg = replace(base_cfg, k_percent=v)
-        else:
-            rG, rQ = subsample_reference(refG, refQ, v, seed)
-        corrected = inverse_convolve_dual(valG, rG, rQ, cfg)
+    for v, corrected in zip(values, corrections):
         report = evaluate(valQ, corrected, rel, (1,))
         points.append((v, report.recall_at[1], degeneration_score(corrected)))
     return SweepCurve(param_name=param, points=points)

@@ -371,3 +371,42 @@ def test_console_entry_point_runs(cli_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("lemma2\t2\t-\t2.0\t-\t2.0\t2.0\ttrue")
+
+
+def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, cli_env):
+    # 1000 x 32 references is the smallest size tried at which a copy with
+    # an unpinned matmul at simgraph._mm fails here: the d x d map's
+    # K = 1000 product is then threaded.  apply writes float32 and tune
+    # prints rank metrics, which hide last-bit changes, so the sweep's
+    # full-precision degeneration scores carry the check.
+    def invgc(cwd, env, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "invgc", *argv], cwd=cwd, env=env, capture_output=True
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr.decode())
+        return proc.stdout
+
+    invgc(tmp_path, cli_env, "synth", "--items", "24", "--refs", "1000", "--dim", "32",
+          "--seed", "7", "--out-prefix", "syn")
+    sets = [
+        "--val-query", "../syn.query.emb", "--val-gallery", "../syn.gallery.emb",
+        "--ref-gallery", "../syn.refg.emb", "--ref-query", "../syn.refq.emb",
+        "--relevance", "../syn.rel.tsv", "--variant", "full",
+    ]
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = dict(cli_env, OPENBLAS_NUM_THREADS=threads)
+        stdout = [
+            invgc(cwd, env, "apply", "--gallery", "../syn.gallery.emb",
+                  "--ref-gallery", "../syn.refg.emb", "--ref-query", "../syn.refq.emb",
+                  "--variant", "full", "--rg", "0.1", "--rq", "0.1", "--out", "full.emb"),
+            invgc(cwd, env, "tune", *sets, "--rg-grid", "0,0.1,1", "--rq-grid", "0,0.1,1",
+                  "--trace", "trace.tsv"),
+            invgc(cwd, env, "sweep", "--param", "rg", "--values", "0,0.1,1", *sets, "--rq", "0.1"),
+        ]
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        runs.append((stdout, files))
+    assert sorted(runs[0][1]) == ["full.emb", "full.emb.ids", "trace.tsv"]
+    assert runs[0] == runs[1]

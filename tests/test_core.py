@@ -8,6 +8,7 @@ import oracles
 from invgc.core import (
     InvGCConfig,
     VARIANTS,
+    _aggregate,
     build_adjacency,
     forward_convolve,
     inverse_convolve_dual,
@@ -15,7 +16,7 @@ from invgc.core import (
     row_normalize,
 )
 from invgc.embio import EmbeddingSet
-from invgc.simgraph import Adjacency, cosine_similarity_matrix
+from invgc.simgraph import Adjacency, adjacency_full, cosine_similarity_matrix, unit_rows
 
 
 def make_set(rng, n, d, prefix="x"):
@@ -170,3 +171,24 @@ def test_dual_output_rows_are_means_of_unit_rows():
     assert (norms <= 1.0 + 1e-12).all()
     same = inverse_convolve_dual(G, refG, refG, InvGCConfig("full", 0.4, 0.4))
     assert_allclose(np.linalg.norm(same.data, axis=1), np.ones(12), atol=1e-12)
+
+
+def test_full_aggregate_closed_form_matches_the_dense_adjacency():
+    # the d x d form of the centered aggregate against the dense N x N_ref
+    # path, with distinct ids, with shared ids on other data (diagonal
+    # dropped by id), and with the reference set itself
+    rng = np.random.default_rng(36)
+    R = make_set(rng, 700, 16, "r")
+    cases = [
+        make_set(rng, 300, 16, "g"),
+        EmbeddingSet(list(R.ids), rng.standard_normal((700, 16))),
+        R,
+    ]
+    for G in cases:
+        Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+        S = adjacency_full(cosine_similarity_matrix(Gn, R), center=True)
+        # a zero operand and step -1 leave exactly the aggregate S @ R
+        zero = EmbeddingSet(list(G.ids), np.zeros_like(G.data))
+        dense = inverse_convolve_single(zero, S, R, -1.0).data
+        got = _aggregate(Gn, R, InvGCConfig("full"))
+        assert_allclose(got, dense, rtol=0, atol=1e-12)

@@ -63,6 +63,26 @@ def test_intra_scalars_are_permutation_invariant():
     assert_allclose(a.mean_sim_at[3], b.mean_sim_at[3], atol=1e-12)
 
 
+def test_intra_spanning_several_row_blocks_matches_a_dense_pool():
+    # 1500 rows split into two row blocks; the reference keeps the whole
+    # off-diagonal pool and sorts every row
+    rng = np.random.default_rng(47)
+    G = make_set(rng, 1500, 6)
+    rep = intra_mean_sim(G, [1, 7, 30], bins=9)
+    X = G.data / np.linalg.norm(G.data, axis=1)[:, None]
+    sims = np.clip(X @ X.T, -1.0, 1.0)
+    off_diag = ~np.eye(G.n, dtype=bool)
+    pool = sims[off_diag]
+    ranked = -np.sort(np.where(off_diag, -sims, np.inf), axis=1)
+    assert_allclose(rep.mean_sim, pool.mean(), atol=1e-12)
+    assert_allclose(rep.std_sim, pool.std(), atol=1e-12)
+    assert_allclose(rep.min_sim, pool.min(), atol=1e-12)
+    for k in (1, 7, 30):
+        assert_allclose(rep.mean_sim_at[k], ranked[:, :k].mean(), atol=1e-12)
+    want = np.histogram(ranked[:, 0], bins=9, range=(-1.0, 1.0))[0]
+    assert [c for _, _, c in rep.histogram] == want.tolist()
+
+
 def test_histogram_boundary_values_go_to_the_higher_bin():
     # nearest-neighbor values here are exactly [1.0, 1.0, 0.0]: the
     # duplicates see each other at similarity 1, the orthogonal row sees

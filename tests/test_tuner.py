@@ -1,9 +1,12 @@
 """Grid search, reference subsampling, and ablation sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from invgc import core, diagnostics, retrieval, simgraph, tuner
 from invgc.core import InvGCConfig, inverse_convolve_dual
 from invgc.diagnostics import degeneration_score
 from invgc.embio import EmbeddingSet
@@ -163,3 +166,72 @@ def test_sweep_validation():
         sweep_param(InvGCConfig("full"), "rho", [0.1], Q, G, refG, refQ, rel)
     with pytest.raises(ValueError, match="values must be non-empty"):
         sweep_param(InvGCConfig("full"), "rg", [], Q, G, refG, refQ, rel)
+
+
+def test_every_grid_cell_equals_the_dual_update_for_its_config(monkeypatch):
+    G, Q, _, refQ, rel = small_dataset(seed=4)
+    seen = []
+
+    def recording_evaluate(Qs, Gs, rel_, ks):
+        seen.append(Gs)
+        return evaluate(Qs, Gs, rel_, ks)
+
+    monkeypatch.setattr(tuner, "evaluate", recording_evaluate)
+    for variant in ("full", "local", "avgpool"):
+        seen.clear()
+        # refG = G exercises the self-pair exclusion; the repeated value
+        # must reuse its cached half and still match
+        res = grid_search(
+            Q, G, G, refQ, rel, variant=variant,
+            rg_grid=[0.0, 0.1, 0.5, 0.1], rq_grid=[0.05, 0.0, 1.0],
+            k_percent=20.0, p_percent=30.0,
+        )
+        assert len(seen) == len(res.grid_trace) == 12
+        for corrected, (cfg, r1, r5, mnr) in zip(seen, res.grid_trace):
+            want = inverse_convolve_dual(G, G, refQ, cfg)
+            assert corrected.ids == want.ids
+            assert_array_equal(corrected.data, want.data)
+            report = evaluate(Q, want, rel, (1, 5, 10))
+            assert (r1, r5, mnr) == (
+                report.recall_at[1], report.recall_at[5], report.mean_rank
+            )
+
+
+def _count_cosine_calls(monkeypatch) -> list:
+    calls = []
+    original = simgraph.cosine_similarity_matrix
+
+    def counting(rows, cols):
+        calls.append((rows.n, cols.n))
+        return original(rows, cols)
+
+    for module in (simgraph, core, retrieval, diagnostics):
+        monkeypatch.setattr(module, "cosine_similarity_matrix", counting)
+    return calls
+
+
+def test_grid_search_builds_each_similarity_matrix_once(monkeypatch):
+    # two reference similarities at most, then one ranking per cell
+    G, Q, refG, refQ, rel = small_dataset()
+    calls = _count_cosine_calls(monkeypatch)
+    for variant in ("full", "local", "avgpool"):
+        calls.clear()
+        res = grid_search(Q, G, refG, refQ, rel, variant=variant)
+        cells = len(res.grid_trace)
+        assert cells == len(DEFAULT_R_GRID) ** 2
+        assert len(calls) <= 2 + cells, (variant, len(calls))
+
+
+@pytest.mark.parametrize("variant", ["full", "local", "avgpool"])
+@pytest.mark.parametrize("param", ["rg", "rq"])
+def test_step_sweeps_equal_the_dual_update_point_by_point(variant, param):
+    G, Q, refG, refQ, rel = small_dataset(seed=5)
+    base = InvGCConfig(variant, 0.05, 0.2, k_percent=10.0, p_percent=25.0)
+    values = [0.0, 0.3, 0.1]
+    curve = sweep_param(base, param, values, Q, G, G, refQ, rel)
+    field = "r_g" if param == "rg" else "r_q"
+    for (v, r1, ddeg), want_v in zip(curve.points, sorted(values)):
+        corrected = inverse_convolve_dual(G, G, refQ, replace(base, **{field: want_v}))
+        assert v == want_v
+        assert r1 == evaluate(Q, corrected, rel, (1,)).recall_at[1]
+        assert ddeg == degeneration_score(corrected)
