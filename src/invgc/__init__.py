@@ -11,7 +11,6 @@ from .core import (
     inverse_convolve_dual,
     inverse_convolve_single,
     row_normalize,
-    score_queries,
 )
 from .diagnostics import (
     DegenerationReport,
@@ -116,7 +115,6 @@ __all__ = [
     "sample_corollary_pairs",
     "save_embeddings",
     "save_relevance",
-    "score_queries",
     "sphere_area_volume_ratio",
     "subsample_reference",
     "sweep_param",

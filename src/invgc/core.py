@@ -82,17 +82,15 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_self(x_ids: list, r_ids: list) -> bool:
-    # The self pair contributes only when the operand set is the reference
-    # set itself; identity is detected by matching id lists.
-    return list(x_ids) == list(r_ids)
+def _self_pairs(x_ids: list, r_ids: list) -> tuple:
+    """(rows, cols) of the operand/reference pairs whose ids are equal.
 
-
-def _self_excluded(values: np.ndarray, x_ids: list, r_ids: list) -> np.ndarray:
-    if _is_self(x_ids, r_ids):
-        values = values.copy()
-        np.fill_diagonal(values, 0.0)
-    return values
+    A point is never its own neighbor, whatever the row order of the two
+    sets; for equal id lists these are the diagonal, in order.
+    """
+    col = {r: j for j, r in enumerate(r_ids)}
+    pairs = [(i, col[x]) for i, x in enumerate(x_ids) if x in col]
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _check_conv_args(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet) -> None:
@@ -107,34 +105,43 @@ def _check_conv_args(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet) -> None:
 def inverse_convolve_single(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet, r: float) -> EmbeddingSet:
     """X'_i = X_i - r * sum_j S_ij R_j, without normalization."""
     _check_conv_args(X, S, R)
-    vals = _self_excluded(S.values, X.ids, R.ids)
+    vals = S.values.copy()
+    vals[_self_pairs(X.ids, R.ids)] = 0.0
     return EmbeddingSet(list(X.ids), X.data - r * _mm(vals, R.data))
 
 
 def forward_convolve(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet) -> EmbeddingSet:
     """X'_i = X_i + sum_j S_ij R_j, the additive aggregation baseline."""
-    _check_conv_args(X, S, R)
-    vals = _self_excluded(S.values, X.ids, R.ids)
-    return EmbeddingSet(list(X.ids), X.data + _mm(vals, R.data))
+    return inverse_convolve_single(X, S, R, -1.0)
 
 
 def inverse_convolve_dual(
     G: EmbeddingSet, refG: EmbeddingSet, refQ: EmbeddingSet, cfg: InvGCConfig
 ) -> EmbeddingSet:
     """Correct G against both reference sets and average the two halves."""
-    Gn = _unit_gallery(G, refG, refQ)
-    halves = [
-        _dual_step(Gn.data, _aggregate(Gn, ref, cfg), r)
-        for ref, r in ((refG, cfg.r_g), (refQ, cfg.r_q))
-    ]
-    return EmbeddingSet(list(G.ids), 0.5 * (halves[0] + halves[1]))
+    return _dual_over_steps(G, refG, refQ, cfg, [cfg.r_g], [cfg.r_q])(cfg)
 
 
-def _unit_gallery(G: EmbeddingSet, refG: EmbeddingSet, refQ: EmbeddingSet) -> EmbeddingSet:
+def _dual_over_steps(G, refG, refQ, cfg, rg_values, rq_values):
+    """inverse_convolve_dual(G, refG, refQ, c) as a function of c, for
+    configs c that differ from cfg at most in r_g (from rg_values) and
+    r_q (from rq_values).
+
+    The aggregates do not depend on the steps, so each is computed once,
+    and each half norm(Gn - r * A) once per distinct step value; a call
+    only averages two halves.
+    """
     for ref in (refG, refQ):
         if G.d != ref.d:
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
-    return EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
+
+    def halves(ref, rs):
+        A = _aggregate(Gn, ref, cfg)
+        return {r: row_normalize(Gn.data - r * A) for r in dict.fromkeys(rs)}
+
+    g_half, q_half = halves(refG, rg_values), halves(refQ, rq_values)
+    return lambda c: EmbeddingSet(list(G.ids), 0.5 * (g_half[c.r_g] + q_half[c.r_q]))
 
 
 def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig) -> np.ndarray:
@@ -147,27 +154,19 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig) -> np.ndar
     if cfg.variant == "full":
         return _full_aggregate(Gn, ref)
     S = build_adjacency(cosine_similarity_matrix(Gn, ref), cfg)
-    return _mm(_self_excluded(S.values, Gn.ids, ref.ids), ref.data)
+    S.values[_self_pairs(Gn.ids, ref.ids)] = 0.0
+    return _mm(S.values, ref.data)
 
 
 def _full_aggregate(Gn: EmbeddingSet, ref: EmbeddingSet) -> np.ndarray:
     # The centered cosine adjacency is Gn @ Rn.T - mu with the scalar mean
     # mu = mean_rows(Gn) . mean_rows(Rn), so its aggregate is the d x d map
     # Gn @ (Rn.T @ R) minus mu * colsum(R), without the N x N_ref matrix.
+    # Each self pair (i, j) then drops its own term (clip(Gn_i . Rn_j) - mu) * R_j.
     Rn = unit_rows(ref.data, ref.ids)
     mu = float((Gn.data.mean(axis=0) * Rn.mean(axis=0)).sum())
     agg = _mm(Gn.data, _mm(Rn.T, ref.data)) - mu * ref.data.sum(axis=0)
-    if _is_self(Gn.ids, ref.ids):
-        diag = np.clip(np.einsum("ij,ij->i", Gn.data, Rn), -1.0, 1.0)
-        agg -= (diag - mu)[:, None] * ref.data
+    rows, cols = _self_pairs(Gn.ids, ref.ids)
+    w = np.clip(np.einsum("ij,ij->i", Gn.data[rows], Rn[cols]), -1.0, 1.0)
+    agg[rows] -= (w - mu)[:, None] * ref.data[cols]
     return agg
-
-
-def _dual_step(Gn: np.ndarray, A: np.ndarray, r: float) -> np.ndarray:
-    """One half of the dual update: norm(Gn - r * A) for an aggregate A."""
-    return row_normalize(Gn - r * A)
-
-
-def score_queries(Q: EmbeddingSet, Gp: EmbeddingSet) -> SimMatrix:
-    """Similarity of every query against every corrected gallery row."""
-    return cosine_similarity_matrix(Q, Gp)

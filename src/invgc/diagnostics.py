@@ -56,37 +56,8 @@ def intra_mean_sim(G: EmbeddingSet, ks, bins: int = 20) -> DegenerationReport:
     if G.n < 2:
         raise ValueError("need at least 2 points")
     ks = _check_ks(ks, G.n - 1)
-    # One N x N matrix; the diagonal is overwritten before each pass so the
-    # self pairs drop out of it, and only row blocks are ever copied.
-    sims = cosine_similarity_matrix(G, G).values
-    n_pairs = G.n * (G.n - 1)
-    np.fill_diagonal(sims, 0.0)
-    mean_sim = float(sims.sum() / n_pairs)
-    np.fill_diagonal(sims, mean_sim)
-    square_dev = sum(float(((sims[b] - mean_sim) ** 2).sum()) for b in _row_blocks(G.n))
-    np.fill_diagonal(sims, np.inf)
-    min_sim = float(sims.min())
-    np.fill_diagonal(sims, -np.inf)
-    top = G.n - max(ks)
-    # Sorting each block's top columns copies them, so no block's full
-    # partitioned copy outlives its iteration.
-    ranked = np.concatenate([
-        np.sort(np.partition(sims[b], top, axis=1)[:, top:], axis=1) for b in _row_blocks(G.n)
-    ])[:, ::-1]
-    return DegenerationReport(
-        mean_sim=mean_sim,
-        mean_sim_at={k: float(ranked[:, :k].mean()) for k in ks},
-        histogram=_nn_histogram(ranked[:, 0], bins),
-        excluded_pairs=G.n,
-        std_sim=float(np.sqrt(square_dev / n_pairs)),
-        min_sim=min_sim,
-    )
-
-
-def _row_blocks(n: int):
-    # Row slices of an n x n matrix, about 2**20 entries (8 MB) each.
-    step = max(1, (1 << 20) // n)
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    diag = np.arange(G.n)
+    return _neighbour_report(cosine_similarity_matrix(G, G).values, diag, diag, ks, bins)
 
 
 def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 20) -> DegenerationReport:
@@ -99,46 +70,63 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     leave rows with fewer than k candidates.
     """
     ks = _check_ks(ks, None)
-    sims = cosine_similarity_matrix(G, Q).values
     g_index = {g: i for i, g in enumerate(G.ids)}
     q_index = {q: j for j, q in enumerate(Q.ids)}
-    excluded = np.zeros((G.n, Q.n), dtype=bool)
-    for q, gs in rel.items():
-        j = q_index.get(q)
-        if j is None:
-            continue
-        for g in gs:
-            i = g_index.get(g)
-            if i is not None:
-                excluded[i, j] = True
-    available = Q.n - excluded.sum(axis=1)
-    if (available == 0).any():
-        i = int(np.argmin(available))
-        raise ValueError(f"gallery row {G.ids[i]!r} has no unmatched queries left")
-    pool = sims[~excluded]
-    ranked = np.sort(np.where(excluded, -np.inf, sims), axis=1)[:, ::-1]
-    sums = np.cumsum(ranked, axis=1)
-    mean_at = {}
-    for k in ks:
-        counts = np.minimum(k, available)
-        mean_at[k] = float((sums[np.arange(G.n), counts - 1] / counts).mean())
+    pairs = [
+        (g_index[g], q_index[q])
+        for q, gs in rel.items() if q in q_index
+        for g in gs if g in g_index
+    ]
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    full = np.bincount(rows, minlength=G.n) == Q.n
+    if full.any():
+        raise ValueError(f"gallery row {G.ids[int(np.argmax(full))]!r} has no unmatched queries left")
+    return _neighbour_report(cosine_similarity_matrix(G, Q).values, rows, cols, ks, bins)
+
+
+def _neighbour_report(sims: np.ndarray, rows, cols, ks: list, bins: int) -> DegenerationReport:
+    # The excluded (rows[t], cols[t]) cells of sims are overwritten before
+    # each pass so they drop out of it, and only row blocks are ever
+    # copied.  Every row must keep at least one cell.
+    n, m = sims.shape
+    available = m - np.bincount(rows, minlength=n)
+    n_pairs = int(available.sum())
+    sims[rows, cols] = 0.0
+    mean_sim = float(sims.sum() / n_pairs)
+    sims[rows, cols] = mean_sim
+    square_dev = sum(float(((sims[b] - mean_sim) ** 2).sum()) for b in _row_blocks(n, m))
+    sims[rows, cols] = np.inf
+    min_sim = float(sims.min())
+    sims[rows, cols] = -np.inf
+    top = m - min(max(ks), m)
+    # Sorting each block's top columns copies them, so no block's full
+    # partitioned copy outlives its iteration.  A row with fewer cells
+    # than the width ends in excluded cells, which count as zero.
+    ranked = np.concatenate([
+        np.sort(np.partition(sims[b], top, axis=1)[:, top:], axis=1) for b in _row_blocks(n, m)
+    ])[:, ::-1]
+    ranked[ranked == -np.inf] = 0.0
     return DegenerationReport(
-        mean_sim=float(pool.mean()),
-        mean_sim_at=mean_at,
+        mean_sim=mean_sim,
+        mean_sim_at={
+            k: float((ranked[:, :k].sum(axis=1) / np.minimum(k, available)).mean()) for k in ks
+        },
         histogram=_nn_histogram(ranked[:, 0], bins),
-        excluded_pairs=int(excluded.sum()),
-        std_sim=float(pool.std()),
-        min_sim=float(pool.min()),
+        excluded_pairs=len(rows),
+        std_sim=float(np.sqrt(square_dev / n_pairs)),
+        min_sim=min_sim,
     )
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    # Row slices of an n_rows x n_cols matrix, about 2**20 entries (8 MB) each.
+    step = max(1, (1 << 20) // n_cols)
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def nn_similarity_histogram(G: EmbeddingSet, bins: int) -> list:
     """Histogram of each point's nearest-neighbor similarity."""
-    if G.n < 2:
-        raise ValueError("need at least 2 points")
-    sims = cosine_similarity_matrix(G, G).values
-    np.fill_diagonal(sims, -np.inf)
-    return _nn_histogram(sims.max(axis=1), bins)
+    return intra_mean_sim(G, [1], bins).histogram
 
 
 def degeneration_score(G: EmbeddingSet) -> float:

@@ -131,8 +131,7 @@ def row_percentile_threshold(row, k_percent: float) -> float:
     if row.size == 0:
         raise ValueError("empty row")
     _check_percent("k_percent", k_percent)
-    m = max(1, math.ceil(k_percent / 100.0 * row.size))
-    return float(np.partition(row, row.size - m)[row.size - m])
+    return float(_row_thresholds(row[None, :], k_percent)[0])
 
 
 def _row_thresholds(values: np.ndarray, percent: float) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvGCConfig, _aggregate, _dual_step, _unit_gallery, inverse_convolve_dual
+from .core import InvGCConfig, _dual_over_steps, inverse_convolve_dual
 from .diagnostics import degeneration_score
 from .embio import EmbeddingSet
 from .retrieval import RetrievalReport, evaluate
@@ -69,25 +69,6 @@ def grid_search(
         if best_key is None or key > best_key:
             best, best_key = (cfg, report), key
     return TuneResult(best_cfg=best[0], best_report=best[1], grid_trace=trace)
-
-
-def _dual_over_steps(G, refG, refQ, cfg, rg_values, rq_values):
-    """inverse_convolve_dual(G, refG, refQ, c) as a function of c, for
-    configs c that differ from cfg at most in r_g (from rg_values) and
-    r_q (from rq_values).
-
-    The aggregates do not depend on the steps, so each is computed once,
-    and each half once per distinct step value; a call only averages two
-    halves, with the same arithmetic as inverse_convolve_dual.
-    """
-    Gn = _unit_gallery(G, refG, refQ)
-
-    def halves(ref, rs):
-        A = _aggregate(Gn, ref, cfg)
-        return {r: _dual_step(Gn.data, A, r) for r in dict.fromkeys(rs)}
-
-    g_half, q_half = halves(refG, rg_values), halves(refQ, rq_values)
-    return lambda c: EmbeddingSet(list(G.ids), 0.5 * (g_half[c.r_g] + q_half[c.r_q]))
 
 
 def subsample_reference(refG: EmbeddingSet, refQ: EmbeddingSet, ratio: float, seed: int):

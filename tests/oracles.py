@@ -54,16 +54,17 @@ def invgc_dual(G_ids, G, refG_ids, refG, refQ_ids, refQ, variant,
     """Per-row restatement of the dual inverse update.
 
     Normalize the operand rows, build one adjacency per reference set,
-    zero the diagonal when the operand ids are the reference ids, apply
+    zero every pair whose operand and reference ids are equal, apply
     x_i - r * sum_j S_ij R_j, renormalize each half, and average.
     """
     Gn = [unit(row) for row in G]
     halves = []
     for ref_ids, R, r in ((refG_ids, refG, r_g), (refQ_ids, refQ, r_q)):
         S = adjacency(cosine_matrix(Gn, R), variant, k_percent, p_percent)
-        if list(G_ids) == list(ref_ids):
-            for i in range(len(S)):
-                S[i][i] = 0.0
+        for i, g_id in enumerate(G_ids):
+            for j, r_id in enumerate(ref_ids):
+                if g_id == r_id:
+                    S[i][j] = 0.0
         half = []
         for i, x in enumerate(Gn):
             row = [

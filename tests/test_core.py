@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
@@ -21,6 +23,20 @@ from invgc.simgraph import Adjacency, adjacency_full, cosine_similarity_matrix, 
 
 def make_set(rng, n, d, prefix="x"):
     return EmbeddingSet([f"{prefix}{i}" for i in range(n)], rng.standard_normal((n, d)))
+
+
+def take_rows(es, idx):
+    return EmbeddingSet([es.ids[i] for i in idx], es.data[idx])
+
+
+def random_config(rng, variant):
+    return InvGCConfig(
+        variant,
+        float(rng.uniform(0.0, 1.0)),
+        float(rng.uniform(0.0, 1.0)),
+        float(rng.uniform(1.0, 100.0)),
+        float(rng.uniform(1.0, 100.0)),
+    )
 
 
 def test_dual_update_matches_row_oracle_on_random_instances():
@@ -192,3 +208,56 @@ def test_full_aggregate_closed_form_matches_the_dense_adjacency():
         dense = inverse_convolve_single(zero, S, R, -1.0).data
         got = _aggregate(Gn, R, InvGCConfig("full"))
         assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(VARIANTS), self_ref=st.booleans())
+def test_dual_output_follows_ids_not_row_order(seed, variant, self_ref):
+    # Reordering a reference set only reorders sums, so the output may
+    # move by rounding alone: 1e-12 max abs on unit-scale rows.  With
+    # self_ref the gallery is its own reference, reversed or shuffled.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 8))
+    G = make_set(rng, int(rng.integers(2, 30)), d, "g")
+    refG = G if self_ref else make_set(rng, int(rng.integers(2, 30)), d, "r")
+    refQ = make_set(rng, int(rng.integers(2, 30)), d, "q")
+    cfg = random_config(rng, variant)
+    want = inverse_convolve_dual(G, refG, refQ, cfg)
+    for order in (np.arange(refG.n)[::-1], rng.permutation(refG.n)):
+        refQ_order = rng.permutation(refQ.n)
+        got = inverse_convolve_dual(G, take_rows(refG, order), take_rows(refQ, refQ_order), cfg)
+        assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+    perm = rng.permutation(G.n)
+    got = inverse_convolve_dual(take_rows(G, perm), refG, refQ, cfg)
+    assert got.ids == [G.ids[i] for i in perm]
+    assert_allclose(got.data, want.data[perm], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(VARIANTS))
+def test_a_reordered_or_subsampled_self_reference_excludes_every_self_pair(seed, variant):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 10)), int(rng.integers(2, 5))
+    # integer payloads and 0/1 weights keep every sum exact
+    X = EmbeddingSet([f"x{i}" for i in range(n)], rng.choice([-3.0, -1.0, 1.0, 2.0], (n, d)))
+    Y = make_set(rng, n, d)
+    refQ = make_set(rng, int(rng.integers(2, 8)), d, "q")
+    cfg = random_config(rng, variant)
+    subsample = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+    for keep in (np.arange(n)[::-1], subsample):
+        R = take_rows(X, keep)
+        S = Adjacency(np.ones((n, len(keep))), "binary", 100.0)
+        kept = set(keep)
+        others = R.data.sum(axis=0) - np.array([X.data[i] * (i in kept) for i in range(n)])
+        assert_array_equal(inverse_convolve_single(X, S, R, 1.0).data, X.data - others)
+        assert_array_equal(forward_convolve(X, S, R).data, X.data + others)
+        assert_array_equal(S.values, 1.0)  # the caller's adjacency is left as given
+        refG = take_rows(Y, keep)
+        got = inverse_convolve_dual(Y, refG, refQ, cfg)
+        want = oracles.invgc_dual(
+            Y.ids, Y.data.tolist(),
+            refG.ids, refG.data.tolist(),
+            refQ.ids, refQ.data.tolist(),
+            variant, cfg.r_g, cfg.r_q, cfg.k_percent, cfg.p_percent,
+        )
+        assert_allclose(got.data, want, atol=1e-9)

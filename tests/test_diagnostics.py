@@ -64,23 +64,44 @@ def test_intra_scalars_are_permutation_invariant():
 
 
 def test_intra_spanning_several_row_blocks_matches_a_dense_pool():
-    # 1500 rows split into two row blocks; the reference keeps the whole
-    # off-diagonal pool and sorts every row
+    # 1500 rows split into two row blocks, once within the set (diagonal
+    # excluded) and once against 1500 queries with scattered matched
+    # pairs, where three gallery rows keep only 1, 5 and 20 unmatched
+    # queries; the reference keeps the whole masked pool and sorts every
+    # row
     rng = np.random.default_rng(47)
     G = make_set(rng, 1500, 6)
-    rep = intra_mean_sim(G, [1, 7, 30], bins=9)
+    Q = make_set(rng, 1500, 6, "q")
+    matched = np.zeros((G.n, Q.n), dtype=bool)
+    matched[rng.integers(0, G.n, 3000), rng.integers(0, Q.n, 3000)] = True
+    for i, left in ((3, 1), (700, 5), (1499, 20)):
+        matched[i] = True
+        matched[i, rng.choice(Q.n, left, replace=False)] = False
+    rel = {}
+    for i, j in np.argwhere(matched):
+        rel.setdefault(Q.ids[j], set()).add(G.ids[i])
+    ks = [1, 7, 30]
+    cases = [
+        (intra_mean_sim(G, ks, bins=9), G, ~np.eye(G.n, dtype=bool)),
+        (cross_mean_sim(G, Q, rel, ks, bins=9), Q, ~matched),
+    ]
     X = G.data / np.linalg.norm(G.data, axis=1)[:, None]
-    sims = np.clip(X @ X.T, -1.0, 1.0)
-    off_diag = ~np.eye(G.n, dtype=bool)
-    pool = sims[off_diag]
-    ranked = -np.sort(np.where(off_diag, -sims, np.inf), axis=1)
-    assert_allclose(rep.mean_sim, pool.mean(), atol=1e-12)
-    assert_allclose(rep.std_sim, pool.std(), atol=1e-12)
-    assert_allclose(rep.min_sim, pool.min(), atol=1e-12)
-    for k in (1, 7, 30):
-        assert_allclose(rep.mean_sim_at[k], ranked[:, :k].mean(), atol=1e-12)
-    want = np.histogram(ranked[:, 0], bins=9, range=(-1.0, 1.0))[0]
-    assert [c for _, _, c in rep.histogram] == want.tolist()
+    for rep, C, keep in cases:
+        Y = C.data / np.linalg.norm(C.data, axis=1)[:, None]
+        sims = np.clip(X @ Y.T, -1.0, 1.0)
+        pool = sims[keep]
+        ranked = -np.sort(np.where(keep, -sims, np.inf), axis=1)
+        available = keep.sum(axis=1)
+        assert rep.excluded_pairs == (~keep).sum()
+        assert_allclose(rep.mean_sim, pool.mean(), atol=1e-12)
+        assert_allclose(rep.std_sim, pool.std(), atol=1e-12)
+        assert_allclose(rep.min_sim, pool.min(), atol=1e-12)
+        for k in ks:
+            take = np.minimum(k, available)
+            top = np.where(np.arange(C.n) < take[:, None], ranked, 0.0)
+            assert_allclose(rep.mean_sim_at[k], (top.sum(axis=1) / take).mean(), atol=1e-12)
+        want = np.histogram(ranked[:, 0], bins=9, range=(-1.0, 1.0))[0]
+        assert [c for _, _, c in rep.histogram] == want.tolist()
 
 
 def test_histogram_boundary_values_go_to_the_higher_bin():
