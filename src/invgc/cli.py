@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import embio
-from .core import InvGCConfig, inverse_convolve_dual
+from .core import InvGCConfig, StepOverflowError, inverse_convolve_dual
 from .diagnostics import cross_mean_sim, intra_mean_sim
 from .retrieval import evaluate
 from .synth import ConeConfig, generate_cone_dataset
@@ -104,6 +104,27 @@ def _load_set(path) -> embio.EmbeddingSet:
     return embio.load_embeddings(path, _format_for(path))
 
 
+def _load_pairing(path, queries: embio.EmbeddingSet, gallery: embio.EmbeddingSet) -> dict:
+    """The relevance map at path, every id in it resolved in the two sets."""
+    rel = embio.load_relevance(path)
+    report = embio.validate_pairing(queries, gallery, rel)
+    if report.unknown_query_ids:
+        raise ValueError(f"{path}: query id {report.unknown_query_ids[0]!r} is not in the query set")
+    if report.unknown_gallery_ids:
+        raise ValueError(f"{path}: gallery id {report.unknown_gallery_ids[0]!r} is not in the gallery")
+    return rel
+
+
+def _step_flag(args, field: str) -> str:
+    """The option that set a step field ("r_g" or "r_q") in this command."""
+    param = "rg" if field == "r_g" else "rq"
+    if args.subcommand == "tune":
+        return f"--{param}-grid"
+    if args.subcommand == "sweep" and args.param == param:
+        return "--values"
+    return f"--{param}"
+
+
 def _cfg_from_args(args) -> InvGCConfig:
     if args.k is not None and args.variant != "local":
         raise UsageError("--k applies only to --variant local")
@@ -142,7 +163,7 @@ def cmd_diagnose(args) -> int:
         raise UsageError("--query and --relevance must be given together")
     if args.query is not None:
         Q = _load_set(args.query)
-        rel = embio.load_relevance(args.relevance)
+        rel = _load_pairing(args.relevance, Q, G)
         report = cross_mean_sim(G, Q, rel, ks, bins=args.bins)
         _emit_degeneration(report, "cross")
     else:
@@ -170,7 +191,7 @@ def cmd_eval(args) -> int:
     Ks = _parse_ints(args.recall_at)
     Q = _load_set(args.query)
     G = _load_set(args.gallery)
-    rel = embio.load_relevance(args.relevance)
+    rel = _load_pairing(args.relevance, Q, G)
     report = evaluate(Q, G, rel, Ks)
     for k in sorted(report.recall_at):
         _emit(f"R@{k}", report.recall_at[k])
@@ -196,7 +217,7 @@ def cmd_tune(args) -> int:
     valG = _load_set(args.val_gallery)
     refG = _load_set(args.ref_gallery)
     refQ = _load_set(args.ref_query)
-    rel = embio.load_relevance(args.relevance)
+    rel = _load_pairing(args.relevance, valQ, valG)
     rg_grid = _parse_values(args.rg_grid) if args.rg_grid else DEFAULT_R_GRID
     rq_grid = _parse_values(args.rq_grid) if args.rq_grid else DEFAULT_R_GRID
     result = grid_search(
@@ -234,7 +255,7 @@ def cmd_sweep(args) -> int:
     valG = _load_set(args.val_gallery)
     refG = _load_set(args.ref_gallery)
     refQ = _load_set(args.ref_query)
-    rel = embio.load_relevance(args.relevance)
+    rel = _load_pairing(args.relevance, valQ, valG)
     curve = sweep_param(
         cfg, args.param, values, valQ, valG, refG, refQ, rel, seed=args.seed
     )
@@ -394,6 +415,13 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"invgc {args.subcommand}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except StepOverflowError as e:
+        print(
+            f"invgc {args.subcommand}: {_step_flag(args, e.field)} value {e.r!r} is too large:"
+            " the step times the reference aggregate is not finite",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     except (ValueError, OSError) as e:
         print(f"invgc {args.subcommand}: {e}", file=sys.stderr)
         return EXIT_DATA

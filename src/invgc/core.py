@@ -24,10 +24,12 @@ from .simgraph import (
     SimMatrix,
     _check_percent,
     _mm,
+    _row_thresholds,
+    _scaled_norms,
+    _sim_blocks,
     adjacency_binary,
     adjacency_full,
     adjacency_local,
-    cosine_similarity_matrix,
     unit_rows,
 )
 
@@ -67,10 +69,10 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm.
 
     Rows with norm below 1e-12 pass through as all zeros; their count is
-    reported via RuntimeWarning rather than aborting the batch.
+    reported via RuntimeWarning rather than aborting the batch.  A row
+    whose plain norm overflows is scaled by its max |x| first.
     """
-    M = np.asarray(M, dtype=np.float64)
-    norms = np.linalg.norm(M, axis=1)
+    M, norms = _scaled_norms(M)
     degenerate = norms < 1e-12
     n_bad = int(np.count_nonzero(degenerate))
     if n_bad:
@@ -91,6 +93,14 @@ def _self_pairs(x_ids: list, r_ids: list) -> tuple:
     col = {r: j for j, r in enumerate(r_ids)}
     pairs = [(i, col[x]) for i, x in enumerate(x_ids) if x in col]
     return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+
+
+class StepOverflowError(ValueError):
+    """A step r whose product with the reference aggregate is not finite."""
+
+    def __init__(self, field: str, r: float):
+        super().__init__(f"{field}={r!r} is too large: {field} times the aggregate is not finite")
+        self.field, self.r = field, r
 
 
 def _check_conv_args(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet) -> None:
@@ -136,11 +146,18 @@ def _dual_over_steps(G, refG, refQ, cfg, rg_values, rq_values):
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
 
-    def halves(ref, rs):
+    def halves(ref, rs, field):
         A = _aggregate(Gn, ref, cfg)
-        return {r: row_normalize(Gn.data - r * A) for r in dict.fromkeys(rs)}
+        out = {}
+        for r in dict.fromkeys(rs):
+            with np.errstate(over="ignore"):
+                step = r * A
+            if not np.isfinite(step).all():
+                raise StepOverflowError(field, r)
+            out[r] = row_normalize(Gn.data - step)
+        return out
 
-    g_half, q_half = halves(refG, rg_values), halves(refQ, rq_values)
+    g_half, q_half = halves(refG, rg_values, "r_g"), halves(refQ, rq_values, "r_q")
     return lambda c: EmbeddingSet(list(G.ids), 0.5 * (g_half[c.r_g] + q_half[c.r_q]))
 
 
@@ -148,14 +165,26 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig) -> np.ndar
     """S @ ref for the configured adjacency S over Gn x ref, self pairs excluded.
 
     The step sizes do not enter, so a search over them computes this once
-    per reference set.  local and avgpool build and free a dense adjacency
-    per call; full needs only a d x d map.
+    per reference set.  local and avgpool mask one row block of cosines
+    at a time, the rows of build_adjacency's S; full needs only a d x d map.
     """
     if cfg.variant == "full":
         return _full_aggregate(Gn, ref)
-    S = build_adjacency(cosine_similarity_matrix(Gn, ref), cfg)
-    S.values[_self_pairs(Gn.ids, ref.ids)] = 0.0
-    return _mm(S.values, ref.data)
+    local = cfg.variant == "local"
+    percent = cfg.k_percent if local else cfg.p_percent
+    # _self_pairs lists rows in ascending order, so a block's pairs are a run
+    rows, cols = _self_pairs(Gn.ids, ref.ids)
+    out = np.empty((Gn.n, ref.d))
+    for b, sims in _sim_blocks(Gn, ref):
+        thr = _row_thresholds(sims, percent)[:, None]
+        if local:
+            sims[sims < thr] = 0.0
+        else:
+            sims = (sims >= thr).astype(np.float64)
+        lo, hi = np.searchsorted(rows, (b.start, b.stop))
+        sims[rows[lo:hi] - b.start, cols[lo:hi]] = 0.0
+        out[b] = _mm(sims, ref.data)
+    return out
 
 
 def _full_aggregate(Gn: EmbeddingSet, ref: EmbeddingSet) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import cosine_similarity_matrix
+from .simgraph import _sim_blocks
 
 
 @dataclass
@@ -57,7 +57,7 @@ def intra_mean_sim(G: EmbeddingSet, ks, bins: int = 20) -> DegenerationReport:
         raise ValueError("need at least 2 points")
     ks = _check_ks(ks, G.n - 1)
     diag = np.arange(G.n)
-    return _neighbour_report(cosine_similarity_matrix(G, G).values, diag, diag, ks, bins)
+    return _neighbour_report(G, G, diag, diag, ks, bins)
 
 
 def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 20) -> DegenerationReport:
@@ -81,31 +81,43 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     full = np.bincount(rows, minlength=G.n) == Q.n
     if full.any():
         raise ValueError(f"gallery row {G.ids[int(np.argmax(full))]!r} has no unmatched queries left")
-    return _neighbour_report(cosine_similarity_matrix(G, Q).values, rows, cols, ks, bins)
+    return _neighbour_report(G, Q, rows, cols, ks, bins)
 
 
-def _neighbour_report(sims: np.ndarray, rows, cols, ks: list, bins: int) -> DegenerationReport:
-    # The excluded (rows[t], cols[t]) cells of sims are overwritten before
-    # each pass so they drop out of it, and only row blocks are ever
-    # copied.  Every row must keep at least one cell.
-    n, m = sims.shape
-    available = m - np.bincount(rows, minlength=n)
-    n_pairs = int(available.sum())
-    sims[rows, cols] = 0.0
-    mean_sim = float(sims.sum() / n_pairs)
-    sims[rows, cols] = mean_sim
-    square_dev = sum(float(((sims[b] - mean_sim) ** 2).sum()) for b in _row_blocks(n, m))
-    sims[rows, cols] = np.inf
-    min_sim = float(sims.min())
-    sims[rows, cols] = -np.inf
-    top = m - min(max(ks), m)
-    # Sorting each block's top columns copies them, so no block's full
-    # partitioned copy outlives its iteration.  A row with fewer cells
-    # than the width ends in excluded cells, which count as zero.
-    ranked = np.concatenate([
-        np.sort(np.partition(sims[b], top, axis=1)[:, top:], axis=1) for b in _row_blocks(n, m)
-    ])[:, ::-1]
+def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bins: int) -> DegenerationReport:
+    # One pass over the row blocks of the X x Y cosines, leaving out the
+    # cells (rows[t], cols[t]); every row must keep at least one cell.
+    # Each block overwrites its own excluded cells before each use, and
+    # keeps its sorted top columns, its cell count, sum, min and M2 (the
+    # sum of squared deviations from its own mean).
+    available = Y.n - np.bincount(rows, minlength=X.n)
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    top = Y.n - min(max(ks), Y.n)
+    ranked, counts, sums, mins, m2s = [], [], [], [], []
+    for b, sims in _sim_blocks(X, Y):
+        lo, hi = np.searchsorted(rows, (b.start, b.stop))
+        cells = rows[lo:hi] - b.start, cols[lo:hi]
+        # A row with fewer cells than the width ends in excluded cells,
+        # which count as zero.
+        sims[cells] = -np.inf
+        ranked.append(np.sort(np.partition(sims, top, axis=1)[:, top:], axis=1))
+        sims[cells] = np.inf
+        mins.append(sims.min())
+        sims[cells] = 0.0
+        counts.append(int(available[b].sum()))
+        sums.append(float(sims.sum()))
+        sims -= sums[-1] / counts[-1]
+        sims[cells] = 0.0
+        m2s.append(float(np.square(sims, out=sims).sum()))
+    ranked = np.concatenate(ranked)[:, ::-1]
     ranked[ranked == -np.inf] = 0.0
+    counts, sums = np.array(counts), np.array(sums)
+    n_pairs = int(counts.sum())
+    mean_sim = float(sums.sum() / n_pairs)
+    # Block means and M2s merge exactly (Chan, Golub and LeVeque 1983):
+    # M2 = sum of M2_b + sum of n_b * (mean_b - mean)^2.
+    square_dev = float(sum(m2s) + (counts * (sums / counts - mean_sim) ** 2).sum())
     return DegenerationReport(
         mean_sim=mean_sim,
         mean_sim_at={
@@ -114,14 +126,8 @@ def _neighbour_report(sims: np.ndarray, rows, cols, ks: list, bins: int) -> Dege
         histogram=_nn_histogram(ranked[:, 0], bins),
         excluded_pairs=len(rows),
         std_sim=float(np.sqrt(square_dev / n_pairs)),
-        min_sim=min_sim,
+        min_sim=float(min(mins)),
     )
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    # Row slices of an n_rows x n_cols matrix, about 2**20 entries (8 MB) each.
-    step = max(1, (1 << 20) // n_cols)
-    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def nn_similarity_histogram(G: EmbeddingSet, bins: int) -> list:

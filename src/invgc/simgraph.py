@@ -7,6 +7,10 @@ full    the raw cosine matrix, optionally centered by subtracting the
 local   per row, keep entries >= the m-th largest value verbatim and
         zero the rest, m = max(1, ceil(k_percent/100 * row length))
 binary  same row threshold, but retained entries become 1 and the rest 0
+
+The library's own passes take the cosines from _sim_blocks, one row block
+of about 2**20 cells at a time, so none holds an N x N_ref matrix; the
+dense matrix and adjacency functions serve callers that want them whole.
 """
 
 from __future__ import annotations
@@ -96,10 +100,27 @@ class Adjacency:
     centered: bool = False
 
 
+def _scaled_norms(X: np.ndarray) -> tuple:
+    """(Y, norms) with Y / norms[:, None] the unit rows of X.
+
+    A row whose sum of squares overflows is first divided by its max |x|,
+    as BLAS nrm2 scales; every other row of Y is X's row, and its norm
+    the plain one, so finite-norm rows keep their bytes.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    big = ~np.isfinite(norms)
+    if big.any():
+        X = X.copy()
+        X[big] /= np.abs(X[big]).max(axis=1)[:, None]
+        norms[big] = np.linalg.norm(X[big], axis=1)
+    return X, norms
+
+
 def unit_rows(X: np.ndarray, ids: list | None = None) -> np.ndarray:
     """Divide each row by its norm; a zero-norm row is an error here."""
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
+    X, norms = _scaled_norms(X)
     bad = np.nonzero(norms < 1e-12)[0]
     if bad.size:
         which = ids[bad[0]] if ids is not None else str(bad[0])
@@ -107,13 +128,46 @@ def unit_rows(X: np.ndarray, ids: list | None = None) -> np.ndarray:
     return X / norms[:, None]
 
 
-def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatrix:
-    """Pairwise cosines, clamped to [-1, 1] to absorb rounding drift."""
+def _check_dims(rows: EmbeddingSet, cols: EmbeddingSet) -> None:
     if rows.d != cols.d:
         raise ValueError(f"dimension mismatch: {rows.d} vs {cols.d}")
+
+
+def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatrix:
+    """Pairwise cosines, clamped to [-1, 1] to absorb rounding drift."""
+    _check_dims(rows, cols)
     vals = _mm(unit_rows(rows.data, rows.ids), unit_rows(cols.data, cols.ids).T)
     np.clip(vals, -1.0, 1.0, out=vals)
     return SimMatrix(list(rows.ids), list(cols.ids), vals)
+
+
+_BLOCK_CELLS = 1 << 20  # about 8 MB of float64 per row block
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    # Row slices of an n_rows x n_cols matrix, about _BLOCK_CELLS cells
+    # each.  No block has one row unless n_rows is 1: numpy runs a 1-row
+    # product as gemv, whose sums differ in the last bit from gemm's, so
+    # a one-row tail joins the block before it.
+    step = max(2, _BLOCK_CELLS // max(1, n_cols))
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+def _sim_blocks(rows: EmbeddingSet, cols: EmbeddingSet):
+    """(row slice, clipped cosine block) pairs that tile rows x cols.
+
+    Each block holds the rows of cosine_similarity_matrix(rows, cols)
+    bit for bit, so no caller holds the N x N_ref matrix.
+    """
+    _check_dims(rows, cols)
+    Xn = unit_rows(rows.data, rows.ids)
+    Yt = (Xn if cols is rows else unit_rows(cols.data, cols.ids)).T
+    for b in _row_blocks(rows.n, cols.n):
+        sims = _mm(Xn[b], Yt)
+        yield b, np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def _check_percent(name: str, pct: float) -> None:
@@ -137,7 +191,7 @@ def row_percentile_threshold(row, k_percent: float) -> float:
 def _row_thresholds(values: np.ndarray, percent: float) -> np.ndarray:
     n_cols = values.shape[1]
     m = max(1, math.ceil(percent / 100.0 * n_cols))
-    # A copy of the column, so the partitioned N x N_ref copy is freed
+    # A copy of the column, so the partitioned copy of values is freed
     # here rather than kept alive by a view while the caller masks.
     return np.partition(values, n_cols - m, axis=1)[:, n_cols - m].copy()
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from invgc.cli import main
-from invgc.core import InvGCConfig, inverse_convolve_dual
+from invgc.core import InvGCConfig, _aggregate, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
-from invgc.embio import load_embeddings, load_relevance
+from invgc.embio import EmbeddingSet, load_embeddings, load_relevance
 from invgc.retrieval import evaluate
 
 
@@ -410,3 +411,82 @@ def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, c
         runs.append((stdout, files))
     assert sorted(runs[0][1]) == ["full.emb", "full.emb.ids", "trace.tsv"]
     assert runs[0] == runs[1]
+
+
+def _val_sets(dataset, rel):
+    return [
+        "--val-query", dataset["query"], "--val-gallery", dataset["gallery"],
+        "--ref-gallery", dataset["refg"], "--ref-query", dataset["refq"], "--relevance", rel,
+    ]
+
+
+def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
+    # 1e200 * the aggregate is finite, but each row's sum of squares is not
+    out = tmp_path / "huge.emb"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run_main([
+            "apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+            "--ref-query", dataset["refq"], "--variant", "full",
+            "--rg", "1e200", "--rq", "0", "--out", str(out),
+        ], capsys)
+    assert rc == 0 and err == ""
+    G = load_embeddings(dataset["gallery"])
+    refG = load_embeddings(dataset["refg"])
+    Gn = G.data / np.linalg.norm(G.data, axis=1)[:, None]
+    A = _aggregate(EmbeddingSet(G.ids, Gn), refG, InvGCConfig("full"))
+    want = 0.5 * (-A / np.linalg.norm(A, axis=1)[:, None] + Gn)
+    assert_allclose(load_embeddings(out).data, want, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("apply --rg", "--rg"),
+    ("apply --rq", "--rq"),
+    ("tune --rg-grid", "--rg-grid"),
+    ("tune --rq-grid", "--rq-grid"),
+    ("sweep --param rg", "--values"),
+    ("sweep --rq", "--rq"),
+])
+def test_an_overflowing_step_exits_two_naming_its_option(dataset, capsys, tmp_path, command, flag):
+    # the avgpool aggregate here reaches about 25, so 1e308 times it overflows
+    sub, option = command.split(" ", 1)
+    val_sets = [*_val_sets(dataset, dataset["rel"]), "--variant", "avgpool"]
+    if sub == "apply":
+        steps = {"--rg": "0", "--rq": "0", option: "1e308"}
+        argv = ["apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+                "--ref-query", dataset["refq"], "--variant", "avgpool",
+                *[t for kv in steps.items() for t in kv], "--out", str(tmp_path / "o.emb")]
+    elif sub == "tune":
+        argv = ["tune", *val_sets, option, "0,1e308"]
+    elif option == "--param rg":
+        argv = ["sweep", "--param", "rg", "--values", "0,1e308", *val_sets]
+    else:
+        argv = ["sweep", "--param", "rg", "--values", "0", "--rq", "1e308", *val_sets]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_main(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == (f"invgc {sub}: {flag} value 1e+308 is too large:"
+                   " the step times the reference aggregate is not finite\n")
+    assert not (tmp_path / "o.emb").exists()
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("qX\tg0\n", "query id 'qX' is not in the query set"),
+    ("q0\tgX\n", "gallery id 'gX' is not in the gallery"),
+])
+@pytest.mark.parametrize("sub", ["eval", "tune", "sweep", "diagnose"])
+def test_a_relevance_id_that_does_not_resolve_exits_two(dataset, capsys, tmp_path, sub, bad_line, message):
+    rel = tmp_path / "rel.tsv"
+    rel.write_text(Path(dataset["rel"]).read_text(encoding="utf-8") + bad_line, encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"],
+                 "--relevance", str(rel)],
+        "tune": ["tune", *_val_sets(dataset, str(rel)), "--variant", "full"],
+        "sweep": ["sweep", "--param", "rg", "--values", "0,0.1", *_val_sets(dataset, str(rel))],
+        "diagnose": ["diagnose", "--gallery", dataset["gallery"], "--query", dataset["query"],
+                     "--relevance", str(rel)],
+    }[sub]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"invgc {sub}: {rel}: {message}\n"

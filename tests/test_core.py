@@ -1,5 +1,7 @@
 """Convolution updates against a per-row oracle and hand-checked cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+from invgc import simgraph
 from invgc.core import (
     InvGCConfig,
+    StepOverflowError,
     VARIANTS,
     _aggregate,
+    _self_pairs,
     build_adjacency,
     forward_convolve,
     inverse_convolve_dual,
@@ -18,7 +23,7 @@ from invgc.core import (
     row_normalize,
 )
 from invgc.embio import EmbeddingSet
-from invgc.simgraph import Adjacency, adjacency_full, cosine_similarity_matrix, unit_rows
+from invgc.simgraph import Adjacency, _mm, adjacency_full, cosine_similarity_matrix, unit_rows
 
 
 def make_set(rng, n, d, prefix="x"):
@@ -261,3 +266,95 @@ def test_a_reordered_or_subsampled_self_reference_excludes_every_self_pair(seed,
             variant, cfg.r_g, cfg.r_q, cfg.k_percent, cfg.p_percent,
         )
         assert_allclose(got.data, want, atol=1e-9)
+
+
+def shared_id_reference(rng, G, n_other):
+    # G's rows shuffled, a third of them dropped, and n_other new rows
+    # mixed in: self pairs land at scattered columns of every row block,
+    # and some rows (block edges among them) have none
+    keep = rng.permutation(G.n)[: 2 * G.n // 3]
+    other = rng.standard_normal((n_other, G.d))
+    ids = [G.ids[i] for i in keep] + [f"new{i}" for i in range(n_other)]
+    order = rng.permutation(len(ids))
+    data = np.concatenate([G.data[keep], other])[order]
+    return EmbeddingSet([ids[i] for i in order], data)
+
+
+@pytest.mark.parametrize("variant", ["local", "avgpool"])
+def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
+    # 1500 x 2000 cosines run in three row blocks of 524, 524 and 452 rows
+    rng = np.random.default_rng(37)
+    G = make_set(rng, 1500, 12, "g")
+    R = shared_id_reference(rng, G, 1000)
+    assert len(simgraph._row_blocks(G.n, R.n)) == 3
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+    cfg = InvGCConfig(variant, k_percent=0.7, p_percent=2.5)
+    S = build_adjacency(cosine_similarity_matrix(Gn, R), cfg)
+    S.values[_self_pairs(Gn.ids, R.ids)] = 0.0
+    assert_array_equal(_aggregate(Gn, R, cfg), _mm(S.values, R.data))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_dual_update_matches_the_row_oracle(variant, monkeypatch):
+    # a 64-cell budget cuts 41 rows into 2-row blocks and a 3-row tail,
+    # so the shared-id self pairs fall on both sides of every block edge
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    rng = np.random.default_rng(38)
+    G = make_set(rng, 41, 4, "g")
+    refG = shared_id_reference(rng, G, 9)
+    refQ = EmbeddingSet(list(reversed(G.ids)), G.data[::-1])
+    assert len(simgraph._row_blocks(G.n, refG.n)) == 20
+    cfg = InvGCConfig(variant, 0.3, 0.6, k_percent=8.0, p_percent=15.0)
+    got = inverse_convolve_dual(G, refG, refQ, cfg)
+    want = oracles.invgc_dual(
+        G.ids, G.data.tolist(), refG.ids, refG.data.tolist(), refQ.ids, refQ.data.tolist(),
+        variant, cfg.r_g, cfg.r_q, cfg.k_percent, cfg.p_percent,
+    )
+    assert_allclose(got.data, want, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    j=st.integers(-1000, 1000),
+    d=st.integers(1, 6),
+)
+def test_row_normalize_ignores_power_of_two_row_scaling(seed, j, d):
+    # 2**j scaling is exact for entries of size [2**-20, 4) at |j| <= 1000.
+    # A row whose scaled norm falls below 1e-12 is degenerate by contract
+    # and comes back zero; every other row is the unscaled unit row.
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(2.0**-20, 4.0, (3, d)) * rng.choice([-1.0, 1.0], (3, d))
+    scaled = M.copy()
+    scaled[1] *= 2.0**j
+    want = row_normalize(M)
+    if np.linalg.norm(M[1]) * 2.0**j < 1e-12:
+        with pytest.warns(RuntimeWarning, match="1 zero-norm rows"):
+            got = row_normalize(scaled)
+        want[1] = 0.0
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = row_normalize(scaled)
+    assert_array_equal(got[[0, 2]], want[[0, 2]])
+    assert_allclose(got[1], want[1], rtol=0, atol=4e-16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huge_step_is_dominated_by_the_aggregate_and_an_overflowing_one_is_refused():
+    rng = np.random.default_rng(39)
+    G = make_set(rng, 10, 5, "g")
+    refG = make_set(rng, 30, 5, "r")
+    refQ = make_set(rng, 20, 5, "q")
+    for variant in VARIANTS:
+        cfg = InvGCConfig(variant, 1e200, 0.0, k_percent=20.0, p_percent=20.0)
+        Gn = unit_rows(G.data)
+        A = _aggregate(EmbeddingSet(G.ids, Gn), refG, cfg)
+        # norm(Gn - r A) = norm(Gn / r - A), and Gn / r is below A's last bit
+        want = 0.5 * (row_normalize(-A) + Gn)
+        assert_allclose(inverse_convolve_dual(G, refG, refQ, cfg).data, want, rtol=0, atol=1e-15)
+        for field in ("r_g", "r_q"):
+            big = InvGCConfig(variant, k_percent=20.0, p_percent=20.0, **{field: 1e308})
+            with pytest.raises(StepOverflowError, match=f"{field}=1e\\+308 is too large") as err:
+                inverse_convolve_dual(G, refG, refQ, big)
+            assert (err.value.field, err.value.r) == (field, 1e308)

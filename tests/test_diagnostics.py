@@ -1,10 +1,15 @@
 """Similarity-structure reports against brute-force recomputation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from invgc import simgraph
 from invgc.diagnostics import (
     cross_mean_sim,
     degeneration_score,
@@ -209,3 +214,51 @@ def test_degeneration_score_is_mean_nn_similarity():
     assert_allclose(
         degeneration_score(G), oracles.intra_mean_at(G.data.tolist(), 1), atol=1e-12
     )
+
+
+def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix():
+    # the dense 3000 x 3000 float64 cosines take 72 MB; the blocked pass
+    # holds one 8 MB block and its partitioned copy at a time
+    rng = np.random.default_rng(48)
+    G = make_set(rng, 3000, 8)
+    tracemalloc.start()
+    try:
+        rep = intra_mean_sim(G, [1, 10])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 3000 * 8 / 4, peak
+    assert rep.excluded_pairs == 3000
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([16, 64, 1 << 20]))
+def test_cross_report_follows_ids_not_row_order(seed, budget):
+    # small cell budgets cut the gallery into many row blocks, so the
+    # permuted excluded pairs land in different blocks
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    G = make_set(rng, int(rng.integers(2, 30)), d, "g")
+    Q = make_set(rng, int(rng.integers(2, 30)), d, "q")
+    rel = {}
+    for _ in range(int(rng.integers(0, G.n * Q.n // 2 + 1))):
+        rel.setdefault(Q.ids[rng.integers(Q.n)], set()).add(G.ids[rng.integers(G.n)])
+    full = [g for g in G.ids if sum(g in gs for gs in rel.values()) == Q.n]
+    for gs in rel.values():
+        gs.difference_update(full)
+    ks = [1, 3, 40]
+    pg, pq = rng.permutation(G.n), rng.permutation(Q.n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simgraph, "_BLOCK_CELLS", budget)
+        a = cross_mean_sim(G, Q, rel, ks, bins=7)
+        b = cross_mean_sim(
+            EmbeddingSet([G.ids[i] for i in pg], G.data[pg]),
+            EmbeddingSet([Q.ids[i] for i in pq], Q.data[pq]),
+            rel, ks, bins=7,
+        )
+    assert a.excluded_pairs == b.excluded_pairs
+    for x, y in [(a.mean_sim, b.mean_sim), (a.std_sim, b.std_sim), (a.min_sim, b.min_sim)]:
+        assert_allclose(x, y, rtol=0, atol=1e-12)
+    for k in ks:
+        assert_allclose(a.mean_sim_at[k], b.mean_sim_at[k], rtol=0, atol=1e-12)
+    assert a.histogram == b.histogram

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from invgc import simgraph
 from invgc.embio import EmbeddingSet
 from invgc.retrieval import (
     compute_metrics,
@@ -152,3 +153,23 @@ def test_dump_ranks_writes_sorted_tsv(tmp_path):
     path = tmp_path / "ranks.tsv"
     dump_ranks(rep, path)
     assert path.read_text(encoding="utf-8") == "qa\t5\nqb\t2\nqc\t1\n"
+
+
+def test_ranks_over_several_row_blocks_match_the_oracle_on_tie_heavy_data():
+    # 1100 queries x 2000 gallery rows run in three row blocks; integer
+    # directions from a 3 x 3 grid make most similarities tie exactly
+    rng = np.random.default_rng(55)
+    Q = EmbeddingSet([f"q{i}" for i in range(1100)], rng.integers(1, 4, (1100, 2)).astype(float))
+    G = EmbeddingSet([f"g{i}" for i in range(2000)], rng.integers(1, 4, (2000, 2)).astype(float))
+    assert len(simgraph._row_blocks(Q.n, G.n)) == 3
+    rel = {
+        qid: {G.ids[i] for i in rng.choice(G.n, size=int(rng.integers(1, 3)), replace=False)}
+        for qid in Q.ids
+    }
+    ranks = rank_queries(Q, G, rel)
+    assert list(ranks) == Q.ids
+    sims = cosine_similarity_matrix(Q, G).values
+    g_index = {g: i for i, g in enumerate(G.ids)}
+    for qi, qid in enumerate(Q.ids):
+        rel_idx = [g_index[g] for g in rel[qid]]
+        assert ranks[qid] == oracles.rank_of_best_relevant(sims[qi].tolist(), rel_idx)

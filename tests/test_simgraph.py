@@ -265,3 +265,43 @@ def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
     a = rng.standard_normal((20, 30))
     b = rng.standard_normal((30, 5))
     assert_array_equal(_mm(a, b), np.einsum("ij,jk->ik", a, b))
+
+
+def test_row_blocks_tile_the_rows_without_one_row_blocks():
+    # a 1-row product runs as gemv, whose sums can differ in the last bit
+    # from the gemm rows of the full matrix, so a 1-row tail is merged
+    for n_rows, n_cols in [(0, 5), (1, 5), (3, 0), (7, 1 << 20), (2101, 1000), (2098, 1000), (4, 1 << 22)]:
+        blocks = simgraph._row_blocks(n_rows, n_cols)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
+        assert all(b.stop - b.start >= 2 for b in blocks) or n_rows == 1
+        # within the cell budget but for a merged tail row, and 2 rows at least
+        cells = max(simgraph._BLOCK_CELLS, 2 * n_cols)
+        assert all((b.stop - b.start - 1) * n_cols <= cells for b in blocks)
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(1500, 2000), (2097, 1000), (5, 3)])
+def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols):
+    # 2097 rows of 1000 columns leave a 1-row tail after two 1048-row blocks
+    rng = np.random.default_rng(23)
+    X = make_set(rng, n_rows, 7)
+    Y = make_set(rng, n_cols, 7, "y")
+    blocks = list(simgraph._sim_blocks(X, Y))
+    assert len(blocks) == len(simgraph._row_blocks(n_rows, n_cols))
+    assert_array_equal(np.concatenate([s for _, s in blocks]), cosine_similarity_matrix(X, Y).values)
+    assert [b for b, _ in blocks] == simgraph._row_blocks(n_rows, n_cols)
+
+
+def test_sim_blocks_check_their_inputs_before_the_first_block():
+    A = EmbeddingSet(["a"], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        next(simgraph._sim_blocks(A, EmbeddingSet(["b"], [[1.0, 0.0, 0.0]])))
+    with pytest.raises(ValueError, match="zero-norm embedding row, id 'z'"):
+        next(simgraph._sim_blocks(A, EmbeddingSet(["y", "z"], [[1.0, 1.0], [0.0, 0.0]])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_rows_survive_a_sum_of_squares_that_overflows():
+    X = np.array([[3e200, 4e200], [1e308, -1e308], [3.0, 4.0]])
+    assert_allclose(unit_rows(X), [[0.6, 0.8], [2 ** -0.5, -(2 ** -0.5)], [0.6, 0.8]], rtol=1e-15)
+    # rows whose plain norm is finite keep the bytes of the plain division
+    assert_array_equal(unit_rows(X)[2], X[2] / 5.0)
