@@ -129,61 +129,82 @@ def inverse_convolve_dual(
     G: EmbeddingSet, refG: EmbeddingSet, refQ: EmbeddingSet, cfg: InvGCConfig
 ) -> EmbeddingSet:
     """Correct G against both reference sets and average the two halves."""
-    return _dual_over_steps(G, refG, refQ, cfg, [cfg.r_g], [cfg.r_q])(cfg)
+    return _dual_over_steps(G, refG, refQ, [cfg])(cfg)
 
 
-def _dual_over_steps(G, refG, refQ, cfg, rg_values, rq_values):
-    """inverse_convolve_dual(G, refG, refQ, c) as a function of c, for
-    configs c that differ from cfg at most in r_g (from rg_values) and
-    r_q (from rq_values).
+def _percent(cfg: InvGCConfig) -> float:
+    # The percent that sets cfg's row threshold; full has none and ignores it.
+    return cfg.k_percent if cfg.variant == "local" else cfg.p_percent
 
-    The aggregates do not depend on the steps, so each is computed once,
-    and each half norm(Gn - r * A) once per distinct step value; a call
-    only averages two halves.
+
+def _dual_over_steps(G, refG, refQ, cfgs):
+    """inverse_convolve_dual(G, refG, refQ, c) as a function of c, for the
+    configs c in cfgs, which share a variant and may differ in r_g, r_q
+    and the variant's percent.
+
+    The aggregates do not depend on the steps, and their cosines not on
+    the percent, so each reference set gets one pass for all of cfgs, and
+    each half norm(Gn - r * A) is computed once per distinct (percent,
+    step); a call only averages two halves.
     """
+    cfg = cfgs[0]
     for ref in (refG, refQ):
         if G.d != ref.d:
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
 
-    def halves(ref, rs, field):
-        A = _aggregate(Gn, ref, cfg)
+    def halves(ref, field):
+        wanted = dict.fromkeys((_percent(c), getattr(c, field)) for c in cfgs)
+        percents = list(dict.fromkeys(p for p, _ in wanted))
+        A = dict(zip(percents, _aggregate(Gn, ref, cfg, percents)))
         out = {}
-        for r in dict.fromkeys(rs):
+        for p, r in wanted:
             with np.errstate(over="ignore"):
-                step = r * A
+                step = r * A[p]
             if not np.isfinite(step).all():
                 raise StepOverflowError(field, r)
-            out[r] = row_normalize(Gn.data - step)
+            out[p, r] = row_normalize(Gn.data - step)
         return out
 
-    g_half, q_half = halves(refG, rg_values, "r_g"), halves(refQ, rq_values, "r_q")
-    return lambda c: EmbeddingSet(list(G.ids), 0.5 * (g_half[c.r_g] + q_half[c.r_q]))
+    g_half, q_half = halves(refG, "r_g"), halves(refQ, "r_q")
+    return lambda c: EmbeddingSet(
+        list(G.ids), 0.5 * (g_half[_percent(c), c.r_g] + q_half[_percent(c), c.r_q])
+    )
 
 
-def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig) -> np.ndarray:
-    """S @ ref for the configured adjacency S over Gn x ref, self pairs excluded.
+def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) -> list:
+    """S @ ref at each of percents, for cfg's adjacency S over Gn x ref
+    with the threshold at that percent (k for local, p for avgpool), self
+    pairs excluded.
 
-    The step sizes do not enter, so a search over them computes this once
-    per reference set.  local and avgpool mask one row block of cosines
-    at a time, the rows of build_adjacency's S; full needs only a d x d map.
+    Neither the steps nor the percent enter the cosines, so a search
+    computes this once per reference set.  local and avgpool mask one row
+    block of cosines at a time, the rows of build_adjacency's S: each
+    block gets one GEMM and one partition, and only the mask and the
+    aggregate GEMM run per percent.  full needs only a d x d map.
     """
     if cfg.variant == "full":
-        return _full_aggregate(Gn, ref)
+        return [_full_aggregate(Gn, ref)] * len(percents)
     local = cfg.variant == "local"
-    percent = cfg.k_percent if local else cfg.p_percent
     # _self_pairs lists rows in ascending order, so a block's pairs are a run
     rows, cols = _self_pairs(Gn.ids, ref.ids)
-    out = np.empty((Gn.n, ref.d))
+    out = [np.empty((Gn.n, ref.d)) for _ in percents]
     for b, sims in _sim_blocks(Gn, ref):
-        thr = _row_thresholds(sims, percent)[:, None]
-        if local:
-            sims[sims < thr] = 0.0
-        else:
-            sims = (sims >= thr).astype(np.float64)
+        thresholds = _row_thresholds(sims, percents)[:, :, None]
         lo, hi = np.searchsorted(rows, (b.start, b.stop))
-        sims[rows[lo:hi] - b.start, cols[lo:hi]] = 0.0
-        out[b] = _mm(sims, ref.data)
+        self_cells = rows[lo:hi] - b.start, cols[lo:hi]
+        # One percent masks the block in place; several share one copy.
+        masked = sims if len(percents) == 1 else np.empty_like(sims)
+        for agg, thr in zip(out, thresholds):
+            if local:
+                if masked is not sims:
+                    np.copyto(masked, sims)
+                masked[sims < thr] = 0.0
+            else:
+                np.greater_equal(sims, thr, out=masked)
+            masked[self_cells] = 0.0
+            agg[b] = _mm(masked, ref.data)
+        del masked  # else it holds this block through the next partition
     return out
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _sim_blocks
+from .simgraph import _sim_blocks, _UnitRows
 
 
 @dataclass
@@ -26,22 +26,61 @@ class RetrievalReport:
     per_query_rank: dict
 
 
-def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel: dict) -> dict:
-    """1-based rank of the best-ranked relevant gallery item per query."""
-    g_index = {g: i for i, g in enumerate(G.ids)}
-    ranks = {}
-    for b, sims in _sim_blocks(Q, G):
-        for qid, row in zip(Q.ids[b], sims):
-            rel_idx = [g_index[g] for g in rel.get(qid, ()) if g in g_index]
-            if not rel_idx:
+class _Relevance:
+    """A relevance map resolved once against a query set and a gallery's ids.
+
+    Holds the queries' unit rows and every (query row, gallery column)
+    pair, ordered by row, so a search that ranks many corrections of one
+    gallery normalizes and resolves once.  Gallery ids that the gallery
+    does not hold are dropped; a query left with none is an error.
+    """
+
+    def __init__(self, Q: EmbeddingSet, gallery_ids: list, rel: dict):
+        self.queries = _UnitRows(Q)
+        g_index = {g: j for j, g in enumerate(gallery_ids)}
+        pairs = []
+        for i, qid in enumerate(Q.ids):
+            cols = [g_index[g] for g in rel.get(qid, ()) if g in g_index]
+            if not cols:
                 raise ValueError(f"query {qid!r} has no relevant gallery item")
-            # The best relevant item has the top score s and, among relevant
-            # items with that score, the lowest index i; everything scoring
-            # higher, or equal at a lower index, sorts ahead of it.
-            s = row[rel_idx].max()
-            i = min(j for j in rel_idx if row[j] == s)
-            ranks[qid] = int(np.count_nonzero(row > s) + np.count_nonzero(row[:i] == s)) + 1
-    return ranks
+            pairs.extend((i, j) for j in cols)
+        self.rows, self.cols = np.array(pairs, dtype=np.intp).T
+
+
+def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel) -> dict:
+    """1-based rank of the best-ranked relevant gallery item per query.
+
+    rel maps query ids to sets of gallery ids.  A search that ranks many
+    galleries with G's ids passes a _Relevance of Q resolved once instead.
+    """
+    if not isinstance(rel, _Relevance):
+        rel = _Relevance(Q, G.ids, rel)
+    ranks = np.empty(rel.queries.n, dtype=np.intp)
+    for b, sims in _sim_blocks(rel.queries, G):
+        lo, hi = np.searchsorted(rel.rows, (b.start, b.stop))
+        ranks[b] = _block_ranks(sims, rel.rows[lo:hi] - b.start, rel.cols[lo:hi])
+    return dict(zip(rel.queries.ids, ranks.tolist()))
+
+
+def _block_ranks(sims: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # Per row of sims, the 1-based rank of its best relevant cell, the
+    # relevant cells being (r, c).  The best one has the top score s and,
+    # among relevant cells with that score, the lowest column i; every cell
+    # scoring higher, or equal at a lower column, sorts ahead of it.  The
+    # boolean temporaries die on return, before the next block's GEMM.
+    n_rows, n_cols = sims.shape
+    score = sims[r, c]
+    s = np.full(n_rows, -np.inf)
+    np.maximum.at(s, r, score)
+    top = score == s[r]
+    i = np.full(n_rows, n_cols)
+    np.minimum.at(i, r[top], c[top])
+    s = s[:, None]
+    ahead = np.greater(sims, s)
+    n_ahead = np.count_nonzero(ahead, axis=1)
+    np.equal(sims, s, out=ahead)
+    ahead &= np.arange(n_cols) < i[:, None]
+    return n_ahead + np.count_nonzero(ahead, axis=1) + 1
 
 
 def compute_metrics(ranks: dict, Ks) -> RetrievalReport:
@@ -53,15 +92,19 @@ def compute_metrics(ranks: dict, Ks) -> RetrievalReport:
         raise ValueError(f"K values must be positive, got {Ks}")
     arr = np.array(list(ranks.values()), dtype=np.float64)
     recall = {k: float(100.0 * np.count_nonzero(arr <= k) / arr.size) for k in Ks}
+    # The middle of the sorted ranks, not np.median, whose first call
+    # imports numpy.ma.
+    srt, mid = np.sort(arr), arr.size // 2
+    median = srt[mid] if arr.size % 2 else (srt[mid - 1] + srt[mid]) / 2
     return RetrievalReport(
         recall_at=recall,
-        median_rank=float(np.median(arr)),
+        median_rank=float(median),
         mean_rank=float(arr.mean()),
         per_query_rank=dict(ranks),
     )
 
 
-def evaluate(Q: EmbeddingSet, G: EmbeddingSet, rel: dict, Ks=(1, 5, 10)) -> RetrievalReport:
+def evaluate(Q: EmbeddingSet, G: EmbeddingSet, rel, Ks=(1, 5, 10)) -> RetrievalReport:
     """Rank and aggregate in one step."""
     return compute_metrics(rank_queries(Q, G, rel), Ks)
 

@@ -100,18 +100,25 @@ class Adjacency:
     centered: bool = False
 
 
-def _scaled_norms(X: np.ndarray) -> tuple:
+def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     """(Y, norms) with Y / norms[:, None] the unit rows of X.
 
     A row whose sum of squares overflows is first divided by its max |x|,
     as BLAS nrm2 scales; every other row of Y is X's row, and its norm
-    the plain one, so finite-norm rows keep their bytes.
+    the plain one, so finite-norm rows keep their bytes.  A row holding
+    an inf or a NaN has no unit row and is an error, named by its id when
+    ids are given.
     """
     X = np.asarray(X, dtype=np.float64)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(X, axis=1)
-    big = ~np.isfinite(norms)
-    if big.any():
+    big = np.nonzero(~np.isfinite(norms))[0]
+    if big.size:
+        finite = np.isfinite(X[big]).all(axis=1)
+        if not finite.all():
+            i = big[np.argmin(finite)]
+            which = f"id {ids[i]!r}" if ids is not None else f"row {i}"
+            raise ValueError(f"non-finite value in embedding row, {which}")
         X = X.copy()
         X[big] /= np.abs(X[big]).max(axis=1)[:, None]
         norms[big] = np.linalg.norm(X[big], axis=1)
@@ -120,12 +127,28 @@ def _scaled_norms(X: np.ndarray) -> tuple:
 
 def unit_rows(X: np.ndarray, ids: list | None = None) -> np.ndarray:
     """Divide each row by its norm; a zero-norm row is an error here."""
-    X, norms = _scaled_norms(X)
+    X, norms = _scaled_norms(X, ids)
     bad = np.nonzero(norms < 1e-12)[0]
     if bad.size:
         which = ids[bad[0]] if ids is not None else str(bad[0])
         raise ValueError(f"zero-norm embedding row, id {which!r}")
     return X / norms[:, None]
+
+
+class _UnitRows:
+    """A set's ids and unit rows, for passes that reuse one normalization.
+
+    _sim_blocks takes it in place of the EmbeddingSet and does not divide
+    its rows again, so its blocks equal the set's own bit for bit.
+    """
+
+    def __init__(self, es: EmbeddingSet):
+        self.ids, self.data = es.ids, unit_rows(es.data, es.ids)
+        self.n, self.d = self.data.shape
+
+
+def _unit(es) -> np.ndarray:
+    return es.data if isinstance(es, _UnitRows) else unit_rows(es.data, es.ids)
 
 
 def _check_dims(rows: EmbeddingSet, cols: EmbeddingSet) -> None:
@@ -160,11 +183,12 @@ def _sim_blocks(rows: EmbeddingSet, cols: EmbeddingSet):
     """(row slice, clipped cosine block) pairs that tile rows x cols.
 
     Each block holds the rows of cosine_similarity_matrix(rows, cols)
-    bit for bit, so no caller holds the N x N_ref matrix.
+    bit for bit, so no caller holds the N x N_ref matrix.  Either side may
+    be a _UnitRows, normalized once for many passes.
     """
     _check_dims(rows, cols)
-    Xn = unit_rows(rows.data, rows.ids)
-    Yt = (Xn if cols is rows else unit_rows(cols.data, cols.ids)).T
+    Xn = _unit(rows)
+    Yt = (Xn if cols is rows else _unit(cols)).T
     for b in _row_blocks(rows.n, cols.n):
         sims = _mm(Xn[b], Yt)
         yield b, np.clip(sims, -1.0, 1.0, out=sims)
@@ -185,15 +209,21 @@ def row_percentile_threshold(row, k_percent: float) -> float:
     if row.size == 0:
         raise ValueError("empty row")
     _check_percent("k_percent", k_percent)
-    return float(_row_thresholds(row[None, :], k_percent)[0])
+    return float(_row_thresholds(row[None, :], [k_percent])[0, 0])
 
 
-def _row_thresholds(values: np.ndarray, percent: float) -> np.ndarray:
+def _row_thresholds(values: np.ndarray, percents) -> np.ndarray:
+    """Per percent, each row's m-th largest value, m = max(1, ceil(%/100 * len)).
+
+    A len(percents) x n_rows array from one partition: the partitioned
+    values at the kth positions are exact order statistics, so each equals
+    the threshold of a partition for its percent alone.
+    """
     n_cols = values.shape[1]
-    m = max(1, math.ceil(percent / 100.0 * n_cols))
-    # A copy of the column, so the partitioned copy of values is freed
-    # here rather than kept alive by a view while the caller masks.
-    return np.partition(values, n_cols - m, axis=1)[:, n_cols - m].copy()
+    kth = [n_cols - max(1, math.ceil(p / 100.0 * n_cols)) for p in percents]
+    # Indexing the columns copies them, so the partitioned copy of values
+    # is freed here rather than kept alive by a view while the caller masks.
+    return np.partition(values, sorted(set(kth)), axis=1)[:, kth].T
 
 
 def adjacency_full(sim: SimMatrix, center: bool) -> Adjacency:
@@ -205,13 +235,13 @@ def adjacency_full(sim: SimMatrix, center: bool) -> Adjacency:
 
 def adjacency_local(sim: SimMatrix, k_percent: float) -> Adjacency:
     _check_percent("k_percent", k_percent)
-    thr = _row_thresholds(sim.values, k_percent)
+    thr = _row_thresholds(sim.values, [k_percent])[0]
     vals = np.where(sim.values >= thr[:, None], sim.values, 0.0)
     return Adjacency(vals, "local", float(k_percent), False)
 
 
 def adjacency_binary(sim: SimMatrix, p_percent: float) -> Adjacency:
     _check_percent("p_percent", p_percent)
-    thr = _row_thresholds(sim.values, p_percent)
+    thr = _row_thresholds(sim.values, [p_percent])[0]
     vals = (sim.values >= thr[:, None]).astype(np.float64)
     return Adjacency(vals, "binary", float(p_percent), False)

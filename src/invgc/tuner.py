@@ -10,7 +10,7 @@ import numpy as np
 from .core import InvGCConfig, _dual_over_steps, inverse_convolve_dual
 from .diagnostics import degeneration_score
 from .embio import EmbeddingSet
-from .retrieval import RetrievalReport, evaluate
+from .retrieval import RetrievalReport, _Relevance, evaluate
 
 DEFAULT_R_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
@@ -56,12 +56,13 @@ def grid_search(
     cells = [
         InvGCConfig(variant, rg, rq, k_percent, p_percent) for rg in rg_grid for rq in rq_grid
     ]
-    correct = _dual_over_steps(valG, refG, refQ, cells[0], rg_grid, rq_grid)
+    correct = _dual_over_steps(valG, refG, refQ, cells)
+    resolved = _Relevance(valQ, valG.ids, rel)
     trace = []
     best = None
     best_key = None
     for cfg in cells:
-        report = evaluate(valQ, correct(cfg), rel, ks)
+        report = evaluate(valQ, correct(cfg), resolved, ks)
         r1, r5 = report.recall_at[1], report.recall_at[5]
         mnr = report.mean_rank
         trace.append((cfg, r1, r5, mnr))
@@ -105,32 +106,26 @@ def sweep_param(
     Emits (value, R@1, degeneration score of the corrected gallery) per
     point, sorted by value.  param "ratio" subsamples both reference
     sets; the other params override the corresponding config field.
-    Sweeps over a step size reuse the two aggregates across points.
+    Sweeps over a step size or k share one pass per reference set.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = sorted(float(v) for v in values)
     if not values:
         raise ValueError("values must be non-empty")
-    if param in ("rg", "rq"):
-        field = "r_g" if param == "rg" else "r_q"
-        cfgs = [replace(base_cfg, **{field: v}) for v in values]
-        correct = _dual_over_steps(
-            valG, refG, refQ, base_cfg, [c.r_g for c in cfgs], [c.r_q for c in cfgs]
-        )
-        corrections = (correct(c) for c in cfgs)
-    elif param == "k":
-        corrections = (
-            inverse_convolve_dual(valG, refG, refQ, replace(base_cfg, k_percent=v))
-            for v in values
-        )
-    else:
+    if param == "ratio":
         corrections = (
             inverse_convolve_dual(valG, *subsample_reference(refG, refQ, v, seed), base_cfg)
             for v in values
         )
+    else:
+        field = {"rg": "r_g", "rq": "r_q", "k": "k_percent"}[param]
+        cfgs = [replace(base_cfg, **{field: v}) for v in values]
+        correct = _dual_over_steps(valG, refG, refQ, cfgs)
+        corrections = (correct(c) for c in cfgs)
+    resolved = _Relevance(valQ, valG.ids, rel)
     points = []
     for v, corrected in zip(values, corrections):
-        report = evaluate(valQ, corrected, rel, (1,))
+        report = evaluate(valQ, corrected, resolved, (1,))
         points.append((v, report.recall_at[1], degeneration_score(corrected)))
     return SweepCurve(param_name=param, points=points)

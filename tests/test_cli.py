@@ -374,6 +374,33 @@ def test_console_entry_point_runs(cli_env):
     assert proc.stdout.startswith("lemma2\t2\t-\t2.0\t-\t2.0\t2.0\ttrue")
 
 
+
+def test_eval_and_tune_do_not_import_numpy_ma(dataset, cli_env):
+    # np.median's first call imports numpy.ma, 16-35 ms of every process
+    # that reports MdR; the median is taken from the sorted ranks instead
+    run = (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'invgc'\n"
+        "try:\n"
+        "    runpy.run_module('invgc', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert not e.code, e.code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    pair = ["--relevance", dataset["rel"]]
+    for argv in (
+        ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"], *pair],
+        ["tune", "--val-query", dataset["query"], "--val-gallery", dataset["gallery"],
+         "--ref-gallery", dataset["refg"], "--ref-query", dataset["refq"], *pair,
+         "--variant", "full", "--rg-grid", "0,0.1", "--rq-grid", "0,0.1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", run, *argv], env=cli_env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "MdR\t" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "False", argv[0]
+
 def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, cli_env):
     # 1000 x 32 references is the smallest size tried at which a copy with
     # an unpinned matmul at simgraph._mm fails here: the d x d map's
@@ -434,7 +461,7 @@ def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
     G = load_embeddings(dataset["gallery"])
     refG = load_embeddings(dataset["refg"])
     Gn = G.data / np.linalg.norm(G.data, axis=1)[:, None]
-    A = _aggregate(EmbeddingSet(G.ids, Gn), refG, InvGCConfig("full"))
+    A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, InvGCConfig("full"), [100.0])
     want = 0.5 * (-A / np.linalg.norm(A, axis=1)[:, None] + Gn)
     assert_allclose(load_embeddings(out).data, want, rtol=0, atol=1e-7)
 

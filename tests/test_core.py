@@ -1,5 +1,6 @@
 """Convolution updates against a per-row oracle and hand-checked cases."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from invgc.core import (
     StepOverflowError,
     VARIANTS,
     _aggregate,
+    _percent,
     _self_pairs,
     build_adjacency,
     forward_convolve,
@@ -147,6 +149,14 @@ def test_row_normalize_passes_zero_rows_through_with_warning():
     assert_array_equal(out[1], [0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_row_normalize_refuses_a_non_finite_row_by_index():
+    with pytest.raises(ValueError, match="non-finite value in embedding row, row 0"):
+        row_normalize(np.array([[np.inf, 1.0], [3.0, 4.0]]))
+    with pytest.raises(ValueError, match="non-finite value in embedding row, row 1"):
+        row_normalize(np.array([[3.0, 4.0], [np.nan, 1.0], [-np.inf, 0.0]]))
+
+
 def test_row_normalize_keeps_tiny_but_valid_rows():
     M = np.array([[1e-6, 0.0]])
     out = row_normalize(M)
@@ -211,7 +221,7 @@ def test_full_aggregate_closed_form_matches_the_dense_adjacency():
         # a zero operand and step -1 leave exactly the aggregate S @ R
         zero = EmbeddingSet(list(G.ids), np.zeros_like(G.data))
         dense = inverse_convolve_single(zero, S, R, -1.0).data
-        got = _aggregate(Gn, R, InvGCConfig("full"))
+        got, = _aggregate(Gn, R, InvGCConfig("full"), [100.0])
         assert_allclose(got, dense, rtol=0, atol=1e-12)
 
 
@@ -291,7 +301,30 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     cfg = InvGCConfig(variant, k_percent=0.7, p_percent=2.5)
     S = build_adjacency(cosine_similarity_matrix(Gn, R), cfg)
     S.values[_self_pairs(Gn.ids, R.ids)] = 0.0
-    assert_array_equal(_aggregate(Gn, R, cfg), _mm(S.values, R.data))
+    assert_array_equal(_aggregate(Gn, R, cfg, [_percent(cfg)])[0], _mm(S.values, R.data))
+
+
+def test_avgpool_writes_its_mask_into_the_cosine_block():
+    # 2000 x 1000 cosines run in two row blocks of 1048 x 1000 float64
+    # (8.4 MB).  Both variants mask the block in place, so the peak is the
+    # cosines and their partitioned copy.  A float 0/1 mask for avgpool
+    # would add a third block at its peak, a bool one an eighth of a block.
+    rng = np.random.default_rng(40)
+    G = make_set(rng, 2000, 8, "g")
+    R = make_set(rng, 1000, 8, "r")
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+    block = simgraph._row_blocks(G.n, R.n)[0]
+    block_bytes = (block.stop - block.start) * R.n * 8
+    peaks = {}
+    for variant in ("local", "avgpool"):
+        tracemalloc.start()
+        try:
+            _aggregate(Gn, R, InvGCConfig(variant), [5.0])
+            _, peaks[variant] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["local"] < 2.5 * block_bytes, (peaks, block_bytes)
+    assert peaks["avgpool"] < peaks["local"] + block_bytes / 16, (peaks, block_bytes)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -349,7 +382,7 @@ def test_a_huge_step_is_dominated_by_the_aggregate_and_an_overflowing_one_is_ref
     for variant in VARIANTS:
         cfg = InvGCConfig(variant, 1e200, 0.0, k_percent=20.0, p_percent=20.0)
         Gn = unit_rows(G.data)
-        A = _aggregate(EmbeddingSet(G.ids, Gn), refG, cfg)
+        A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, cfg, [20.0])
         # norm(Gn - r A) = norm(Gn / r - A), and Gn / r is below A's last bit
         want = 0.5 * (row_normalize(-A) + Gn)
         assert_allclose(inverse_convolve_dual(G, refG, refQ, cfg).data, want, rtol=0, atol=1e-15)

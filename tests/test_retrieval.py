@@ -1,7 +1,11 @@
 """Rank computation and metric aggregation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -94,6 +98,17 @@ def test_metric_hand_values():
 def test_even_rank_count_medians_between_middle_values():
     rep = compute_metrics({"a": 1, "b": 2, "c": 3, "d": 10}, (1,))
     assert rep.median_rank == 2.5
+    # the middle values of the sorted ranks, not of the map's order
+    assert compute_metrics({"a": 10, "b": 3, "c": 1, "d": 2}, (1,)).median_rank == 2.5
+    assert compute_metrics({"a": 7, "b": 1, "c": 3}, (1,)).median_rank == 3.0
+
+
+def test_median_rank_equals_numpy_median_for_odd_and_even_counts():
+    rng = np.random.default_rng(56)
+    for n in range(1, 41):
+        ranks = {f"q{i}": int(r) for i, r in enumerate(rng.integers(1, 30, n))}
+        want = np.median(np.array(list(ranks.values()), dtype=np.float64))
+        assert compute_metrics(ranks, (1,)).median_rank == want
 
 
 def test_recall_is_monotone_in_k():
@@ -172,4 +187,37 @@ def test_ranks_over_several_row_blocks_match_the_oracle_on_tie_heavy_data():
     g_index = {g: i for i, g in enumerate(G.ids)}
     for qi, qid in enumerate(Q.ids):
         rel_idx = [g_index[g] for g in rel[qid]]
+        assert ranks[qid] == oracles.rank_of_best_relevant(sims[qi].tolist(), rel_idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([4, 16, 1 << 20]))
+def test_permuting_the_queries_permutes_the_rank_map(seed, budget):
+    # Rows are signed multiples of axis vectors, so every cosine is exactly
+    # -1, 0 or 1 wherever its row sits in a block, and most ranks hinge on
+    # breaking ties by gallery column.  Small budgets cut the queries into
+    # blocks of two rows.
+    rng = np.random.default_rng(seed)
+    n_q, n_g, d = int(rng.integers(1, 13)), int(rng.integers(1, 16)), int(rng.integers(2, 5))
+
+    def axis_rows(n):
+        X = np.zeros((n, d))
+        X[np.arange(n), rng.integers(0, d, n)] = rng.choice([-2.0, -1.0, 1.0, 3.0], n)
+        return X
+
+    Q = EmbeddingSet([f"q{i}" for i in range(n_q)], axis_rows(n_q))
+    G = EmbeddingSet([f"g{i}" for i in range(n_g)], axis_rows(n_g))
+    rel = {
+        qid: {G.ids[j] for j in rng.choice(n_g, size=int(rng.integers(1, min(3, n_g) + 1)), replace=False)}
+        for qid in Q.ids
+    }
+    order = rng.permutation(n_q)
+    moved = EmbeddingSet([Q.ids[i] for i in order], Q.data[order])
+    with mock.patch.object(simgraph, "_BLOCK_CELLS", budget):
+        ranks, moved_ranks = rank_queries(Q, G, rel), rank_queries(moved, G, rel)
+    assert list(moved_ranks) == moved.ids
+    assert moved_ranks == ranks
+    sims = cosine_similarity_matrix(Q, G).values
+    for qi, qid in enumerate(Q.ids):
+        rel_idx = [G.ids.index(g) for g in rel[qid]]
         assert ranks[qid] == oracles.rank_of_best_relevant(sims[qi].tolist(), rel_idx)

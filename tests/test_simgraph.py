@@ -67,6 +67,17 @@ def test_unit_rows_reports_zero_row_by_id():
         unit_rows(X)
 
 
+@pytest.mark.filterwarnings("error")
+def test_unit_rows_name_a_non_finite_row_instead_of_returning_nan():
+    X = np.array([[3.0, 4.0], [np.inf, 1.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="non-finite value in embedding row, id 'b'"):
+        unit_rows(X, ["a", "b", "c"])
+    with pytest.raises(ValueError, match="non-finite value in embedding row, row 1"):
+        unit_rows(X[[0, 2]])
+    # a finite row whose sum of squares overflows is still scaled, not refused
+    assert_allclose(unit_rows(np.array([[1e308, 1e308]])), [[2 ** -0.5, 2 ** -0.5]], rtol=1e-15)
+
+
 def test_dimension_mismatch_rejected():
     A = EmbeddingSet(["a"], [[1.0, 0.0]])
     B = EmbeddingSet(["b"], [[1.0, 0.0, 0.0]])

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from invgc import core, diagnostics, retrieval, simgraph, tuner
-from invgc.core import InvGCConfig, inverse_convolve_dual
+from invgc.core import VARIANTS, InvGCConfig, inverse_convolve_dual
 from invgc.diagnostics import degeneration_score
 from invgc.embio import EmbeddingSet
 from invgc.retrieval import evaluate
@@ -236,3 +236,40 @@ def test_step_sweeps_equal_the_dual_update_point_by_point(variant, param):
         assert v == want_v
         assert r1 == evaluate(Q, corrected, rel, (1,)).recall_at[1]
         assert ddeg == degeneration_score(corrected)
+
+
+def test_a_k_sweep_makes_one_correction_pass_per_reference_set(monkeypatch):
+    # the cosines do not depend on k, so ten points share the two
+    # reference passes; each point then ranks and scores once
+    G, Q, refG, refQ, rel = small_dataset()
+    calls = _count_similarity_passes(monkeypatch)
+    values = [0.5 * i for i in range(1, 11)]
+    curve = sweep_param(InvGCConfig("local", 0.1, 0.1), "k", values, Q, G, refG, refQ, rel)
+    assert [v for v, _, _ in curve.points] == values
+    assert calls.count((G.n, refG.n)) == 2 and refQ.n == refG.n
+    assert len(calls) == 2 + 2 * len(values)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatch):
+    # a 64-cell budget runs each pass in 2-row blocks, and refG = G puts
+    # self pairs in every block; ten k values give distinct thresholds
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    G, Q, _, refQ, rel = small_dataset(seed=6)
+    seen = []
+
+    def recording_score(Gs):
+        seen.append(Gs)
+        return degeneration_score(Gs)
+
+    monkeypatch.setattr(tuner, "degeneration_score", recording_score)
+    base = InvGCConfig(variant, 0.2, 0.05, p_percent=30.0)
+    values = [100.0, 1.0, 7.5, 20.0, 3.0, 50.0, 9.0, 33.0, 0.5, 12.0]
+    curve = sweep_param(base, "k", values, Q, G, G, refQ, rel)
+    assert len(seen) == len(curve.points) == len(values)
+    for (v, r1, ddeg), corrected in zip(curve.points, seen):
+        want = inverse_convolve_dual(G, G, refQ, replace(base, k_percent=v))
+        assert corrected.ids == want.ids
+        assert_array_equal(corrected.data, want.data)
+        assert r1 == evaluate(Q, want, rel, (1,)).recall_at[1]
+        assert ddeg == degeneration_score(want)
