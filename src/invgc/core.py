@@ -23,10 +23,10 @@ from .simgraph import (
     Adjacency,
     SimMatrix,
     _check_percent,
+    _map_blocks,
     _mm,
     _row_thresholds,
     _scaled_norms,
-    _sim_blocks,
     adjacency_binary,
     adjacency_full,
     adjacency_local,
@@ -179,9 +179,10 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
 
     Neither the steps nor the percent enter the cosines, so a search
     computes this once per reference set.  local and avgpool mask one row
-    block of cosines at a time, the rows of build_adjacency's S: each
-    block gets one GEMM and one partition, and only the mask and the
-    aggregate GEMM run per percent.  full needs only a d x d map.
+    block of cosines at a time, the rows of build_adjacency's S, with the
+    blocks spread over a few threads: each block gets one GEMM and one
+    partition, and only the mask and the aggregate GEMM run per percent.
+    full needs only a d x d map.
     """
     if cfg.variant == "full":
         return [_full_aggregate(Gn, ref)] * len(percents)
@@ -189,7 +190,8 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
     # _self_pairs lists rows in ascending order, so a block's pairs are a run
     rows, cols = _self_pairs(Gn.ids, ref.ids)
     out = [np.empty((Gn.n, ref.d)) for _ in percents]
-    for b, sims in _sim_blocks(Gn, ref):
+
+    def block(b, sims):
         thresholds = _row_thresholds(sims, percents)[:, :, None]
         lo, hi = np.searchsorted(rows, (b.start, b.stop))
         self_cells = rows[lo:hi] - b.start, cols[lo:hi]
@@ -204,7 +206,8 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
                 np.greater_equal(sims, thr, out=masked)
             masked[self_cells] = 0.0
             agg[b] = _mm(masked, ref.data)
-        del masked  # else it holds this block through the next partition
+
+    _map_blocks(block, Gn, ref)
     return out
 
 

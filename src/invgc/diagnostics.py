@@ -136,5 +136,16 @@ def nn_similarity_histogram(G: EmbeddingSet, bins: int) -> list:
 
 
 def degeneration_score(G: EmbeddingSet) -> float:
-    """Mean nearest-neighbor cosine within the set (MeanSim@1)."""
-    return intra_mean_sim(G, [1], bins=1).mean_sim_at[1]
+    """Mean nearest-neighbor cosine within the set (MeanSim@1).
+
+    intra_mean_sim(G, [1]).mean_sim_at[1] from a pass of its own: each
+    row's maximum with its self pair set to -inf.
+    """
+    if G.n < 2:
+        raise ValueError("need at least 2 points")
+    nearest = np.empty(G.n)
+    for b, sims in _sim_blocks(G, G):
+        own = np.arange(b.start, b.stop)
+        sims[own - b.start, own] = -np.inf
+        nearest[b] = sims.max(axis=1)
+    return float(nearest.mean())

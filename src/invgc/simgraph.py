@@ -8,15 +8,19 @@ local   per row, keep entries >= the m-th largest value verbatim and
         zero the rest, m = max(1, ceil(k_percent/100 * row length))
 binary  same row threshold, but retained entries become 1 and the rest 0
 
-The library's own passes take the cosines from _sim_blocks, one row block
-of about 2**20 cells at a time, so none holds an N x N_ref matrix; the
-dense matrix and adjacency functions serve callers that want them whole.
+The library's own passes take the cosines one row block at a time, so
+none holds an N x N_ref matrix: _sim_blocks yields blocks of about 2**20
+cells in turn, and _map_blocks hands blocks of a quarter of that to a few
+threads.  The dense matrix and adjacency functions serve callers that
+want them whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,12 +81,14 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Results must be bit-identical under any BLAS thread setting, but a
     # threaded dgemm splits the K reduction differently per thread count.
     # So the product runs with OpenBLAS's process-wide thread count set to
-    # 1 for the length of the call.  Without the symbols (numpy on another
-    # BLAS), einsum contracts on a single thread in index order.
+    # 1 for the length of the call.  np.dot, unlike np.matmul, releases the
+    # GIL around dgemm, so products on several Python threads overlap.
+    # Without the symbols (numpy on another BLAS), einsum contracts on a
+    # single thread in index order.
     if _BLAS_PIN is None:
         return np.einsum("ij,jk->ik", a, b)
     with _BLAS_PIN:
-        return np.matmul(a, b)
+        return np.dot(a, b)
 
 
 @dataclass
@@ -167,31 +173,83 @@ def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatri
 _BLOCK_CELLS = 1 << 20  # about 8 MB of float64 per row block
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list:
-    # Row slices of an n_rows x n_cols matrix, about _BLOCK_CELLS cells
-    # each.  No block has one row unless n_rows is 1: numpy runs a 1-row
-    # product as gemv, whose sums differ in the last bit from gemm's, so
-    # a one-row tail joins the block before it.
-    step = max(2, _BLOCK_CELLS // max(1, n_cols))
+def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
+    # Row slices of an n_rows x n_cols matrix, about cells cells each
+    # (_BLOCK_CELLS by default).  No block has one row unless n_rows is 1:
+    # numpy runs a 1-row product as gemv, whose sums differ in the last bit
+    # from gemm's, so a one-row tail joins the block before it.
+    step = max(2, (_BLOCK_CELLS if cells is None else cells) // max(1, n_cols))
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
+def _unit_pair(rows, cols) -> tuple:
+    # rows' unit rows and the transpose of cols', normalized once
+    _check_dims(rows, cols)
+    Xn = _unit(rows)
+    return Xn, (Xn if cols is rows else _unit(cols)).T
+
+
+def _cosines(Xn: np.ndarray, Yt: np.ndarray, b: slice) -> np.ndarray:
+    sims = _mm(Xn[b], Yt)
+    return np.clip(sims, -1.0, 1.0, out=sims)
+
+
 def _sim_blocks(rows: EmbeddingSet, cols: EmbeddingSet):
     """(row slice, clipped cosine block) pairs that tile rows x cols.
 
-    Each block holds the rows of cosine_similarity_matrix(rows, cols)
-    bit for bit, so no caller holds the N x N_ref matrix.  Either side may
-    be a _UnitRows, normalized once for many passes.
+    Each block holds the rows of cosine_similarity_matrix(rows, cols), so
+    no caller holds the N x N_ref matrix; at some narrow widths OpenBLAS's
+    last bit in a few cells depends on a product's row count.  Either side
+    may be a _UnitRows, normalized once for many passes.
     """
-    _check_dims(rows, cols)
-    Xn = _unit(rows)
-    Yt = (Xn if cols is rows else _unit(cols)).T
+    Xn, Yt = _unit_pair(rows, cols)
     for b in _row_blocks(rows.n, cols.n):
-        sims = _mm(Xn[b], Yt)
-        yield b, np.clip(sims, -1.0, 1.0, out=sims)
+        yield b, _cosines(Xn, Yt, b)
+
+
+def _worker_count() -> int:
+    # One thread per CPU this process may run on, at most 4.
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
+def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet) -> None:
+    """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
+    that tile rows x cols, on _worker_count() threads at most.
+
+    The blocks, of a quarter of _BLOCK_CELLS each, depend on the shapes
+    alone, and each product runs on one BLAS thread, so a block's bits do
+    not depend on which thread runs it or how many run: fn must only
+    write its own rows.  A single block runs inline.  The first exception
+    fn raises, in block order, propagates.
+    """
+    Xn, Yt = _unit_pair(rows, cols)
+    blocks = _row_blocks(rows.n, cols.n, _BLOCK_CELLS // 4)
+    workers = min(_worker_count(), len(blocks))
+
+    def run(b):
+        fn(b, _cosines(Xn, Yt, b))
+
+    # Held for the whole pass, so the count is not set back and forth
+    # between blocks.
+    with _BLAS_PIN or contextlib.nullcontext():
+        if workers < 2:
+            for b in blocks:
+                run(b)
+            return
+        # Imported here: concurrent.futures imports logging, about 9 ms
+        # of start-up for every command, and most never start a pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(run, blocks):
+                pass
 
 
 def _check_percent(name: str, pct: float) -> None:
@@ -212,18 +270,31 @@ def row_percentile_threshold(row, k_percent: float) -> float:
     return float(_row_thresholds(row[None, :], [k_percent])[0, 0])
 
 
+_PARTITION_CELLS = 1 << 15
+
+
 def _row_thresholds(values: np.ndarray, percents) -> np.ndarray:
     """Per percent, each row's m-th largest value, m = max(1, ceil(%/100 * len)).
 
-    A len(percents) x n_rows array from one partition: the partitioned
-    values at the kth positions are exact order statistics, so each equals
-    the threshold of a partition for its percent alone.
+    A len(percents) x n_rows array from one partition per chunk of rows:
+    the partitioned values at the kth positions are exact order
+    statistics, so each equals the threshold of a partition of the whole
+    row for its percent alone.  The chunks, of about _PARTITION_CELLS
+    cells, are partitioned in place in one reused buffer, so no full
+    partitioned copy of values sits next to it.
     """
-    n_cols = values.shape[1]
+    n_rows, n_cols = values.shape
     kth = [n_cols - max(1, math.ceil(p / 100.0 * n_cols)) for p in percents]
-    # Indexing the columns copies them, so the partitioned copy of values
-    # is freed here rather than kept alive by a view while the caller masks.
-    return np.partition(values, sorted(set(kth)), axis=1)[:, kth].T
+    order = sorted(set(kth))
+    step = max(1, _PARTITION_CELLS // max(1, n_cols))
+    buf = np.empty((min(step, n_rows), n_cols), dtype=values.dtype)
+    out = np.empty((len(kth), n_rows), dtype=values.dtype)
+    for a in range(0, n_rows, step):
+        chunk = buf[: min(step, n_rows - a)]
+        np.copyto(chunk, values[a : a + len(chunk)])
+        chunk.partition(order, axis=1)
+        out[:, a : a + len(chunk)] = chunk[:, kth].T
+    return out
 
 
 def adjacency_full(sim: SimMatrix, center: bool) -> Adjacency:

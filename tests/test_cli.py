@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, file artifacts."""
 
+import os
 import subprocess
 import sys
 import warnings
@@ -438,6 +439,48 @@ def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, c
         runs.append((stdout, files))
     assert sorted(runs[0][1]) == ["full.emb", "full.emb.ids", "trace.tsv"]
     assert runs[0] == runs[1]
+
+
+def test_pooled_correction_is_byte_identical_across_blas_threads_and_cpus(tmp_path, cli_env):
+    # 300 x 4000 cosines make five pooled row blocks for local and avgpool.
+    # The k-sweep's degeneration column prints full precision; apply's
+    # float32 file is compared too.  Each run is one OpenBLAS thread count
+    # and one CPU affinity, set in the child before it starts.
+    def invgc(cwd, env, preexec, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "invgc", *argv], cwd=cwd, env=env,
+            capture_output=True, preexec_fn=preexec,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr.decode())
+        return proc.stdout
+
+    invgc(tmp_path, cli_env, None, "synth", "--items", "300", "--refs", "4000",
+          "--dim", "16", "--seed", "9", "--out-prefix", "syn")
+    cpus = sorted(os.sched_getaffinity(0))
+    settings = [("1", None), ("2", None)]
+    if len(cpus) > 1:
+        settings.append(("2", lambda: os.sched_setaffinity(0, cpus[:1])))
+    runs = []
+    for i, (threads, preexec) in enumerate(settings):
+        cwd = tmp_path / str(i)
+        cwd.mkdir()
+        env = dict(cli_env, OPENBLAS_NUM_THREADS=threads)
+        stdout = [
+            invgc(cwd, env, preexec, "apply", "--gallery", "../syn.gallery.emb",
+                  "--ref-gallery", "../syn.refg.emb", "--ref-query", "../syn.refq.emb",
+                  "--variant", "avgpool", "--p", "2", "--rg", "0.1", "--rq", "0.1",
+                  "--out", "avgpool.emb"),
+            invgc(cwd, env, preexec, "sweep", "--param", "k", "--values", "0.5,1,3",
+                  "--val-query", "../syn.query.emb", "--val-gallery", "../syn.gallery.emb",
+                  "--ref-gallery", "../syn.refg.emb", "--ref-query", "../syn.refq.emb",
+                  "--relevance", "../syn.rel.tsv", "--variant", "local",
+                  "--rg", "0.1", "--rq", "0.1"),
+        ]
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        runs.append((stdout, files))
+    assert sorted(runs[0][1]) == ["avgpool.emb", "avgpool.emb.ids"]
+    for run in runs[1:]:
+        assert run == runs[0]
 
 
 def _val_sets(dataset, rel):

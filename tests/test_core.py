@@ -1,5 +1,6 @@
 """Convolution updates against a per-row oracle and hand-checked cases."""
 
+import sys
 import tracemalloc
 import warnings
 
@@ -325,6 +326,60 @@ def test_avgpool_writes_its_mask_into_the_cosine_block():
             tracemalloc.stop()
     assert peaks["local"] < 2.5 * block_bytes, (peaks, block_bytes)
     assert peaks["avgpool"] < peaks["local"] + block_bytes / 16, (peaks, block_bytes)
+
+
+def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch):
+    # With one worker a pass holds one pooled block of cosines, 262 x 1000
+    # float64 (2.1 MB), at a time.  The thresholds come from 2**15-cell
+    # chunks partitioned in one reused buffer; a partitioned copy of the
+    # whole block would put the peak at two blocks.
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(41)
+    G = make_set(rng, 2000, 8, "g")
+    R = make_set(rng, 1000, 8, "r")
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+    block = simgraph._row_blocks(G.n, R.n, simgraph._BLOCK_CELLS // 4)[0]
+    block_bytes = (block.stop - block.start) * R.n * 8
+    for variant in ("local", "avgpool"):
+        tracemalloc.start()
+        try:
+            _aggregate(Gn, R, InvGCConfig(variant), [5.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes, (variant, peak, block_bytes)
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+@pytest.mark.parametrize("variant", ["local", "avgpool"])
+def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, monkeypatch):
+    # 600 x 1866 cosines make five pooled blocks, or 2-row blocks under a
+    # 64-cell budget; threads switch often, and there are more of them than
+    # cores.  A row's last bits may depend on the block shape, which is why
+    # the shape is a function of the input shapes alone.
+    if budget is not None:
+        monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
+    rng = np.random.default_rng(42)
+    G = make_set(rng, 600, 12, "g")
+    R = shared_id_reference(rng, G, 1466)
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+    assert len(simgraph._row_blocks(G.n, R.n, simgraph._BLOCK_CELLS // 4)) == (5 if budget is None else 300)
+    cfg = InvGCConfig(variant)
+    percent_lists = [[1.0], [0.5, 1.0, 3.0, 50.0]]
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    want = [_aggregate(Gn, R, cfg, percents) for percents in percent_lists]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 4):
+            monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
+            for percents, aggs in zip(percent_lists, want):
+                got = _aggregate(Gn, R, cfg, percents)
+                assert len(got) == len(aggs)
+                for a, b in zip(got, aggs):
+                    assert_array_equal(a, b, err_msg=f"{workers} workers")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

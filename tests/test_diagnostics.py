@@ -216,6 +216,21 @@ def test_degeneration_score_is_mean_nn_similarity():
     )
 
 
+@pytest.mark.parametrize("budget", [64, 1 << 20])
+def test_degeneration_score_equals_intra_mean_sim_at_1_bit_for_bit(budget):
+    # its own pass keeps only the row maxima; a 64-cell budget runs it in
+    # 2-row blocks, and duplicate rows put exact ties at the maximum
+    rng = np.random.default_rng(49)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simgraph, "_BLOCK_CELLS", budget)
+        for _ in range(6):
+            G = make_set(rng, int(rng.integers(2, 60)), int(rng.integers(1, 9)))
+            G.data[1] = G.data[0]
+            assert degeneration_score(G) == intra_mean_sim(G, [1]).mean_sim_at[1]
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        degeneration_score(make_set(rng, 1, 3))
+
+
 def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix():
     # the dense 3000 x 3000 float64 cosines take 72 MB; the blocked pass
     # holds one 8 MB block and its partitioned copy at a time

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -238,16 +239,16 @@ def test_concurrent_mm_calls_share_one_pin():
     want = _mm(a, a.T)
     seen = []
 
-    def spy_matmul(x, y, _matmul=np.matmul):
+    def spy_dot(x, y, _dot=np.dot):
         seen.append(pin.get())
-        return _matmul(x, y)
+        return _dot(x, y)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         pin.set(2)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "matmul", spy_matmul)
+            mp.setattr(np, "dot", spy_dot)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: _mm(a, a.T), range(64)))
         assert pin.get() == 2
@@ -267,15 +268,52 @@ def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
     monkeypatch.setattr(simgraph.ctypes, "CDLL", NoSymbols)
     assert simgraph._find_blas_pin() is None
 
-    def no_matmul(*args, **kwargs):
-        raise AssertionError("matmul called on the fallback path")
+    def no_dot(*args, **kwargs):
+        raise AssertionError("dot called on the fallback path")
 
     monkeypatch.setattr(simgraph, "_BLAS_PIN", None)
-    monkeypatch.setattr(np, "matmul", no_matmul)
+    monkeypatch.setattr(np, "dot", no_dot)
     rng = np.random.default_rng(29)
     a = rng.standard_normal((20, 30))
     b = rng.standard_normal((30, 5))
     assert_array_equal(_mm(a, b), np.einsum("ij,jk->ik", a, b))
+
+
+def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeypatch):
+    # a 64-cell budget cuts 40 x 8 cosines into twenty 2-row blocks for
+    # three threads; each fills its rows, and the pool is gone after the pass
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 3)
+    rng = np.random.default_rng(31)
+    X = make_set(rng, 40, 4)
+    Y = make_set(rng, 8, 4, "y")
+    threads = threading.active_count()
+    got = np.full((X.n, Y.n), np.nan)
+
+    def fill(b, sims):
+        got[b] = sims
+
+    pin, sets = simgraph._BLAS_PIN, []
+    if pin is not None:
+        # one pin around the whole pass: the count is set once and restored once
+        monkeypatch.setattr(pin, "set", lambda n, _set=pin.set: sets.append(n) or _set(n))
+    simgraph._map_blocks(fill, X, Y)
+    assert len(sets) == (0 if pin is None else 2)
+    assert threading.active_count() == threads
+    assert_allclose(got, cosine_similarity_matrix(X, Y).values, rtol=0, atol=1e-15)
+
+    error = RuntimeError("block at row 14")
+
+    def fail_later(b, sims):
+        if b.start == 14:
+            raise error
+
+    with pytest.raises(RuntimeError) as raised:
+        simgraph._map_blocks(fail_later, X, Y)
+    assert raised.value is error
+    assert threading.active_count() == threads
+    if pin is not None:
+        assert pin._inside == 0
 
 
 def test_row_blocks_tile_the_rows_without_one_row_blocks():
