@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,8 @@ def _parse_values(spec: str) -> list:
             step = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise UsageError(f"bad range {spec!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"bad range {spec!r}")
         if step <= 0:
             raise UsageError("range step must be > 0")
         vals, i = [], 0
@@ -90,7 +93,7 @@ def _parse_ints(spec: str) -> list:
     vals = _parse_values(spec)
     out = []
     for v in vals:
-        if int(v) != v:
+        if not math.isfinite(v) or int(v) != v:
             raise UsageError(f"expected integers, got {v}")
         out.append(int(v))
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _sim_blocks
+from .simgraph import _map_blocks
 
 
 @dataclass
@@ -88,36 +88,37 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # One pass over the row blocks of the X x Y cosines, leaving out the
     # cells (rows[t], cols[t]); every row must keep at least one cell.
     # Each block overwrites its own excluded cells before each use, and
-    # keeps its sorted top columns, its cell count, sum, min and M2 (the
-    # sum of squared deviations from its own mean).
+    # writes its rows' sorted top columns, min, sum and M2 (the sum of
+    # squared deviations from the row's own mean).
     available = Y.n - np.bincount(rows, minlength=X.n)
     order = np.argsort(rows, kind="stable")
     rows, cols = rows[order], cols[order]
     top = Y.n - min(max(ks), Y.n)
-    ranked, counts, sums, mins, m2s = [], [], [], [], []
-    for b, sims in _sim_blocks(X, Y):
+    ranked = np.empty((X.n, Y.n - top))
+    row_min, row_sum, row_m2 = np.empty(X.n), np.empty(X.n), np.empty(X.n)
+
+    def block(b, sims):
         lo, hi = np.searchsorted(rows, (b.start, b.stop))
         cells = rows[lo:hi] - b.start, cols[lo:hi]
         # A row with fewer cells than the width ends in excluded cells,
         # which count as zero.
         sims[cells] = -np.inf
-        ranked.append(np.sort(np.partition(sims, top, axis=1)[:, top:], axis=1))
+        ranked[b] = np.sort(np.partition(sims, top, axis=1)[:, top:], axis=1)[:, ::-1]
         sims[cells] = np.inf
-        mins.append(sims.min())
+        row_min[b] = sims.min(axis=1)
         sims[cells] = 0.0
-        counts.append(int(available[b].sum()))
-        sums.append(float(sims.sum()))
-        sims -= sums[-1] / counts[-1]
+        row_sum[b] = sims.sum(axis=1)
+        sims -= (row_sum[b] / available[b])[:, None]
         sims[cells] = 0.0
-        m2s.append(float(np.square(sims, out=sims).sum()))
-    ranked = np.concatenate(ranked)[:, ::-1]
+        row_m2[b] = np.square(sims, out=sims).sum(axis=1)
+
+    _map_blocks(block, X, Y)
     ranked[ranked == -np.inf] = 0.0
-    counts, sums = np.array(counts), np.array(sums)
-    n_pairs = int(counts.sum())
-    mean_sim = float(sums.sum() / n_pairs)
-    # Block means and M2s merge exactly (Chan, Golub and LeVeque 1983):
-    # M2 = sum of M2_b + sum of n_b * (mean_b - mean)^2.
-    square_dev = float(sum(m2s) + (counts * (sums / counts - mean_sim) ** 2).sum())
+    n_pairs = int(available.sum())
+    mean_sim = float(row_sum.sum() / n_pairs)
+    # Row means and M2s merge exactly (Chan, Golub and LeVeque 1983):
+    # M2 = sum of M2_i + sum of n_i * (mean_i - mean)^2.
+    square_dev = float(row_m2.sum() + (available * (row_sum / available - mean_sim) ** 2).sum())
     return DegenerationReport(
         mean_sim=mean_sim,
         mean_sim_at={
@@ -126,7 +127,7 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
         histogram=_nn_histogram(ranked[:, 0], bins),
         excluded_pairs=len(rows),
         std_sim=float(np.sqrt(square_dev / n_pairs)),
-        min_sim=float(min(mins)),
+        min_sim=float(row_min.min()),
     )
 
 
@@ -144,8 +145,11 @@ def degeneration_score(G: EmbeddingSet) -> float:
     if G.n < 2:
         raise ValueError("need at least 2 points")
     nearest = np.empty(G.n)
-    for b, sims in _sim_blocks(G, G):
+
+    def block(b, sims):
         own = np.arange(b.start, b.stop)
         sims[own - b.start, own] = -np.inf
         nearest[b] = sims.max(axis=1)
+
+    _map_blocks(block, G, G)
     return float(nearest.mean())

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _sim_blocks, _UnitRows
+from .simgraph import _map_blocks, _UnitRows
 
 
 @dataclass
@@ -56,9 +56,12 @@ def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel) -> dict:
     if not isinstance(rel, _Relevance):
         rel = _Relevance(Q, G.ids, rel)
     ranks = np.empty(rel.queries.n, dtype=np.intp)
-    for b, sims in _sim_blocks(rel.queries, G):
+
+    def block(b, sims):
         lo, hi = np.searchsorted(rel.rows, (b.start, b.stop))
         ranks[b] = _block_ranks(sims, rel.rows[lo:hi] - b.start, rel.cols[lo:hi])
+
+    _map_blocks(block, rel.queries, G)
     return dict(zip(rel.queries.ids, ranks.tolist()))
 
 
@@ -67,7 +70,7 @@ def _block_ranks(sims: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     # relevant cells being (r, c).  The best one has the top score s and,
     # among relevant cells with that score, the lowest column i; every cell
     # scoring higher, or equal at a lower column, sorts ahead of it.  The
-    # boolean temporaries die on return, before the next block's GEMM.
+    # boolean temporaries die on return, before its thread's next GEMM.
     n_rows, n_cols = sims.shape
     score = sims[r, c]
     s = np.full(n_rows, -np.inf)

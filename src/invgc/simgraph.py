@@ -8,11 +8,10 @@ local   per row, keep entries >= the m-th largest value verbatim and
         zero the rest, m = max(1, ceil(k_percent/100 * row length))
 binary  same row threshold, but retained entries become 1 and the rest 0
 
-The library's own passes take the cosines one row block at a time, so
-none holds an N x N_ref matrix: _sim_blocks yields blocks of about 2**20
-cells in turn, and _map_blocks hands blocks of a quarter of that to a few
-threads.  The dense matrix and adjacency functions serve callers that
-want them whole.
+Every cosine the library takes comes from _map_blocks, which hands row
+blocks of about 2**18 cells to a few threads, so no pass holds an
+N x N_ref matrix unless it asks for one: cosine_similarity_matrix fills
+the dense matrix from the same blocks, for callers that want it whole.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def unit_rows(X: np.ndarray, ids: list | None = None) -> np.ndarray:
 class _UnitRows:
     """A set's ids and unit rows, for passes that reuse one normalization.
 
-    _sim_blocks takes it in place of the EmbeddingSet and does not divide
+    _map_blocks takes it in place of the EmbeddingSet and does not divide
     its rows again, so its blocks equal the set's own bit for bit.
     """
 
@@ -157,57 +156,34 @@ def _unit(es) -> np.ndarray:
     return es.data if isinstance(es, _UnitRows) else unit_rows(es.data, es.ids)
 
 
-def _check_dims(rows: EmbeddingSet, cols: EmbeddingSet) -> None:
-    if rows.d != cols.d:
-        raise ValueError(f"dimension mismatch: {rows.d} vs {cols.d}")
-
-
 def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatrix:
-    """Pairwise cosines, clamped to [-1, 1] to absorb rounding drift."""
-    _check_dims(rows, cols)
-    vals = _mm(unit_rows(rows.data, rows.ids), unit_rows(cols.data, cols.ids).T)
-    np.clip(vals, -1.0, 1.0, out=vals)
+    """Pairwise cosines, clamped to [-1, 1] to absorb rounding drift.
+
+    The matrix is _map_blocks' blocks, so it holds the bits of every
+    blocked pass over the same sets.
+    """
+    vals = np.empty((rows.n, cols.n))
+
+    def fill(b, sims):
+        vals[b] = sims
+
+    _map_blocks(fill, rows, cols)
     return SimMatrix(list(rows.ids), list(cols.ids), vals)
 
 
-_BLOCK_CELLS = 1 << 20  # about 8 MB of float64 per row block
+_BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
 
 
-def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
-    # Row slices of an n_rows x n_cols matrix, about cells cells each
-    # (_BLOCK_CELLS by default).  No block has one row unless n_rows is 1:
-    # numpy runs a 1-row product as gemv, whose sums differ in the last bit
-    # from gemm's, so a one-row tail joins the block before it.
-    step = max(2, (_BLOCK_CELLS if cells is None else cells) // max(1, n_cols))
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    # Row slices of an n_rows x n_cols matrix, about _BLOCK_CELLS cells
+    # each.  No block has one row unless n_rows is 1: numpy runs a 1-row
+    # product as gemv, whose sums differ in the last bit from gemm's, so a
+    # one-row tail joins the block before it.
+    step = max(2, _BLOCK_CELLS // max(1, n_cols))
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
-
-
-def _unit_pair(rows, cols) -> tuple:
-    # rows' unit rows and the transpose of cols', normalized once
-    _check_dims(rows, cols)
-    Xn = _unit(rows)
-    return Xn, (Xn if cols is rows else _unit(cols)).T
-
-
-def _cosines(Xn: np.ndarray, Yt: np.ndarray, b: slice) -> np.ndarray:
-    sims = _mm(Xn[b], Yt)
-    return np.clip(sims, -1.0, 1.0, out=sims)
-
-
-def _sim_blocks(rows: EmbeddingSet, cols: EmbeddingSet):
-    """(row slice, clipped cosine block) pairs that tile rows x cols.
-
-    Each block holds the rows of cosine_similarity_matrix(rows, cols), so
-    no caller holds the N x N_ref matrix; at some narrow widths OpenBLAS's
-    last bit in a few cells depends on a product's row count.  Either side
-    may be a _UnitRows, normalized once for many passes.
-    """
-    Xn, Yt = _unit_pair(rows, cols)
-    for b in _row_blocks(rows.n, cols.n):
-        yield b, _cosines(Xn, Yt, b)
 
 
 def _worker_count() -> int:
@@ -223,18 +199,25 @@ def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet) -> None:
     """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
     that tile rows x cols, on _worker_count() threads at most.
 
-    The blocks, of a quarter of _BLOCK_CELLS each, depend on the shapes
-    alone, and each product runs on one BLAS thread, so a block's bits do
-    not depend on which thread runs it or how many run: fn must only
-    write its own rows.  A single block runs inline.  The first exception
-    fn raises, in block order, propagates.
+    Either side may be a _UnitRows, normalized once for many passes.  The
+    blocks depend on the shapes alone, and each product runs on one BLAS
+    thread, so a block's bits do not depend on which thread runs it or
+    how many run.  They can depend on _BLOCK_CELLS: at some shapes
+    OpenBLAS's last bit in a cell depends on a product's row count, and
+    numpy runs a self pass that fits one block as syrk.  Blocks finish in
+    any order: fn must only write its own rows.  A single block runs
+    inline.  The first exception fn raises, in block order, propagates.
     """
-    Xn, Yt = _unit_pair(rows, cols)
-    blocks = _row_blocks(rows.n, cols.n, _BLOCK_CELLS // 4)
+    if rows.d != cols.d:
+        raise ValueError(f"dimension mismatch: {rows.d} vs {cols.d}")
+    Xn = _unit(rows)
+    Yt = (Xn if cols is rows else _unit(cols)).T
+    blocks = _row_blocks(rows.n, cols.n)
     workers = min(_worker_count(), len(blocks))
 
     def run(b):
-        fn(b, _cosines(Xn, Yt, b))
+        sims = _mm(Xn[b], Yt)
+        fn(b, np.clip(sims, -1.0, 1.0, out=sims))
 
     # Held for the whole pass, so the count is not set back and forth
     # between blocks.

@@ -334,6 +334,38 @@ def test_usage_errors_exit_one(capsys):
     assert rc == 1 and "expected integers" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--gallery", "g.emb", "--topk", "inf"],
+    ["eval", "--query", "q.emb", "--gallery", "g.emb", "--relevance", "r.tsv", "--recall-at", "inf"],
+    ["verify-theory", "--n", "inf"],
+])
+def test_an_infinite_integer_is_a_usage_error(argv, capsys):
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err == f"invgc {argv[0]}: error: expected integers, got inf\n"
+
+
+@pytest.mark.parametrize("spec", ["0:inf", "nan:1", "0:nan", "0:1:nan"])
+def test_a_range_with_a_non_finite_part_is_a_bad_range(spec, dataset, cli_env):
+    # Such a range once grew its list without end, so the child runs under
+    # a time limit and a 1 GB address-space limit.
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "invgc", "sweep", "--param", "rg", "--values", spec,
+         *_val_sets(dataset, dataset["rel"])],
+        env=dict(cli_env, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"invgc sweep: error: bad range {spec!r}\n"
+
+
 def test_data_errors_exit_two(dataset, capsys, tmp_path):
     rc, _, err = run_main(
         ["diagnose", "--gallery", str(tmp_path / "missing.emb")], capsys
@@ -442,8 +474,9 @@ def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, c
 
 
 def test_pooled_correction_is_byte_identical_across_blas_threads_and_cpus(tmp_path, cli_env):
-    # 300 x 4000 cosines make five pooled row blocks for local and avgpool.
-    # The k-sweep's degeneration column prints full precision; apply's
+    # 300 x 4000 cosines make five pooled row blocks for local and avgpool,
+    # and 1200 x 1200 ones six for diagnose and eval.  The k-sweep's
+    # degeneration column and diagnose print full precision; apply's
     # float32 file is compared too.  Each run is one OpenBLAS thread count
     # and one CPU affinity, set in the child before it starts.
     def invgc(cwd, env, preexec, *argv):
@@ -456,6 +489,10 @@ def test_pooled_correction_is_byte_identical_across_blas_threads_and_cpus(tmp_pa
 
     invgc(tmp_path, cli_env, None, "synth", "--items", "300", "--refs", "4000",
           "--dim", "16", "--seed", "9", "--out-prefix", "syn")
+    invgc(tmp_path, cli_env, None, "synth", "--items", "1200", "--refs", "8",
+          "--dim", "16", "--seed", "9", "--out-prefix", "big")
+    big = ["--gallery", "../big.gallery.emb"]
+    big_pair = ["--query", "../big.query.emb", "--relevance", "../big.rel.tsv"]
     cpus = sorted(os.sched_getaffinity(0))
     settings = [("1", None), ("2", None)]
     if len(cpus) > 1:
@@ -475,6 +512,9 @@ def test_pooled_correction_is_byte_identical_across_blas_threads_and_cpus(tmp_pa
                   "--ref-gallery", "../syn.refg.emb", "--ref-query", "../syn.refq.emb",
                   "--relevance", "../syn.rel.tsv", "--variant", "local",
                   "--rg", "0.1", "--rq", "0.1"),
+            invgc(cwd, env, preexec, "diagnose", *big, "--topk", "1,10,50"),
+            invgc(cwd, env, preexec, "diagnose", *big, *big_pair, "--topk", "1,10,50"),
+            invgc(cwd, env, preexec, "eval", *big, *big_pair),
         ]
         files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
         runs.append((stdout, files))

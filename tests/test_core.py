@@ -293,11 +293,11 @@ def shared_id_reference(rng, G, n_other):
 
 @pytest.mark.parametrize("variant", ["local", "avgpool"])
 def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
-    # 1500 x 2000 cosines run in three row blocks of 524, 524 and 452 rows
+    # 1500 x 2000 cosines run in eleven row blocks of 131 rows and one of 59
     rng = np.random.default_rng(37)
     G = make_set(rng, 1500, 12, "g")
     R = shared_id_reference(rng, G, 1000)
-    assert len(simgraph._row_blocks(G.n, R.n)) == 3
+    assert len(simgraph._row_blocks(G.n, R.n)) == 12
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
     cfg = InvGCConfig(variant, k_percent=0.7, p_percent=2.5)
     S = build_adjacency(cosine_similarity_matrix(Gn, R), cfg)
@@ -305,12 +305,15 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     assert_array_equal(_aggregate(Gn, R, cfg, [_percent(cfg)])[0], _mm(S.values, R.data))
 
 
-def test_avgpool_writes_its_mask_into_the_cosine_block():
-    # 2000 x 1000 cosines run in two row blocks of 1048 x 1000 float64
-    # (8.4 MB).  Both variants mask the block in place, so the peak is the
-    # cosines and their partitioned copy.  A float 0/1 mask for avgpool
-    # would add a third block at its peak, a bool one an eighth of a block.
-    rng = np.random.default_rng(40)
+def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch):
+    # With one worker a pass holds one block of cosines, 262 x 1000
+    # float64 (2.1 MB), at a time.  The thresholds come from 2**15-cell
+    # chunks partitioned in one reused buffer; a partitioned copy of the
+    # whole block would put the peak at two blocks.  Both variants mask
+    # the block in place: a float 0/1 mask for avgpool would add a whole
+    # block at its peak, a bool one an eighth of a block.
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(41)
     G = make_set(rng, 2000, 8, "g")
     R = make_set(rng, 1000, 8, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
@@ -324,30 +327,8 @@ def test_avgpool_writes_its_mask_into_the_cosine_block():
             _, peaks[variant] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peaks["local"] < 2.5 * block_bytes, (peaks, block_bytes)
+        assert peaks[variant] < 1.5 * block_bytes, (variant, peaks, block_bytes)
     assert peaks["avgpool"] < peaks["local"] + block_bytes / 16, (peaks, block_bytes)
-
-
-def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch):
-    # With one worker a pass holds one pooled block of cosines, 262 x 1000
-    # float64 (2.1 MB), at a time.  The thresholds come from 2**15-cell
-    # chunks partitioned in one reused buffer; a partitioned copy of the
-    # whole block would put the peak at two blocks.
-    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
-    rng = np.random.default_rng(41)
-    G = make_set(rng, 2000, 8, "g")
-    R = make_set(rng, 1000, 8, "r")
-    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    block = simgraph._row_blocks(G.n, R.n, simgraph._BLOCK_CELLS // 4)[0]
-    block_bytes = (block.stop - block.start) * R.n * 8
-    for variant in ("local", "avgpool"):
-        tracemalloc.start()
-        try:
-            _aggregate(Gn, R, InvGCConfig(variant), [5.0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * block_bytes, (variant, peak, block_bytes)
 
 
 @pytest.mark.parametrize("budget", [None, 64])
@@ -363,7 +344,7 @@ def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, m
     G = make_set(rng, 600, 12, "g")
     R = shared_id_reference(rng, G, 1466)
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    assert len(simgraph._row_blocks(G.n, R.n, simgraph._BLOCK_CELLS // 4)) == (5 if budget is None else 300)
+    assert len(simgraph._row_blocks(G.n, R.n)) == (5 if budget is None else 300)
     cfg = InvGCConfig(variant)
     percent_lists = [[1.0], [0.5, 1.0, 3.0, 50.0]]
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)

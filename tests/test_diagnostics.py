@@ -1,12 +1,13 @@
 """Similarity-structure reports against brute-force recomputation."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from invgc import simgraph
@@ -69,7 +70,7 @@ def test_intra_scalars_are_permutation_invariant():
 
 
 def test_intra_spanning_several_row_blocks_matches_a_dense_pool():
-    # 1500 rows split into two row blocks, once within the set (diagonal
+    # 1500 rows split into nine row blocks, once within the set (diagonal
     # excluded) and once against 1500 queries with scattered matched
     # pairs, where three gallery rows keep only 1, 5 and 20 unmatched
     # queries; the reference keeps the whole masked pool and sorts every
@@ -86,6 +87,7 @@ def test_intra_spanning_several_row_blocks_matches_a_dense_pool():
     for i, j in np.argwhere(matched):
         rel.setdefault(Q.ids[j], set()).add(G.ids[i])
     ks = [1, 7, 30]
+    assert len(simgraph._row_blocks(G.n, Q.n)) == 9
     cases = [
         (intra_mean_sim(G, ks, bins=9), G, ~np.eye(G.n, dtype=bool)),
         (cross_mean_sim(G, Q, rel, ks, bins=9), Q, ~matched),
@@ -216,13 +218,15 @@ def test_degeneration_score_is_mean_nn_similarity():
     )
 
 
-@pytest.mark.parametrize("budget", [64, 1 << 20])
+@pytest.mark.parametrize("budget", [64, None])
 def test_degeneration_score_equals_intra_mean_sim_at_1_bit_for_bit(budget):
     # its own pass keeps only the row maxima; a 64-cell budget runs it in
-    # 2-row blocks, and duplicate rows put exact ties at the maximum
+    # 2-row blocks, the default in one, and duplicate rows put exact ties
+    # at the maximum
     rng = np.random.default_rng(49)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simgraph, "_BLOCK_CELLS", budget)
+        if budget is not None:
+            mp.setattr(simgraph, "_BLOCK_CELLS", budget)
         for _ in range(6):
             G = make_set(rng, int(rng.integers(2, 60)), int(rng.integers(1, 9)))
             G.data[1] = G.data[0]
@@ -231,9 +235,48 @@ def test_degeneration_score_equals_intra_mean_sim_at_1_bit_for_bit(budget):
         degeneration_score(make_set(rng, 1, 3))
 
 
+def test_reports_and_dense_cosines_do_not_depend_on_the_blocks_or_the_workers(monkeypatch):
+    # Each row's statistics come from its own cells, so the reports and
+    # the dense matrix hold the same bits whether a pass runs in 2-row
+    # blocks (a 64-cell budget) or the default ones, on one thread or on
+    # three that switch often.  At these shapes OpenBLAS gives a cell the
+    # same bits in a 2-row product as in a 520-row one; at some shapes a
+    # cell's last bit depends on the product's row count, and numpy runs
+    # a one-block self pass as syrk, so the budget is fixed.
+    rng = np.random.default_rng(50)
+    G = make_set(rng, 520, 6, "g")
+    Q = make_set(rng, 400, 6, "q")
+    rel = {}
+    for i, j in zip(rng.integers(0, G.n, 1500), rng.integers(0, Q.n, 1500)):
+        rel.setdefault(Q.ids[j], set()).add(G.ids[i])
+
+    def run():
+        return (
+            intra_mean_sim(G, [1, 5, 519], bins=11),
+            cross_mean_sim(G, Q, rel, [1, 5, 400], bins=11),
+            simgraph.cosine_similarity_matrix(G, Q).values,
+        )
+
+    want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for budget in (64, simgraph._BLOCK_CELLS):
+            for workers in (1, 3):
+                monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
+                monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
+                assert len(simgraph._row_blocks(G.n, G.n)) == (260 if budget == 64 else 2)
+                intra, cross, dense = run()
+                assert intra == want[0], (budget, workers)
+                assert cross == want[1], (budget, workers)
+                assert_array_equal(dense, want[2], err_msg=f"{budget} cells, {workers} workers")
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix():
     # the dense 3000 x 3000 float64 cosines take 72 MB; the blocked pass
-    # holds one 8 MB block and its partitioned copy at a time
+    # holds a 2 MB block and its partitioned copy per worker
     rng = np.random.default_rng(48)
     G = make_set(rng, 3000, 8)
     tracemalloc.start()
@@ -247,7 +290,7 @@ def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([16, 64, 1 << 20]))
+@given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([16, 64, simgraph._BLOCK_CELLS]))
 def test_cross_report_follows_ids_not_row_order(seed, budget):
     # small cell budgets cut the gallery into many row blocks, so the
     # permuted excluded pairs land in different blocks

@@ -171,12 +171,12 @@ def test_dump_ranks_writes_sorted_tsv(tmp_path):
 
 
 def test_ranks_over_several_row_blocks_match_the_oracle_on_tie_heavy_data():
-    # 1100 queries x 2000 gallery rows run in three row blocks; integer
+    # 1100 queries x 2000 gallery rows run in nine row blocks; integer
     # directions from a 3 x 3 grid make most similarities tie exactly
     rng = np.random.default_rng(55)
     Q = EmbeddingSet([f"q{i}" for i in range(1100)], rng.integers(1, 4, (1100, 2)).astype(float))
     G = EmbeddingSet([f"g{i}" for i in range(2000)], rng.integers(1, 4, (2000, 2)).astype(float))
-    assert len(simgraph._row_blocks(Q.n, G.n)) == 3
+    assert len(simgraph._row_blocks(Q.n, G.n)) == 9
     rel = {
         qid: {G.ids[i] for i in rng.choice(G.n, size=int(rng.integers(1, 3)), replace=False)}
         for qid in Q.ids
@@ -191,7 +191,7 @@ def test_ranks_over_several_row_blocks_match_the_oracle_on_tie_heavy_data():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([4, 16, 1 << 20]))
+@given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([4, 16, simgraph._BLOCK_CELLS]))
 def test_permuting_the_queries_permutes_the_rank_map(seed, budget):
     # Rows are signed multiples of axis vectors, so every cosine is exactly
     # -1, 0 or 1 wherever its row sits in a block, and most ranks hinge on

@@ -280,9 +280,9 @@ def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
 
 
 def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeypatch):
-    # a 64-cell budget cuts 40 x 8 cosines into twenty 2-row blocks for
+    # a 16-cell budget cuts 40 x 8 cosines into twenty 2-row blocks for
     # three threads; each fills its rows, and the pool is gone after the pass
-    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 16)
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 3)
     rng = np.random.default_rng(31)
     X = make_set(rng, 40, 4)
@@ -300,7 +300,8 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
     simgraph._map_blocks(fill, X, Y)
     assert len(sets) == (0 if pin is None else 2)
     assert threading.active_count() == threads
-    assert_allclose(got, cosine_similarity_matrix(X, Y).values, rtol=0, atol=1e-15)
+    Xn, Yn = (S.data / np.linalg.norm(S.data, axis=1)[:, None] for S in (X, Y))
+    assert_allclose(got, Xn @ Yn.T, rtol=0, atol=1e-15)
 
     error = RuntimeError("block at row 14")
 
@@ -329,23 +330,32 @@ def test_row_blocks_tile_the_rows_without_one_row_blocks():
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(1500, 2000), (2097, 1000), (5, 3)])
-def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols):
-    # 2097 rows of 1000 columns leave a 1-row tail after two 1048-row blocks
+def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols, monkeypatch):
+    # 2097 rows of 1000 columns leave a 1-row tail after eight 262-row
+    # blocks; two threads hand out the blocks, which may finish in any order
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
     rng = np.random.default_rng(23)
     X = make_set(rng, n_rows, 7)
     Y = make_set(rng, n_cols, 7, "y")
-    blocks = list(simgraph._sim_blocks(X, Y))
-    assert len(blocks) == len(simgraph._row_blocks(n_rows, n_cols))
-    assert_array_equal(np.concatenate([s for _, s in blocks]), cosine_similarity_matrix(X, Y).values)
+    blocks = []
+    simgraph._map_blocks(lambda b, sims: blocks.append((b, sims.copy())), X, Y)
+    blocks.sort(key=lambda pair: pair[0].start)
     assert [b for b, _ in blocks] == simgraph._row_blocks(n_rows, n_cols)
+    Xn, Yn = unit_rows(X.data), unit_rows(Y.data)
+    for b, sims in blocks:
+        assert_array_equal(sims, np.clip(_mm(Xn[b], Yn.T), -1.0, 1.0))
+    assert_array_equal(np.concatenate([s for _, s in blocks]), cosine_similarity_matrix(X, Y).values)
 
 
 def test_sim_blocks_check_their_inputs_before_the_first_block():
+    def no_block(b, sims):
+        raise AssertionError("a block ran")
+
     A = EmbeddingSet(["a"], [[1.0, 0.0]])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        next(simgraph._sim_blocks(A, EmbeddingSet(["b"], [[1.0, 0.0, 0.0]])))
+        simgraph._map_blocks(no_block, A, EmbeddingSet(["b"], [[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="zero-norm embedding row, id 'z'"):
-        next(simgraph._sim_blocks(A, EmbeddingSet(["y", "z"], [[1.0, 1.0], [0.0, 0.0]])))
+        simgraph._map_blocks(no_block, A, EmbeddingSet(["y", "z"], [[1.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.filterwarnings("error")

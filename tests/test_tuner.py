@@ -198,22 +198,15 @@ def test_every_grid_cell_equals_the_dual_update_for_its_config(monkeypatch):
 
 
 def _count_similarity_passes(monkeypatch) -> list:
-    # one call of the row-block generator, or of the pooled block map, is
-    # one pass over a similarity
+    # one call of the row-block map is one pass over a similarity
     calls = []
-    original_blocks, original_map = simgraph._sim_blocks, simgraph._map_blocks
-
-    def counting_blocks(rows, cols):
-        calls.append((rows.n, cols.n))
-        return original_blocks(rows, cols)
+    original = simgraph._map_blocks
 
     def counting_map(fn, rows, cols):
         calls.append((rows.n, cols.n))
-        return original_map(fn, rows, cols)
+        return original(fn, rows, cols)
 
-    for module in (simgraph, retrieval, diagnostics):
-        monkeypatch.setattr(module, "_sim_blocks", counting_blocks)
-    for module in (simgraph, core):
+    for module in (simgraph, core, retrieval, diagnostics):
         monkeypatch.setattr(module, "_map_blocks", counting_map)
     return calls
 
