@@ -55,8 +55,15 @@ def _emit(key, value) -> None:
     print(f"{key}\t{_fmt(value)}")
 
 
+_MAX_RANGE_POINTS = 1_000_000
+
+
 def _parse_values(spec: str) -> list:
-    """Parse "start:stop[:step]" (stop inclusive) or a comma list."""
+    """Parse "start:stop[:step]" (stop inclusive) or a comma list.
+
+    A range of more than _MAX_RANGE_POINTS points is refused before its
+    list is built, which would otherwise exhaust memory.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) not in (2, 3):
@@ -70,6 +77,8 @@ def _parse_values(spec: str) -> list:
             raise UsageError(f"bad range {spec!r}")
         if step <= 0:
             raise UsageError("range step must be > 0")
+        if (stop - start) / step >= _MAX_RANGE_POINTS:
+            raise UsageError(f"bad range {spec!r}")
         vals, i = [], 0
         while True:
             v = start + i * step

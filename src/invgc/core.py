@@ -22,11 +22,13 @@ from .embio import EmbeddingSet
 from .simgraph import (
     Adjacency,
     SimMatrix,
+    _PARTITION_CELLS,
     _check_percent,
     _map_blocks,
     _mm,
     _row_thresholds,
     _scaled_norms,
+    _top_count,
     adjacency_binary,
     adjacency_full,
     adjacency_local,
@@ -172,21 +174,37 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     )
 
 
+_GATHER_SHARE = 1 / 32
+"""Largest share m / N_ref of a row that _aggregate sums from gathered rows.
+
+Measured per row block of 2**18 cosines on one thread of a 2.1 GHz Xeon,
+at N_ref 1000 and 5000 and d 8 to 256: at m / N_ref = 1/32 the gather
+takes 0.64 to 0.93 of the masked GEMM's time, at 1/16 it takes 1.05 to
+1.44.  avgpool's default p = 100 keeps every column and stays dense.
+"""
+
+
 def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) -> list:
     """S @ ref at each of percents, for cfg's adjacency S over Gn x ref
     with the threshold at that percent (k for local, p for avgpool), self
     pairs excluded.
 
     Neither the steps nor the percent enter the cosines, so a search
-    computes this once per reference set.  local and avgpool mask one row
-    block of cosines at a time, the rows of build_adjacency's S, with the
-    blocks spread over a few threads: each block gets one GEMM and one
-    partition, and only the mask and the aggregate GEMM run per percent.
-    full needs only a d x d map.
+    computes this once per reference set.  local and avgpool threshold
+    one row block of cosines at a time, the rows of build_adjacency's S,
+    with the blocks spread over a few threads: each block gets one GEMM
+    and one partition.  A percent that keeps at most _GATHER_SHARE of a
+    row sums each row's kept reference rows (_kept_sums); a wider one
+    masks the block and multiplies it by ref.  Which one runs depends on
+    the shapes and the percent alone.  full needs only a d x d map.
+
+    The kept rows are gathered with numpy alone: scipy.sparse would cost
+    every command about 175 ms of import, more than the gather saves.
     """
     if cfg.variant == "full":
         return [_full_aggregate(Gn, ref)] * len(percents)
     local = cfg.variant == "local"
+    gathered = [_top_count(p, ref.n) <= _GATHER_SHARE * ref.n for p in percents]
     # _self_pairs lists rows in ascending order, so a block's pairs are a run
     rows, cols = _self_pairs(Gn.ids, ref.ids)
     out = [np.empty((Gn.n, ref.d)) for _ in percents]
@@ -196,8 +214,13 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
         lo, hi = np.searchsorted(rows, (b.start, b.stop))
         self_cells = rows[lo:hi] - b.start, cols[lo:hi]
         # One percent masks the block in place; several share one copy.
-        masked = sims if len(percents) == 1 else np.empty_like(sims)
-        for agg, thr in zip(out, thresholds):
+        masked = sims if len(percents) == 1 else None
+        for agg, thr, gather in zip(out, thresholds, gathered):
+            if gather:
+                agg[b] = _kept_sums(sims, thr, self_cells, ref.data, local)
+                continue
+            if masked is None:
+                masked = np.empty_like(sims)
             if local:
                 if masked is not sims:
                     np.copyto(masked, sims)
@@ -208,6 +231,37 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
             agg[b] = _mm(masked, ref.data)
 
     _map_blocks(block, Gn, ref)
+    return out
+
+
+def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
+               weighted: bool) -> np.ndarray:
+    """Row i's w @ data[cols] over cols = {j : sims[i, j] >= thr[i]} less
+    its self cells, ascending, with w = sims[i, cols] if weighted, else 1.
+
+    Rows with equally many kept columns run as one batched matmul, which
+    numpy runs as one vector-matrix product per row, gathered in pieces of
+    about _PARTITION_CELLS cells.  So each row's bits are a function of
+    its kept columns alone, not of the block, the piece or its neighbours.
+    """
+    n_cols, d = sims.shape[1], data.shape[1]
+    keep = sims >= thr
+    keep[self_cells] = False
+    cells = np.flatnonzero(keep)
+    counts = np.count_nonzero(keep, axis=1)
+    del keep  # freed before any piece is gathered
+    ends = np.cumsum(counts)
+    out = np.empty((len(sims), d))
+    # the distinct counts, without np.unique, which imports numpy.ma
+    for m in np.flatnonzero(np.bincount(counts)):
+        group = np.flatnonzero(counts == m)
+        group_cells = cells[(ends[group] - m)[:, None] + np.arange(m)]
+        w = sims.take(group_cells) if weighted else np.ones(group_cells.shape)
+        group_cols = group_cells % n_cols
+        step = max(1, _PARTITION_CELLS // max(1, m * d))
+        for a in range(0, len(group), step):
+            piece = slice(a, a + step)
+            out[group[piece]] = np.matmul(w[piece, None, :], data[group_cols[piece]])[:, 0]
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _map_blocks
+from .simgraph import _map_blocks, _partitioned_rows
 
 
 @dataclass
@@ -88,8 +88,10 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # One pass over the row blocks of the X x Y cosines, leaving out the
     # cells (rows[t], cols[t]); every row must keep at least one cell.
     # Each block overwrites its own excluded cells before each use, and
-    # writes its rows' sorted top columns, min, sum and M2 (the sum of
-    # squared deviations from the row's own mean).
+    # writes its rows' sorted top values, min, sum and M2 (the sum of
+    # squared deviations from the row's own mean).  The top values come
+    # from the chunked partition, so no partitioned copy of the block is
+    # held.
     available = Y.n - np.bincount(rows, minlength=X.n)
     order = np.argsort(rows, kind="stable")
     rows, cols = rows[order], cols[order]
@@ -103,7 +105,8 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
         # A row with fewer cells than the width ends in excluded cells,
         # which count as zero.
         sims[cells] = -np.inf
-        ranked[b] = np.sort(np.partition(sims, top, axis=1)[:, top:], axis=1)[:, ::-1]
+        for chunk, part in _partitioned_rows(sims, top):
+            ranked[b][chunk] = np.sort(part[:, top:], axis=1)[:, ::-1]
         sims[cells] = np.inf
         row_min[b] = sims.min(axis=1)
         sims[cells] = 0.0

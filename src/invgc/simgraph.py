@@ -12,6 +12,13 @@ Every cosine the library takes comes from _map_blocks, which hands row
 blocks of about 2**18 cells to a few threads, so no pass holds an
 N x N_ref matrix unless it asks for one: cosine_similarity_matrix fills
 the dense matrix from the same blocks, for callers that want it whole.
+
+Row thresholds and top values come from one chunked partition,
+_partitioned_rows.  local and binary keep m entries per row, plus ties,
+so they are sparse: core._aggregate sums each row's kept reference rows
+when m is at most 1/32 of the row and multiplies the masked block only
+above that.  The kept rows are gathered with numpy alone, because
+scipy.sparse would add about 175 ms of import to every command.
 """
 
 from __future__ import annotations
@@ -226,13 +233,40 @@ def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet) -> None:
             for b in blocks:
                 run(b)
             return
-        # Imported here: concurrent.futures imports logging, about 9 ms
-        # of start-up for every command, and most never start a pool.
-        from concurrent.futures import ThreadPoolExecutor
+        # Plain threads pulling block indices: concurrent.futures imports
+        # logging, about 7 ms of start-up for every pooled command.  After
+        # an error no block is started, but every block before it has
+        # been, so the first error in block order is among those caught.
+        todo, lock = iter(range(len(blocks))), threading.Lock()
+        errors = [None] * len(blocks)
+        failed = False
 
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(run, blocks):
-                pass
+        def work():
+            nonlocal failed
+            while True:
+                with lock:
+                    i = None if failed else next(todo, None)
+                if i is None:
+                    return
+                try:
+                    run(blocks[i])
+                except BaseException as e:  # re-raised below, in block order
+                    errors[i] = e
+                    with lock:
+                        failed = True
+
+        threads = []
+        try:
+            for _ in range(workers):
+                t = threading.Thread(target=work)
+                t.start()
+                threads.append(t)
+        finally:
+            for t in threads:
+                t.join()
+        first = next((e for e in errors if e is not None), None)
+        if first is not None:
+            raise first
 
 
 def _check_percent(name: str, pct: float) -> None:
@@ -253,30 +287,46 @@ def row_percentile_threshold(row, k_percent: float) -> float:
     return float(_row_thresholds(row[None, :], [k_percent])[0, 0])
 
 
+def _top_count(percent: float, n: int) -> int:
+    """m = max(1, ceil(percent/100 * n)), the entries a row threshold keeps."""
+    return max(1, math.ceil(percent / 100.0 * n))
+
+
 _PARTITION_CELLS = 1 << 15
 
 
-def _row_thresholds(values: np.ndarray, percents) -> np.ndarray:
-    """Per percent, each row's m-th largest value, m = max(1, ceil(%/100 * len)).
+def _partitioned_rows(values: np.ndarray, kth):
+    """Yield (rows, part) for chunks of values of about _PARTITION_CELLS
+    cells: part is values[rows] partitioned along each row at kth.
 
-    A len(percents) x n_rows array from one partition per chunk of rows:
-    the partitioned values at the kth positions are exact order
-    statistics, so each equals the threshold of a partition of the whole
-    row for its percent alone.  The chunks, of about _PARTITION_CELLS
-    cells, are partitioned in place in one reused buffer, so no full
-    partitioned copy of values sits next to it.
+    Each of part's values at a kth position k is an exact order statistic
+    of its row, and part[:, k:] holds the row's n - k largest values.  The
+    chunks share one buffer, partitioned in place, so no partitioned copy
+    of all of values sits next to it; a caller reads each part before it
+    asks for the next.  This is the library's one row top-m selection.
     """
     n_rows, n_cols = values.shape
-    kth = [n_cols - max(1, math.ceil(p / 100.0 * n_cols)) for p in percents]
-    order = sorted(set(kth))
     step = max(1, _PARTITION_CELLS // max(1, n_cols))
     buf = np.empty((min(step, n_rows), n_cols), dtype=values.dtype)
-    out = np.empty((len(kth), n_rows), dtype=values.dtype)
     for a in range(0, n_rows, step):
-        chunk = buf[: min(step, n_rows - a)]
-        np.copyto(chunk, values[a : a + len(chunk)])
-        chunk.partition(order, axis=1)
-        out[:, a : a + len(chunk)] = chunk[:, kth].T
+        part = buf[: min(step, n_rows - a)]
+        np.copyto(part, values[a : a + len(part)])
+        part.partition(kth, axis=1)
+        yield slice(a, a + len(part)), part
+
+
+def _row_thresholds(values: np.ndarray, percents) -> np.ndarray:
+    """Per percent, each row's m-th largest value, m = _top_count(%, len).
+
+    A len(percents) x n_rows array from one partition per chunk of rows,
+    so each equals the threshold of a partition of the whole row for its
+    percent alone.
+    """
+    n_rows, n_cols = values.shape
+    kth = [n_cols - _top_count(p, n_cols) for p in percents]
+    out = np.empty((len(kth), n_rows), dtype=values.dtype)
+    for rows, part in _partitioned_rows(values, sorted(set(kth))):
+        out[:, rows] = part[:, kth].T
     return out
 
 

@@ -366,6 +366,25 @@ def test_a_range_with_a_non_finite_part_is_a_bad_range(spec, dataset, cli_env):
     assert proc.stderr == f"invgc sweep: error: bad range {spec!r}\n"
 
 
+@pytest.mark.parametrize("spec", ["0:1e12", "0:1:1e-300", "0:1e6"])
+def test_a_range_of_too_many_points_is_a_bad_range(spec, cli_env):
+    # Such a range once died in a MemoryError while its list grew, so the
+    # child runs under a time limit and a 1 GB address-space limit.
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "invgc", "verify-theory", "--n", "2", "--b", spec],
+        env=dict(cli_env, OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"invgc verify-theory: error: bad range {spec!r}\n"
+
+
 def test_data_errors_exit_two(dataset, capsys, tmp_path):
     rc, _, err = run_main(
         ["diagnose", "--gallery", str(tmp_path / "missing.emb")], capsys
@@ -433,6 +452,33 @@ def test_eval_and_tune_do_not_import_numpy_ma(dataset, cli_env):
         assert proc.returncode == 0, proc.stderr
         assert "MdR\t" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "False", argv[0]
+
+def test_a_pooled_eval_does_not_import_concurrent_futures(dataset, cli_env):
+    # concurrent.futures imports logging, 6-7 ms of every pooled command;
+    # the row blocks run on plain threads.  A 16-cell budget cuts the
+    # 16 x 16 cosines into eight blocks for two threads.
+    run = (
+        "import runpy, sys, threading\n"
+        "from invgc import simgraph\n"
+        "simgraph._BLOCK_CELLS, simgraph._worker_count = 16, lambda: 2\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda self: started.append(self) or start(self)\n"
+        "sys.argv[0] = 'invgc'\n"
+        "try:\n"
+        "    runpy.run_module('invgc', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert not e.code, e.code\n"
+        "print(len(started), 'concurrent.futures' in sys.modules)\n"
+    )
+    argv = ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"],
+            "--relevance", dataset["rel"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", run, *argv], env=cli_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "MdR\t" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "2 False"
+
 
 def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, cli_env):
     # 1000 x 32 references is the smallest size tried at which a copy with

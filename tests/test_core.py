@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from invgc import simgraph
+from invgc import core, simgraph
 from invgc.core import (
     InvGCConfig,
     StepOverflowError,
@@ -293,16 +293,84 @@ def shared_id_reference(rng, G, n_other):
 
 @pytest.mark.parametrize("variant", ["local", "avgpool"])
 def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
-    # 1500 x 2000 cosines run in eleven row blocks of 131 rows and one of 59
+    # 1500 x 2000 cosines run in eleven row blocks of 131 rows and one of 59.
+    # Above the gather share the aggregate is the masked dense product bit
+    # for bit.  At or below it each row is its own vector-matrix product
+    # over its kept columns, ascending, so it sums in another order than
+    # the dense product's rows, within 1e-12 of them.
     rng = np.random.default_rng(37)
     G = make_set(rng, 1500, 12, "g")
     R = shared_id_reference(rng, G, 1000)
     assert len(simgraph._row_blocks(G.n, R.n)) == 12
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    cfg = InvGCConfig(variant, k_percent=0.7, p_percent=2.5)
-    S = build_adjacency(cosine_similarity_matrix(Gn, R), cfg)
-    S.values[_self_pairs(Gn.ids, R.ids)] = 0.0
-    assert_array_equal(_aggregate(Gn, R, cfg, [_percent(cfg)])[0], _mm(S.values, R.data))
+    sims = cosine_similarity_matrix(Gn, R)
+    self_pairs = _self_pairs(Gn.ids, R.ids)
+    own = dict(zip(*self_pairs))
+    for k, p, gathered in [(0.7, 2.5, True), (10.0, 40.0, False)]:
+        cfg = InvGCConfig(variant, k_percent=k, p_percent=p)
+        m = simgraph._top_count(_percent(cfg), R.n)
+        assert (m <= core._GATHER_SHARE * R.n) == gathered
+        S = build_adjacency(sims, cfg)
+        S.values[self_pairs] = 0.0
+        got = _aggregate(Gn, R, cfg, [_percent(cfg)])[0]
+        if not gathered:
+            assert_array_equal(got, _mm(S.values, R.data))
+            continue
+        for i in range(G.n):
+            thr = simgraph.row_percentile_threshold(sims.values[i], _percent(cfg))
+            cols = [j for j in np.flatnonzero(sims.values[i] >= thr) if j != own.get(i)]
+            assert_array_equal(got[i], S.values[i, cols] @ R.data[cols], err_msg=f"row {i}")
+        assert_allclose(got, _mm(S.values, R.data), rtol=0, atol=1e-12)
+
+
+def duplicated_rows(rng, n_distinct, copies, d, prefix):
+    # n_distinct random rows, each copies times, shuffled: the cosines of
+    # any row against the set come in runs of equal values, so a row
+    # threshold lands on a tie
+    data = np.repeat(rng.standard_normal((n_distinct, d)), copies, axis=0)
+    data = data[rng.permutation(len(data))]
+    return EmbeddingSet([f"{prefix}{i}" for i in range(len(data))], data)
+
+
+@pytest.mark.parametrize("reference", ["self", "shared ids"])
+@pytest.mark.parametrize("variant", ["local", "avgpool"])
+def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference, monkeypatch):
+    # 32 distinct rows in up to 4 copies each: the m-th largest cosine of
+    # a row has up to 3 equal neighbours, which all stay, and in a self
+    # reference a row's copies tie with its own excluded self pair.  0.5% to 2% of 125
+    # or 128 columns is gathered, and 10% and 30% are not.
+    rng = np.random.default_rng(43)
+    G = duplicated_rows(rng, 32, 4, 5, "g")
+    refG = G if reference == "self" else shared_id_reference(rng, G, 40)
+    refQ = duplicated_rows(rng, 24, 4, 5, "q")
+    percents = [0.5, 1.0, 2.0, 10.0, 30.0]
+    gathered = [simgraph._top_count(p, refG.n) <= core._GATHER_SHARE * refG.n for p in percents]
+    assert gathered == [True, True, True, False, False]
+    sims = cosine_similarity_matrix(G, refG).values
+    for p in percents:
+        m = simgraph._top_count(p, refG.n)
+        thr = np.sort(sims, axis=1)[:, -m]
+        assert ((sims >= thr[:, None]).sum(axis=1) > m).any(), p
+    for p in percents:
+        cfg = InvGCConfig(variant, 0.3, 0.6, k_percent=p, p_percent=p)
+        got = inverse_convolve_dual(G, refG, refQ, cfg)
+        want = oracles.invgc_dual(
+            G.ids, G.data.tolist(), refG.ids, refG.data.tolist(), refQ.ids, refQ.data.tolist(),
+            variant, cfg.r_g, cfg.r_q, cfg.k_percent, cfg.p_percent,
+        )
+        assert_allclose(got.data, want, rtol=0, atol=1e-9, err_msg=f"{p}%")
+    # each row is a function of its kept set alone
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+    cfg = InvGCConfig(variant)
+    want = _aggregate(Gn, refG, cfg, percents)
+    for budget in (64, simgraph._BLOCK_CELLS):
+        for workers in (1, 3):
+            monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
+            monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
+            for p, a, b in zip(percents, _aggregate(Gn, refG, cfg, percents), want):
+                assert_array_equal(a, b, err_msg=f"{p}%, {budget} cells, {workers} workers")
+            for p, b in zip(percents, want):
+                assert_array_equal(_aggregate(Gn, refG, cfg, [p])[0], b, err_msg=f"{p}% alone")
 
 
 def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch):
@@ -349,6 +417,31 @@ def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * block_bytes, (variant, peak, block_bytes)
+
+
+def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch):
+    # At 3% of 1000 columns (m = 30 <= 1000/32) each row sums its kept
+    # reference rows, gathered in pieces of about 2**15 cells.  Besides
+    # the output and the two sets' unit rows, one 262 x 1000 float64
+    # block (2.1 MB) is the bulk of the peak; the whole block's kept rows
+    # at width 64 would take 4 MB.
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(41)
+    G = make_set(rng, 2000, 64, "g")
+    R = make_set(rng, 1000, 64, "r")
+    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
+    assert simgraph._top_count(3.0, R.n) <= core._GATHER_SHARE * R.n
+    block = simgraph._row_blocks(G.n, R.n)[0]
+    block_bytes = (block.stop - block.start) * R.n * 8
+    rows_bytes = (2 * G.n + R.n) * G.d * 8
+    for variant in ("local", "avgpool"):
+        tracemalloc.start()
+        try:
+            _aggregate(Gn, R, InvGCConfig(variant), [3.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes + rows_bytes, (variant, peak, block_bytes, rows_bytes)
 
 
 @pytest.mark.parametrize("budget", [None, 64])

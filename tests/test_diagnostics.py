@@ -289,6 +289,25 @@ def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix():
     assert rep.excluded_pairs == 3000
 
 
+def test_one_worker_intra_pass_holds_no_partitioned_copy_of_its_block(monkeypatch):
+    # With one worker the pass holds one block of cosines, 87 x 3000
+    # float64 (2.1 MB), at a time.  The top values come from 2**15-cell
+    # chunks partitioned in one reused buffer; a partitioned copy of the
+    # whole block would put the peak above two blocks.
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(48)
+    G = make_set(rng, 3000, 8)
+    block = simgraph._row_blocks(G.n, G.n)[0]
+    block_bytes = (block.stop - block.start) * G.n * 8
+    tracemalloc.start()
+    try:
+        intra_mean_sim(G, [1, 10])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes, (peak, block_bytes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([16, 64, simgraph._BLOCK_CELLS]))
 def test_cross_report_follows_ids_not_row_order(seed, budget):

@@ -317,6 +317,55 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
         assert pin._inside == 0
 
 
+def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch):
+    # 400 x 8 cosines in 2-row blocks: eight threads that switch often
+    # pull 200 block indices from one counter, so a lost update would run
+    # a block twice or not at all.  When two blocks fail, no block starts
+    # after the first failure, every block before it has run, and the
+    # earlier block's error propagates after every thread is joined.
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 8)
+    rng = np.random.default_rng(32)
+    X = make_set(rng, 400, 3)
+    Y = make_set(rng, 8, 3, "y")
+    starts = [b.start for b in simgraph._row_blocks(X.n, Y.n)]
+    threads = threading.active_count()
+
+    def run_pass(errors):
+        seen, raised = [], []
+
+        def note(b, sims):
+            seen.append(b.start)
+            if b.start in errors:
+                raise errors[b.start]
+
+        def run():
+            try:
+                simgraph._map_blocks(note, X, Y)
+            except RuntimeError as e:
+                raised.append(e)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert threading.active_count() == threads
+        return seen, raised
+
+    errors = {100: RuntimeError("block at row 100"), 300: RuntimeError("block at row 300")}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen, raised = run_pass({})
+        assert sorted(seen) == starts and raised == []
+        seen, raised = run_pass(errors)
+        assert len(set(seen)) == len(seen)
+        assert set(starts[:51]) <= set(seen)
+        assert raised == [errors[100]]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_row_blocks_tile_the_rows_without_one_row_blocks():
     # a 1-row product runs as gemv, whose sums can differ in the last bit
     # from the gemm rows of the full matrix, so a 1-row tail is merged
