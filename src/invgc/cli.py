@@ -16,13 +16,11 @@ import math
 import sys
 from pathlib import Path
 
+# Each command imports the modules it runs, so it pays for no other.
+# embio stays here: it imports numpy, which every command but --help
+# needs, so --help's start-up still measures what the commands pay.
 from . import embio
-from .core import InvGCConfig, StepOverflowError, inverse_convolve_dual
-from .diagnostics import cross_mean_sim, intra_mean_sim
-from .retrieval import evaluate
-from .synth import ConeConfig, generate_cone_dataset
-from .theory import run_theory_suite
-from .tuner import DEFAULT_R_GRID, SWEEP_PARAMS, grid_search, sweep_param
+from ._choices import SWEEP_PARAMS, VARIANTS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,6 +125,13 @@ def _load_pairing(path, queries: embio.EmbeddingSet, gallery: embio.EmbeddingSet
     return rel
 
 
+def _is_step_overflow(e: Exception) -> bool:
+    # Only core raises StepOverflowError, so if core was never imported
+    # e is not one, and checking does not import it.
+    core = sys.modules.get(f"{__package__}.core")
+    return core is not None and isinstance(e, core.StepOverflowError)
+
+
 def _step_flag(args, field: str) -> str:
     """The option that set a step field ("r_g" or "r_q") in this command."""
     param = "rg" if field == "r_g" else "rq"
@@ -137,7 +142,9 @@ def _step_flag(args, field: str) -> str:
     return f"--{param}"
 
 
-def _cfg_from_args(args) -> InvGCConfig:
+def _cfg_from_args(args):
+    from .core import InvGCConfig
+
     if args.k is not None and args.variant != "local":
         raise UsageError("--k applies only to --variant local")
     if args.p is not None and args.variant != "avgpool":
@@ -169,6 +176,8 @@ def _dump_histogram(histogram, path) -> None:
 
 
 def cmd_diagnose(args) -> int:
+    from .diagnostics import cross_mean_sim, intra_mean_sim
+
     ks = _parse_ints(args.topk)
     G = _load_set(args.gallery)
     if (args.query is None) != (args.relevance is None):
@@ -187,6 +196,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from .core import inverse_convolve_dual
+
     cfg = _cfg_from_args(args)
     G = _load_set(args.gallery)
     refG = _load_set(args.ref_gallery)
@@ -200,6 +211,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .retrieval import evaluate
+
     Ks = _parse_ints(args.recall_at)
     Q = _load_set(args.query)
     G = _load_set(args.gallery)
@@ -212,7 +225,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cfg_label(cfg: InvGCConfig) -> str:
+def _cfg_label(cfg) -> str:
     parts = [cfg.variant]
     if cfg.variant == "local":
         parts.append(f"k={_fmt(cfg.k_percent)}")
@@ -224,6 +237,8 @@ def _cfg_label(cfg: InvGCConfig) -> str:
 
 
 def cmd_tune(args) -> int:
+    from .tuner import DEFAULT_R_GRID, grid_search
+
     cfg = _cfg_from_args(args)
     valQ = _load_set(args.val_query)
     valG = _load_set(args.val_gallery)
@@ -259,6 +274,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .tuner import sweep_param
+
     cfg = _cfg_from_args(args)
     if args.param == "k" and cfg.variant != "local":
         raise UsageError("--param k requires --variant local")
@@ -277,6 +294,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import ConeConfig, generate_cone_dataset
+
     cfg = ConeConfig(
         n_items=args.items,
         n_ref=args.refs,
@@ -306,6 +325,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
+    from .theory import run_theory_suite
+
     ns = _parse_ints(args.n)
     bs = _parse_values(args.b)
     checks = run_theory_suite(
@@ -353,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallery", required=True)
     p.add_argument("--ref-gallery", required=True)
     p.add_argument("--ref-query", required=True)
-    p.add_argument("--variant", required=True, choices=("full", "local", "avgpool"))
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--k", type=float, help="percent, local variant only")
     p.add_argument("--p", type=float, help="percent, avgpool variant only")
     p.add_argument("--rg", type=float, required=True)
@@ -374,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-gallery", required=True)
     p.add_argument("--ref-query", required=True)
     p.add_argument("--relevance", required=True)
-    p.add_argument("--variant", required=True, choices=("full", "local", "avgpool"))
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--k", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--rg-grid", help="comma list or start:stop[:step]")
@@ -390,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-gallery", required=True)
     p.add_argument("--ref-query", required=True)
     p.add_argument("--relevance", required=True)
-    p.add_argument("--variant", default="full", choices=("full", "local", "avgpool"))
+    p.add_argument("--variant", default="full", choices=VARIANTS)
     p.add_argument("--k", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--rg", type=float, default=0.0)
@@ -427,15 +448,15 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"invgc {args.subcommand}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except StepOverflowError as e:
-        print(
-            f"invgc {args.subcommand}: {_step_flag(args, e.field)} value {e.r!r} is too large:"
-            " the step times the reference aggregate is not finite",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
     except (ValueError, OSError) as e:
-        print(f"invgc {args.subcommand}: {e}", file=sys.stderr)
+        if _is_step_overflow(e):
+            print(
+                f"invgc {args.subcommand}: {_step_flag(args, e.field)} value {e.r!r} is too large:"
+                " the step times the reference aggregate is not finite",
+                file=sys.stderr,
+            )
+        else:
+            print(f"invgc {args.subcommand}: {e}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._choices import VARIANTS
 from .embio import EmbeddingSet
 from .simgraph import (
     Adjacency,
     SimMatrix,
     _PARTITION_CELLS,
+    _UnitRows,
     _check_percent,
     _map_blocks,
     _mm,
@@ -34,8 +36,6 @@ from .simgraph import (
     adjacency_local,
     unit_rows,
 )
-
-VARIANTS = ("full", "local", "avgpool")
 
 
 @dataclass
@@ -153,7 +153,7 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     for ref in (refG, refQ):
         if G.d != ref.d:
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
-    Gn = EmbeddingSet(list(G.ids), unit_rows(G.data, G.ids))
+    Gn = _UnitRows(G)  # so no cosine pass normalizes G again
 
     def halves(ref, field):
         wanted = dict.fromkeys((_percent(c), getattr(c, field)) for c in cfgs)

@@ -202,9 +202,14 @@ def _worker_count() -> int:
     return min(4, cpus)
 
 
-def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet) -> None:
+def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet, clip: bool = True) -> None:
     """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
     that tile rows x cols, on _worker_count() threads at most.
+
+    With clip False, sims is the unclipped product, for a caller that
+    reads only single cells and order statistics and clips those: the
+    clip is monotone, so they come out the same, without a pass over the
+    block.
 
     Either side may be a _UnitRows, normalized once for many passes.  The
     blocks depend on the shapes alone, and each product runs on one BLAS
@@ -224,7 +229,7 @@ def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet) -> None:
 
     def run(b):
         sims = _mm(Xn[b], Yt)
-        fn(b, np.clip(sims, -1.0, 1.0, out=sims))
+        fn(b, np.clip(sims, -1.0, 1.0, out=sims) if clip else sims)
 
     # Held for the whole pass, so the count is not set back and forth
     # between blocks.
@@ -295,7 +300,7 @@ def _top_count(percent: float, n: int) -> int:
 _PARTITION_CELLS = 1 << 15
 
 
-def _partitioned_rows(values: np.ndarray, kth):
+def _partitioned_rows(values: np.ndarray, kth, in_place: bool = False):
     """Yield (rows, part) for chunks of values of about _PARTITION_CELLS
     cells: part is values[rows] partitioned along each row at kth.
 
@@ -303,14 +308,19 @@ def _partitioned_rows(values: np.ndarray, kth):
     of its row, and part[:, k:] holds the row's n - k largest values.  The
     chunks share one buffer, partitioned in place, so no partitioned copy
     of all of values sits next to it; a caller reads each part before it
-    asks for the next.  This is the library's one row top-m selection.
+    asks for the next.  A caller that no longer needs values' order may
+    pass in_place, and each part is then values[rows] itself, with no
+    copy.  This is the library's one row top-m selection.
     """
     n_rows, n_cols = values.shape
     step = max(1, _PARTITION_CELLS // max(1, n_cols))
-    buf = np.empty((min(step, n_rows), n_cols), dtype=values.dtype)
+    if not in_place:
+        buf = np.empty((min(step, n_rows), n_cols), dtype=values.dtype)
     for a in range(0, n_rows, step):
-        part = buf[: min(step, n_rows - a)]
-        np.copyto(part, values[a : a + len(part)])
+        part = values[a : a + step]
+        if not in_place:
+            np.copyto(buf[: len(part)], part)
+            part = buf[: len(part)]
         part.partition(kth, axis=1)
         yield slice(a, a + len(part)), part
 

@@ -7,14 +7,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._choices import SWEEP_PARAMS
 from .core import InvGCConfig, _dual_over_steps, inverse_convolve_dual
-from .diagnostics import degeneration_score
 from .embio import EmbeddingSet
 from .retrieval import RetrievalReport, _Relevance, evaluate
 
 DEFAULT_R_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
-
-SWEEP_PARAMS = ("rg", "rq", "k", "ratio")
 
 
 @dataclass
@@ -108,6 +106,9 @@ def sweep_param(
     sets; the other params override the corresponding config field.
     Sweeps over a step size or k share one pass per reference set.
     """
+    # imported here, so that tune does not load diagnostics
+    from .diagnostics import degeneration_score
+
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = sorted(float(v) for v in values)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from invgc import diagnostics
 from invgc.cli import main
 from invgc.core import InvGCConfig, _aggregate, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
@@ -385,6 +386,16 @@ def test_a_range_of_too_many_points_is_a_bad_range(spec, cli_env):
     assert proc.stderr == f"invgc verify-theory: error: bad range {spec!r}\n"
 
 
+def test_diagnose_checks_bins_before_the_pass(dataset, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a: calls.append(a))
+    for cross in ([], ["--query", dataset["query"], "--relevance", dataset["rel"]]):
+        rc, out, err = run_main(["diagnose", "--gallery", dataset["gallery"], *cross, "--bins", "0"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "invgc diagnose: bins must be >= 1, got 0\n"
+    assert calls == []
+
+
 def test_data_errors_exit_two(dataset, capsys, tmp_path):
     rc, _, err = run_main(
         ["diagnose", "--gallery", str(tmp_path / "missing.emb")], capsys
@@ -452,6 +463,56 @@ def test_eval_and_tune_do_not_import_numpy_ma(dataset, cli_env):
         assert proc.returncode == 0, proc.stderr
         assert "MdR\t" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "False", argv[0]
+
+# The library modules each command leaves unimported; --help imports
+# embio alone, for numpy.
+_LIBRARY = {"core", "diagnostics", "embio", "retrieval", "simgraph", "synth", "theory", "tuner"}
+_UNIMPORTED = {
+    "--help": _LIBRARY - {"embio"},
+    "diagnose": {"core", "retrieval", "synth", "theory", "tuner"},
+    "apply": {"diagnostics", "retrieval", "synth", "theory", "tuner"},
+    "eval": {"core", "diagnostics", "synth", "theory", "tuner"},
+    "tune": {"diagnostics", "synth", "theory"},
+    "sweep": {"synth", "theory"},
+    "synth": {"core", "diagnostics", "retrieval", "theory", "tuner"},
+    "verify-theory": {"core", "diagnostics", "retrieval", "simgraph", "synth", "tuner"},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_UNIMPORTED))
+def test_each_command_imports_only_the_modules_it_runs(sub, dataset, cli_env, tmp_path):
+    run = (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'invgc'\n"
+        "try:\n"
+        "    runpy.run_module('invgc', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert not e.code, e.code\n"
+        "print(*sorted(m[6:] for m in sys.modules if m.startswith('invgc.')))\n"
+    )
+    refs = ["--ref-gallery", dataset["refg"], "--ref-query", dataset["refq"]]
+    argv = {
+        "--help": ["--help"],
+        "diagnose": ["diagnose", "--gallery", dataset["gallery"]],
+        "apply": ["apply", "--gallery", dataset["gallery"], *refs, "--variant", "local",
+                  "--rg", "0.1", "--rq", "0.1", "--out", str(tmp_path / "o.emb")],
+        "eval": ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"],
+                 "--relevance", dataset["rel"]],
+        "tune": ["tune", *_val_sets(dataset, dataset["rel"]), "--variant", "local",
+                 "--rg-grid", "0,0.1", "--rq-grid", "0,0.1"],
+        "sweep": ["sweep", "--param", "k", "--values", "1,2", *_val_sets(dataset, dataset["rel"]),
+                  "--variant", "local"],
+        "synth": ["synth", "--items", "10", "--refs", "20", "--dim", "4",
+                  "--out-prefix", str(tmp_path / "s")],
+        "verify-theory": ["verify-theory", "--n", "2:3", "--b", "0.3,0.5"],
+    }[sub]
+    proc = subprocess.run(
+        [sys.executable, "-c", run, *argv], env=cli_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = set(proc.stdout.splitlines()[-1].split())
+    assert _LIBRARY - imported == _UNIMPORTED[sub], imported
+
 
 def test_a_pooled_eval_does_not_import_concurrent_futures(dataset, cli_env):
     # concurrent.futures imports logging, 6-7 ms of every pooled command;

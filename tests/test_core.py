@@ -205,6 +205,25 @@ def test_dual_output_rows_are_means_of_unit_rows():
     assert_allclose(np.linalg.norm(same.data, axis=1), np.ones(12), atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dual_update_normalizes_the_gallery_once(variant, monkeypatch):
+    # the unit gallery goes to every cosine pass as already-unit rows, so
+    # neither reference set's pass divides it again
+    rng = np.random.default_rng(37)
+    G, refG, refQ = make_set(rng, 30, 8, "g"), make_set(rng, 50, 8, "r"), make_set(rng, 70, 8, "q")
+    shapes = []
+
+    def spy(X, ids=None):
+        shapes.append(np.shape(X))
+        return unit_rows(X, ids)
+
+    monkeypatch.setattr(simgraph, "unit_rows", spy)
+    monkeypatch.setattr(core, "unit_rows", spy)
+    inverse_convolve_dual(G, refG, refQ, InvGCConfig(variant, 0.2, 0.1, 5.0, 5.0))
+    assert shapes.count((30, 8)) == 1, shapes
+    assert shapes.count((50, 8)) == shapes.count((70, 8)) == 1, shapes
+
+
 def test_full_aggregate_closed_form_matches_the_dense_adjacency():
     # the d x d form of the centered aggregate against the dense N x N_ref
     # path, with distinct ids, with shared ids on other data (diagonal

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
-from invgc import simgraph
+from invgc import diagnostics, simgraph
 from invgc.diagnostics import (
     cross_mean_sim,
     degeneration_score,
@@ -18,6 +18,7 @@ from invgc.diagnostics import (
     nn_similarity_histogram,
 )
 from invgc.embio import EmbeddingSet
+from invgc.synth import ConeConfig, generate_cone_dataset
 
 
 def make_set(rng, n, d, prefix="x"):
@@ -111,6 +112,95 @@ def test_intra_spanning_several_row_blocks_matches_a_dense_pool():
         assert [c for _, _, c in rep.histogram] == want.tolist()
 
 
+def two_pass_moments(X, Y, keep):
+    # mean, std and min of the kept cells of the dense clipped cosines:
+    # the mean first, then the squared deviations from it
+    Xn = X / np.linalg.norm(X, axis=1)[:, None]
+    Yn = Y / np.linalg.norm(Y, axis=1)[:, None]
+    pool = np.clip(Xn @ Yn.T, -1.0, 1.0)[keep]
+    mean = pool.mean()
+    return mean, np.sqrt(np.mean((pool - mean) ** 2)), pool.min()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(2, 40),
+    d=st.integers(1, 6),
+    duplicate=st.booleans(),
+    antipodal=st.booleans(),
+    scale=st.integers(-20, 60),
+)
+def test_closed_form_moments_match_a_two_pass_dense_pool(seed, n, m, d, duplicate, antipodal, scale):
+    # mean_sim and std_sim come from a centered d x d Gram and the
+    # excluded cells, not from the blocks; the reference sums the kept
+    # cells of the dense matrix.  Gallery row 0 keeps one unmatched
+    # query, and scaling both sets by 2^scale leaves every bit alone.
+    rng = np.random.default_rng(seed)
+    G, Q = make_set(rng, n, d, "g"), make_set(rng, m, d, "q")
+    if duplicate:
+        G.data[1], Q.data[1] = G.data[0], G.data[0]
+    if antipodal:
+        G.data[-1], Q.data[0] = -G.data[0], -G.data[0]
+    matched = rng.random((n, m)) < rng.random()
+    matched[0] = True
+    matched[0, rng.integers(m)] = False
+    for i in np.flatnonzero(matched.all(axis=1)):
+        matched[i, rng.integers(m)] = False
+    rel = {}
+    for i, j in np.argwhere(matched):
+        rel.setdefault(Q.ids[j], set()).add(G.ids[i])
+    reports = {
+        "intra": (intra_mean_sim(G, [1]), G.data, G.data, ~np.eye(n, dtype=bool)),
+        "cross": (cross_mean_sim(G, Q, rel, [1]), G.data, Q.data, ~matched),
+    }
+    for mode, (rep, X, Y, keep) in reports.items():
+        mean, std, low = two_pass_moments(X, Y, keep)
+        assert_allclose(rep.mean_sim, mean, rtol=0, atol=1e-12, err_msg=mode)
+        assert_allclose(rep.std_sim, std, rtol=0, atol=1e-12, err_msg=mode)
+        assert_allclose(rep.min_sim, low, rtol=0, atol=1e-12, err_msg=mode)
+        assert rep.min_sim <= rep.mean_sim, mode
+    k = 2.0**scale
+    Gs, Qs = EmbeddingSet(G.ids, G.data * k), EmbeddingSet(Q.ids, Q.data * k)
+    assert intra_mean_sim(Gs, [1]) == reports["intra"][0]
+    assert cross_mean_sim(Gs, Qs, rel, [1]) == reports["cross"][0]
+
+
+def test_identical_rows_keep_the_mean_at_most_one():
+    # The mean rows of 300 copies of this row round so that the closed
+    # form puts the mean of the cosines at about 1 + 2e-15, and the row's
+    # product with itself is 1 + 2e-16 before it is clipped; no reported
+    # value may pass 1
+    row = np.random.default_rng(37).standard_normal(64)
+    G = EmbeddingSet([f"x{i}" for i in range(300)], np.tile(row, (300, 1)))
+    Q = EmbeddingSet([f"q{i}" for i in range(200)], np.tile(row, (200, 1)))
+    for rep in (intra_mean_sim(G, [1, 5]), cross_mean_sim(G, Q, {"q0": {"x0"}}, [1])):
+        assert rep.min_sim <= rep.mean_sim <= 1.0
+        assert max(rep.mean_sim_at.values()) <= 1.0
+        assert np.isfinite(rep.std_sim) and 0.0 <= rep.std_sim < 1e-7
+
+
+def test_std_of_a_collapsed_cone_keeps_its_digits():
+    # cosines about 0.98 +- 0.004, as on the benchmark's inspect-M sets,
+    # where sum s^2 - (sum s)^2 / n would lose about 5 of std's digits
+    G, Q, refG, _, rel = generate_cone_dataset(ConeConfig(n_items=300, n_ref=900, dim=64, seed=5))
+    gi = {g: i for i, g in enumerate(G.ids)}
+    matched = np.zeros((G.n, Q.n), dtype=bool)
+    for j, q in enumerate(Q.ids):
+        for g in rel.get(q, ()):
+            matched[gi[g], j] = True
+    cases = [
+        (intra_mean_sim(refG, [1]), refG.data, refG.data, ~np.eye(refG.n, dtype=bool)),
+        (cross_mean_sim(G, Q, rel, [1]), G.data, Q.data, ~matched),
+    ]
+    for rep, X, Y, keep in cases:
+        mean, std, _ = two_pass_moments(X, Y, keep)
+        assert 0.97 < mean < 0.99 and 0.001 < std < 0.006, (mean, std)
+        assert_allclose(rep.mean_sim, mean, rtol=1e-15, atol=0)
+        assert_allclose(rep.std_sim, std, rtol=1e-12, atol=0)
+
+
 def test_histogram_boundary_values_go_to_the_higher_bin():
     # nearest-neighbor values here are exactly [1.0, 1.0, 0.0]: the
     # duplicates see each other at similarity 1, the orthogonal row sees
@@ -143,6 +233,18 @@ def test_k_and_size_validation():
         intra_mean_sim(EmbeddingSet(["a"], [[1.0, 0.0]]), [1])
     with pytest.raises(ValueError, match="bins must be >= 1"):
         nn_similarity_histogram(G, bins=0)
+
+
+def test_bins_are_checked_before_the_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a: calls.append(a))
+    rng = np.random.default_rng(44)
+    G, Q = make_set(rng, 5, 3, "g"), make_set(rng, 4, 3, "q")
+    for run in (lambda: intra_mean_sim(G, [1], bins=0),
+                lambda: cross_mean_sim(G, Q, {"q0": {"g0"}}, [1], bins=-3)):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            run()
+    assert calls == []
 
 
 def test_cross_excludes_matched_pairs():

@@ -1,0 +1,39 @@
+"""The package namespace: public names resolve on first use."""
+
+import subprocess
+import sys
+
+LIBRARY = ["core", "diagnostics", "embio", "retrieval", "simgraph", "synth", "theory", "tuner"]
+
+
+def test_public_names_are_imported_on_first_use(cli_env):
+    # a fresh interpreter, so no other test has imported a module yet
+    run = (
+        "import sys, importlib\n"
+        "import invgc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('invgc.')))\n"
+        "print(dir(invgc))\n"
+        "print(invgc.__all__)\n"
+        "from invgc import *\n"
+        f"owners = [importlib.import_module('invgc.' + m) for m in {LIBRARY!r}]\n"
+        "for name in invgc.__all__:\n"
+        "    value = getattr(invgc, name)\n"
+        "    assert any(vars(m).get(name) is value for m in owners), name\n"
+        "    assert globals()[name] is value, name\n"
+        "try:\n"
+        "    invgc.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", run], env=cli_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, listed, public, missing = proc.stdout.splitlines()
+    assert loaded == "[]"
+    public = eval(public)
+    assert public == sorted(public) and len(public) == 51
+    assert eval(listed) == sorted(
+        public + LIBRARY + ["__all__", "__builtins__", "__cached__", "__doc__", "__file__",
+                            "__loader__", "__name__", "__package__", "__path__", "__spec__",
+                            "__version__"]
+    )
+    assert missing == "module 'invgc' has no attribute 'no_such_name'"

@@ -262,7 +262,7 @@ def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatc
         seen.append(Gs)
         return degeneration_score(Gs)
 
-    monkeypatch.setattr(tuner, "degeneration_score", recording_score)
+    monkeypatch.setattr(diagnostics, "degeneration_score", recording_score)
     base = InvGCConfig(variant, 0.2, 0.05, p_percent=30.0)
     values = [100.0, 1.0, 7.5, 20.0, 3.0, 50.0, 9.0, 33.0, 0.5, 12.0]
     curve = sweep_param(base, "k", values, Q, G, G, refQ, rel)
