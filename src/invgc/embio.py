@@ -6,12 +6,16 @@ binary
     Header: bytes 0-3 ASCII "IGCE", u16 LE version (= 1), u16 LE reserved
     (= 0), u64 LE n_rows, u64 LE n_dims; then n_rows * n_dims IEEE-754
     float32 LE values, row-major.  Ids live in a sidecar file
-    "<path>.ids" (UTF-8, one id per line, exactly n_rows lines).  When
-    the sidecar is absent, ids default to "0".."N-1".
+    "<path>.ids" (UTF-8, one id per line, exactly n_rows lines, each
+    ended by "\\n"; a "\\r\\n" ending reads too).  When the sidecar is
+    absent, ids default to "0".."N-1".
 
 tsv
     One row per line, "<id>\\t<v1>\\t...\\t<vd>", '.' decimal, no header,
     constant d across rows.
+
+An id holds no "\\n" or "\\r", nor a tab in tsv: save_embeddings refuses
+one that does, which its reader could not read back.
 
 Relevance maps are TSV files of "query_id\\tgallery_id" lines; duplicate
 lines collapse.
@@ -63,6 +67,14 @@ class EmbeddingSet:
             r, c = np.argwhere(~np.isfinite(self.data))[0]
             raise ValueError(f"non-finite value at row {r}, column {c}")
 
+    @classmethod
+    def _trusted(cls, ids: list, data: np.ndarray) -> "EmbeddingSet":
+        """A set of ids and float64 rows that hold every invariant already,
+        built without checking them again."""
+        es = cls.__new__(cls)
+        es.ids, es.data = ids, data
+        return es
+
     @property
     def n(self) -> int:
         return self.data.shape[0]
@@ -86,6 +98,19 @@ def _sidecar(path: Path) -> Path:
     return Path(str(path) + ".ids")
 
 
+# The characters that would end an id early in each format's reader.
+_ID_BREAKS = {"binary": "\n\r", "tsv": "\n\r\t"}
+
+
+def _check_ids_fit(ids: list, format: str) -> None:
+    breaks = _ID_BREAKS.get(format, "")
+    joined = "".join(ids)
+    if any(c in joined for c in breaks):
+        bad = next(i for i in ids if any(c in i for c in breaks))
+        what = "line break" if format == "binary" else "tab or line break"
+        raise ValueError(f"id {bad!r} holds a {what}, which the {format} format cannot store")
+
+
 def save_embeddings(es: EmbeddingSet, path, format: str = "binary") -> None:
     """Write an EmbeddingSet to disk in the given format.
 
@@ -93,6 +118,7 @@ def save_embeddings(es: EmbeddingSet, path, format: str = "binary") -> None:
     inline.  Binary round-trips float32-representable data bit-exactly.
     """
     path = Path(path)
+    _check_ids_fit(es.ids, format)
     if format == "binary":
         payload = np.ascontiguousarray(es.data, dtype="<f4")
         with open(path, "wb") as f:
@@ -127,7 +153,13 @@ def _load_binary(path: Path) -> EmbeddingSet:
     data = data.reshape(n, d).astype(np.float64)
     sidecar = _sidecar(path)
     if sidecar.exists():
-        ids = sidecar.read_text(encoding="utf-8").splitlines()
+        # "\n" ends each id, as save_embeddings writes it: str.splitlines
+        # would also split at "\x85", "\u2028" and the like.
+        with open(sidecar, encoding="utf-8", newline="") as f:
+            ids = f.read().split("\n")
+        if ids[-1] == "":
+            ids.pop()
+        ids = [i.removesuffix("\r") for i in ids]
         if len(ids) != n:
             raise FormatError(f"{sidecar}: {len(ids)} ids for {n} rows")
     else:

@@ -14,7 +14,7 @@ from invgc import diagnostics
 from invgc.cli import main
 from invgc.core import InvGCConfig, _aggregate, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
-from invgc.embio import EmbeddingSet, load_embeddings, load_relevance
+from invgc.embio import EmbeddingSet, load_embeddings, load_relevance, save_embeddings
 from invgc.retrieval import evaluate
 
 
@@ -437,19 +437,23 @@ def test_console_entry_point_runs(cli_env):
     assert proc.stdout.startswith("lemma2\t2\t-\t2.0\t-\t2.0\t2.0\ttrue")
 
 
+# What `python -m invgc` runs, up to the process's end: a child that
+# inspects sys.modules afterwards calls main, since run would end it first.
+_CALL_MAIN = (
+    "import sys\n"
+    "from invgc.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as e:\n"
+    "    code = e.code\n"
+    "assert not code, code\n"
+)
+
 
 def test_eval_and_tune_do_not_import_numpy_ma(dataset, cli_env):
     # np.median's first call imports numpy.ma, 16-35 ms of every process
     # that reports MdR; the median is taken from the sorted ranks instead
-    run = (
-        "import runpy, sys\n"
-        "sys.argv[0] = 'invgc'\n"
-        "try:\n"
-        "    runpy.run_module('invgc', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as e:\n"
-        "    assert not e.code, e.code\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
+    run = _CALL_MAIN + "print('numpy.ma' in sys.modules)\n"
     pair = ["--relevance", dataset["rel"]]
     for argv in (
         ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"], *pair],
@@ -481,15 +485,7 @@ _UNIMPORTED = {
 
 @pytest.mark.parametrize("sub", sorted(_UNIMPORTED))
 def test_each_command_imports_only_the_modules_it_runs(sub, dataset, cli_env, tmp_path):
-    run = (
-        "import runpy, sys\n"
-        "sys.argv[0] = 'invgc'\n"
-        "try:\n"
-        "    runpy.run_module('invgc', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as e:\n"
-        "    assert not e.code, e.code\n"
-        "print(*sorted(m[6:] for m in sys.modules if m.startswith('invgc.')))\n"
-    )
+    run = _CALL_MAIN + "print(*sorted(m[6:] for m in sys.modules if m.startswith('invgc.')))\n"
     refs = ["--ref-gallery", dataset["refg"], "--ref-query", dataset["refq"]]
     argv = {
         "--help": ["--help"],
@@ -519,17 +515,13 @@ def test_a_pooled_eval_does_not_import_concurrent_futures(dataset, cli_env):
     # the row blocks run on plain threads.  A 16-cell budget cuts the
     # 16 x 16 cosines into eight blocks for two threads.
     run = (
-        "import runpy, sys, threading\n"
+        "import threading\n"
         "from invgc import simgraph\n"
         "simgraph._BLOCK_CELLS, simgraph._worker_count = 16, lambda: 2\n"
         "started, start = [], threading.Thread.start\n"
         "threading.Thread.start = lambda self: started.append(self) or start(self)\n"
-        "sys.argv[0] = 'invgc'\n"
-        "try:\n"
-        "    runpy.run_module('invgc', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as e:\n"
-        "    assert not e.code, e.code\n"
-        "print(len(started), 'concurrent.futures' in sys.modules)\n"
+        + _CALL_MAIN
+        + "print(len(started), 'concurrent.futures' in sys.modules)\n"
     )
     argv = ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"],
             "--relevance", dataset["rel"]]
@@ -707,3 +699,38 @@ def test_a_relevance_id_that_does_not_resolve_exits_two(dataset, capsys, tmp_pat
     rc, out, err = run_main(argv, capsys)
     assert rc == 2 and out == ""
     assert err == f"invgc {sub}: {rel}: {message}\n"
+
+
+@pytest.mark.parametrize("bad_id, out", [("g1\rx", "o.emb"), ("g1\tx", "o.tsv")])
+def test_an_id_the_output_format_cannot_hold_exits_two(dataset, capsys, tmp_path, bad_id, out):
+    # a sidecar can hold either id, though save_embeddings writes neither
+    gallery = tmp_path / "g.emb"
+    G = load_embeddings(dataset["gallery"])
+    save_embeddings(G, gallery)
+    G.ids[1] = bad_id
+    Path(f"{gallery}.ids").write_bytes("".join(i + "\n" for i in G.ids).encode())
+    assert load_embeddings(gallery).ids == G.ids
+    rc, stdout, err = run_main([
+        "apply", "--gallery", str(gallery), "--ref-gallery", dataset["refg"],
+        "--ref-query", dataset["refq"], "--variant", "full", "--rg", "0.1", "--rq", "0.1",
+        "--out", str(tmp_path / out),
+    ], capsys)
+    assert rc == 2 and stdout == ""
+    assert err.startswith(f"invgc apply: id {bad_id!r} holds a ")
+    assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("variant", ["full", "local", "avgpool"])
+def test_tune_output_is_the_same_with_every_corrected_gallery_checked(
+    variant, dataset, capsys, tmp_path, monkeypatch
+):
+    def tune(trace):
+        rc, out, err = run_main(["tune", *_val_sets(dataset, dataset["rel"]), "--variant", variant,
+                                 "--rg-grid", "0,0.05,0.2", "--rq-grid", "0,0.1",
+                                 "--trace", str(trace)], capsys)
+        return rc, out, err, trace.read_bytes()
+
+    trusted = tune(tmp_path / "trusted.tsv")
+    monkeypatch.setattr(EmbeddingSet, "_trusted", classmethod(lambda cls, ids, data: cls(ids, data)))
+    assert tune(tmp_path / "checked.tsv") == trusted
+    assert trusted[0] == 0 and trusted[3].count(b"\n") == 6

@@ -1,7 +1,11 @@
 """Round-trips and failure modes of the embedding and relevance file I/O."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from invgc.embio import (
@@ -89,6 +93,44 @@ def test_sidecar_row_count_mismatch(tmp_path):
     (tmp_path / "t.emb.ids").write_text("a\n", encoding="utf-8")
     with pytest.raises(FormatError, match="1 ids for 2 rows"):
         load_embeddings(path, "binary")
+
+
+# Ids of any text but the breaks each format refuses, among them "\x85",
+# "\u2028", "\x0b", "\x0c" and "\x1c"-"\x1e", which str.splitlines splits at.
+_ID_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\t")
+_SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.text(st.one_of(_ID_CHARS, st.sampled_from(_SPLITLINES_BREAKS))),
+                 min_size=1, max_size=6, unique=True),
+    format=st.sampled_from(["binary", "tsv"]),
+)
+def test_text_ids_round_trip(ids, format, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ids") / "t.emb"
+    data = np.arange(len(ids) * 2, dtype=np.float64).reshape(-1, 2) / 4
+    save_embeddings(EmbeddingSet(ids, data), path, format)
+    back = load_embeddings(path, format)
+    assert back.ids == ids
+    assert_array_equal(back.data, data)
+
+
+def test_a_crlf_sidecar_loads(tmp_path):
+    path = tmp_path / "t.emb"
+    save_embeddings(EmbeddingSet(["a", "b"], [[1.0], [2.0]]), path, "binary")
+    (tmp_path / "t.emb.ids").write_bytes(b"a\r\nb \r\n")
+    assert load_embeddings(path, "binary").ids == ["a", "b "]
+
+
+@pytest.mark.parametrize("format, bad", [
+    ("binary", "a\nb"), ("binary", "a\r"), ("tsv", "a\nb"), ("tsv", "\ra"), ("tsv", "a\tb"),
+])
+def test_an_id_its_format_cannot_hold_is_refused(format, bad, tmp_path):
+    path = tmp_path / "t.emb"
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        save_embeddings(EmbeddingSet(["ok", bad], [[1.0], [2.0]]), path, format)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tsv_reports_offending_line(tmp_path):

@@ -1,0 +1,157 @@
+"""The process entry: `python -m invgc` flushes and ends through os._exit.
+
+Each subprocess case runs the same argv twice, through `python -m invgc`
+and through a child that ends as the entry used to, with
+sys.exit(main()) and a full interpreter finalization; the two must agree
+on every byte.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from invgc import cli
+
+_FINALIZED = "import sys\nfrom invgc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+# verify-theory at its defaults prints about 38 KB, more than one 8 KiB
+# stdout buffer; the short case fits in one.
+_LONG = ["verify-theory"]
+_SHORT = ["verify-theory", "--n", "2", "--b", "0.2,0.6"]
+
+
+def _envs(cli_env):
+    # both with and without a buffered stdout, whatever the run inherited
+    buffered = {k: v for k, v in cli_env.items() if k != "PYTHONUNBUFFERED"}
+    return {"buffered": buffered, "unbuffered": dict(buffered, PYTHONUNBUFFERED="1")}
+
+
+def _both(argv, env, **kw):
+    """(fast, finalized): the two ways of running argv, as CompletedProcess."""
+    return tuple(
+        subprocess.run([sys.executable, *entry, *argv], env=env, **kw)
+        for entry in (["-m", "invgc"], ["-c", _FINALIZED])
+    )
+
+
+@pytest.mark.parametrize("argv", [_LONG, _SHORT], ids=["long", "short"])
+def test_stdout_is_the_in_process_mains_byte_for_byte(argv, cli_env, capsys):
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    for name, env in _envs(cli_env).items():
+        proc = subprocess.run([sys.executable, "-m", "invgc", *argv], env=env, capture_output=True)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout == want, name
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_SHORT, 0),
+    (["verify-theory", "--n", "2.5"], 1),
+    (["frobnicate"], 1),
+    (["diagnose", "--gallery", "no-such.emb"], 2),
+    (["verify-theory", "--n", "3", "--b", "0.5,0.9", "--include-thm1", "--strict"], 3),
+    (["--help"], 0),
+], ids=["ok", "usage", "argparse-usage", "data", "strict", "help"])
+def test_exit_code_and_streams_match_a_finalized_exit(argv, code, cli_env, tmp_path):
+    # a buffered stdout still holds the output when main returns
+    fast, slow = _both(argv, _envs(cli_env)["buffered"], cwd=tmp_path, capture_output=True)
+    assert fast.returncode == code, fast.stderr
+    assert (fast.returncode, fast.stdout, fast.stderr) == (slow.returncode, slow.stdout, slow.stderr)
+    assert fast.stdout if code in (0, 3) else fast.stderr
+
+
+def test_the_fast_exit_skips_atexit_hooks(cli_env):
+    # the hook stands for all that finalization runs; a child that ends
+    # through sys.exit runs it, so the check can fail
+    hooked = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'atexit hook ran')\n"
+        "from invgc.cli import main, run\n"
+    )
+    out = {}
+    for name, end in (("run", "run(sys.argv[1:])"), ("sys.exit", "sys.exit(main(sys.argv[1:]))")):
+        proc = subprocess.run(
+            [sys.executable, "-c", hooked + end, *_SHORT], env=cli_env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        out[name] = proc.stdout
+    assert out["run"].startswith("lemma2\t")
+    assert "atexit hook ran" not in out["run"]
+    assert out["sys.exit"] == out["run"] + "atexit hook ran\n"
+
+
+def test_a_closed_stdout_pipe_exits_as_a_finalized_run(cli_env):
+    for name, env in _envs(cli_env).items():
+        for argv in (_SHORT, _LONG, ["--help"]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                fast, slow = _both(argv, env, stdout=w, stderr=subprocess.PIPE)
+            finally:
+                os.close(w)
+            assert (fast.returncode, fast.stderr) == (slow.returncode, slow.stderr), (name, argv)
+    # unbuffered, the first print fails inside main
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        fast, _ = _both(_SHORT, _envs(cli_env)["unbuffered"], stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert (fast.returncode, fast.stderr) == (2, b"invgc verify-theory: [Errno 32] Broken pipe\n")
+
+
+class _Ended(Exception):
+    pass
+
+
+@pytest.fixture
+def ended(monkeypatch):
+    """The codes run passes to os._exit, which raises instead of ending."""
+    codes = []
+
+    def fake_exit(code):
+        codes.append(code)
+        raise _Ended
+
+    monkeypatch.setattr(cli.os, "_exit", fake_exit)
+    return codes
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (lambda: 3, 3),
+    (lambda: sys.exit(), 0),
+    (lambda: sys.exit(1), 1),
+])
+def test_run_ends_with_mains_code(outcome, code, ended, monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda argv: outcome())
+    with pytest.raises(_Ended):
+        cli.run([])
+    assert ended == [code]
+
+
+@pytest.mark.parametrize("error", [SystemExit("message"), KeyboardInterrupt(), RuntimeError("bug")])
+def test_run_lets_other_exits_and_errors_through(error, ended, monkeypatch):
+    def fail(argv):
+        raise error
+
+    monkeypatch.setattr(cli, "main", fail)
+    with pytest.raises(type(error)) as info:
+        cli.run([])
+    assert info.value is error and ended == []
+
+
+class _ClosedPipe:
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+# sys.stdout is None when the process starts with file descriptor 1 closed
+@pytest.mark.parametrize("stdout", [_ClosedPipe(), None], ids=["closed-pipe", "no-stdout"])
+def test_a_failed_flush_falls_back_to_sys_exit(stdout, ended, monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(SystemExit) as info:
+        cli.run([])
+    assert info.value.code == 0 and ended == []

@@ -1,7 +1,14 @@
 """The package namespace: public names resolve on first use."""
 
+import importlib
+import runpy
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+from invgc import cli
 
 LIBRARY = ["core", "diagnostics", "embio", "retrieval", "simgraph", "synth", "theory", "tuner"]
 
@@ -37,3 +44,16 @@ def test_public_names_are_imported_on_first_use(cli_env):
                             "__version__"]
     )
     assert missing == "module 'invgc' has no attribute 'no_such_name'"
+
+
+def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
+    # an installed `invgc` must end its process as `python -m invgc` does
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        module, _, name = tomllib.load(f)["project"]["scripts"]["invgc"].partition(":")
+    script = getattr(importlib.import_module(module), name)
+    assert script is cli.run
+    called = []
+    monkeypatch.setattr(cli, "run", lambda: called.append(True))
+    runpy.run_module("invgc", run_name="__main__")
+    assert called == [True]

@@ -223,6 +223,22 @@ def test_grid_search_builds_each_similarity_matrix_once(monkeypatch):
         assert cells <= len(calls) <= 2 + cells, (variant, len(calls))
 
 
+def test_a_search_checks_no_corrected_gallery(monkeypatch):
+    # each corrected gallery is valid by construction; only the input sets
+    # are ever checked, however many cells or points a search has
+    G, Q, refG, refQ, rel = small_dataset()
+    checks = []
+    check = EmbeddingSet.__post_init__
+    monkeypatch.setattr(EmbeddingSet, "__post_init__", lambda es: checks.append(es) or check(es))
+    counts = []
+    for grid in ([0.1], [0.0, 0.05, 0.1, 0.5]):
+        checks.clear()
+        grid_search(Q, G, refG, refQ, rel, variant="local", rg_grid=grid, rq_grid=grid)
+        sweep_param(InvGCConfig("local"), "k", [1.0, *grid[1:]], Q, G, refG, refQ, rel)
+        counts.append(len(checks))
+    assert counts[0] == counts[1] <= 4
+
+
 @pytest.mark.parametrize("variant", ["full", "local", "avgpool"])
 @pytest.mark.parametrize("param", ["rg", "rq"])
 def test_step_sweeps_equal_the_dual_update_point_by_point(variant, param):
