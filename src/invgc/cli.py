@@ -246,8 +246,8 @@ def cmd_tune(args) -> int:
     refG = _load_set(args.ref_gallery)
     refQ = _load_set(args.ref_query)
     rel = _load_pairing(args.relevance, valQ, valG)
-    rg_grid = _parse_values(args.rg_grid) if args.rg_grid else DEFAULT_R_GRID
-    rq_grid = _parse_values(args.rq_grid) if args.rq_grid else DEFAULT_R_GRID
+    rg_grid = _parse_values(args.rg_grid) if args.rg_grid is not None else DEFAULT_R_GRID
+    rq_grid = _parse_values(args.rq_grid) if args.rq_grid is not None else DEFAULT_R_GRID
     result = grid_search(
         valQ, valG, refG, refQ, rel,
         variant=cfg.variant, rg_grid=rg_grid, rq_grid=rq_grid,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _UnitRows, _map_blocks, _mm, _partitioned_rows
+from .simgraph import _PARTITION_CELLS, _UnitRows, _map_blocks, _mm, _partitioned_rows
 
 
 @dataclass
@@ -41,8 +41,12 @@ def _nn_histogram(nn_values: np.ndarray, bins: int) -> list:
 
 
 def _check_bins(bins: int) -> None:
+    # _nn_histogram holds a count and a tuple per bin: a million bins
+    # take about 128 MB
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if bins > 1_000_000:
+        raise ValueError(f"bins must be <= 1000000, got {bins}")
 
 
 def _check_ks(ks, limit: int | None) -> list:
@@ -89,50 +93,21 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     return _neighbour_report(G, Q, rows, cols, ks, bins)
 
 
-_MOMENT_ROWS = 64
-"""Rows per chunk of _row_moments, whose deviations share one buffer.
-
-Its products run on the calling thread, whose first BLAS call touches
-buffer pages that the pass's threads do not share.  On the 5000 x 64
-benchmark set, 512-row chunks put diagnose's own peak RSS about 0.2 MB
-above that of the blocked sums the moments replaced, 64-row ones about
-0.15 MB; at d = 256 the two take about the same time.
-"""
-
-
-def _row_moments(X: _UnitRows, Y: _UnitRows) -> tuple:
-    """(m0, offset, q) for the cosines s_ij = x_i . y_j of X's unit rows x_i
-    and Y's unit rows y_j, with xbar and ybar the mean rows:
-
-    - m0 = xbar . ybar, the mean of all the cosines;
-    - offset_i = (x_i - xbar) . ybar, so that row i's cosines sum to
-      n (m0 + offset_i);
-    - q_i = x_i' C x_i = sum_j (s_ij - m0 - offset_i)^2, where
-      C = sum_j (y_j - ybar)(y_j - ybar)' is Y's centered d x d Gram.
-
-    Nothing here takes the difference of two large sums: on a collapsed
-    set, with cosines near 0.98 +- 0.004, sum s^2 - (sum s)^2 / n would
-    lose about 5 digits, and x_i . ybar - m0 about 2.  ybar is corrected
-    by the sum of the deviations from it.  Both passes run in chunks of
-    _MOMENT_ROWS rows, so their shapes depend on the inputs alone.
-    """
-    d, step = Y.d, _MOMENT_ROWS
-    ybar = Y.data.mean(axis=0)
-    gram, drift = np.zeros((d, d)), np.zeros(d)
-    buf = np.empty((min(step, max(X.n, Y.n)), d))
-    for a in range(0, Y.n, step):
-        y = Y.data[a : a + step]
-        dev = np.subtract(y, ybar, out=buf[: len(y)])
+def _centered_gram(Z: _UnitRows) -> tuple:
+    """(zbar, C): Z's mean row, corrected by the sum of the deviations from
+    it, and its centered d x d Gram C = sum_i (z_i - zbar)(z_i - zbar)'.
+    The deviations come in chunks of about _PARTITION_CELLS cells, whose
+    shapes depend on Z alone, in one reused buffer."""
+    zbar = Z.data.mean(axis=0)
+    gram, drift = np.zeros((Z.d, Z.d)), np.zeros(Z.d)
+    step = max(1, _PARTITION_CELLS // max(1, Z.d))
+    buf = np.empty((min(step, Z.n), Z.d))
+    for a in range(0, Z.n, step):
+        z = Z.data[a : a + step]
+        dev = np.subtract(z, zbar, out=buf[: len(z)])
         gram += _mm(dev.T, dev)
         drift += dev.sum(axis=0)
-    ybar += drift / Y.n
-    xbar = X.data.mean(axis=0)
-    offset, q = np.empty(X.n), np.empty(X.n)
-    for a in range(0, X.n, step):
-        x = X.data[a : a + step]
-        q[a : a + step] = np.einsum("ij,ij->i", _mm(x, gram), x)
-        offset[a : a + step] = _mm(np.subtract(x, xbar, out=buf[: len(x)]), ybar[:, None])[:, 0]
-    return float(xbar @ ybar), offset, q
+    return zbar + drift / Z.n, gram
 
 
 def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bins: int) -> DegenerationReport:
@@ -142,10 +117,9 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # its rows' min and sorted top values over the kept cells.  The top
     # values come from the chunked partition, run in place on the block,
     # which nothing reads after it.  The block is not clipped: only the
-    # values kept from it are.  The row sums and M2s (squared
-    # deviations from the row's own mean) need no block: _row_moments
-    # gives them over all of a row's cells, and the excluded cells are
-    # taken out one by one.
+    # values kept from it are.  The mean and the spread of the kept
+    # cells need no block: they come from the two sets' means and
+    # centered d x d Grams, with the excluded cells taken out.
     Xu = _UnitRows(X)
     Yu = Xu if Y is X else _UnitRows(Y)
     available = Y.n - np.bincount(rows, minlength=X.n)
@@ -171,39 +145,35 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     ranked[ranked == -np.inf] = 0.0
     for values in (ranked, row_min, excluded):
         np.clip(values, -1.0, 1.0, out=values)
-    m0, offset, q = _row_moments(Xu, Yu)
-    # Every sum runs over s - m0, so that a row's mean keeps its digits.
-    # With K a row's kept cells, E its excluded ones and c = m0 + offset
-    # the mean of all its cells:
-    #   sum_K (s - m0) = n offset - sum_E (s - m0)
-    #   M2_K = q - sum_E (s - c)^2 - |K| (mean_K - c)^2
-    shifted = excluded - m0
-    row_sum = Y.n * offset - np.bincount(rows, shifted, X.n)
-    row_mean = row_sum / available
-    dev = shifted - offset[rows]
-    row_m2 = q - np.bincount(rows, dev * dev, X.n) - available * (row_mean - offset) ** 2
-    # Rounding can leave about 1e-16 of M2 where there is none, which the
-    # square root would make 1e-8 of std, so each row's M2 is clamped to
-    # what its range allows: 0 <= M2 <= |K| (max - min)^2 / 4 (Popoviciu).
+    xbar, cx = _centered_gram(Xu)
+    ybar, cy = (xbar, cx) if Yu is Xu else _centered_gram(Yu)
+    # With m0 = xbar . ybar, u_i = x_i - xbar and v_j = y_j - ybar, each
+    # cosine splits as s_ij - m0 = u_i . ybar + xbar . v_j + u_i . v_j,
+    # and every cross sum of the three terms is zero over all cells, so
+    #   sum (s - m0) = 0,  sum (s - m0)^2 = Ny ybar'Cx ybar + Nx xbar'Cy xbar + <Cx, Cy>,
+    # where no term is negative.  With e = s - m0 over the excluded cells
+    # and n kept cells, the kept cells' mean is m0 - sum e / n and their
+    # M2 is that sum less sum e^2 + (sum e)^2 / n.
+    m0 = float(xbar @ ybar)
+    e = excluded - m0
+    e_sum, n_pairs = float(e.sum()), int(available.sum())
+    spread = Y.n * (cx * np.outer(ybar, ybar)).sum() + X.n * (cy * np.outer(xbar, xbar)).sum()
+    square_dev = float(spread + (cx * cy).sum() - (e * e).sum() - e_sum**2 / n_pairs)
     nearest = ranked[:, 0]
-    np.clip(row_m2, 0.0, available * ((nearest - row_min) / 2) ** 2, out=row_m2)
-    n_pairs = int(available.sum())
-    mean = row_sum.sum() / n_pairs
-    # Row means and M2s merge exactly (Chan, Golub and LeVeque 1983):
-    # M2 = sum of M2_i + sum of n_i * (mean_i - mean)^2.  The mean is
-    # clamped to the cosines' range, which rounding can leave (about
-    # 1 + 2e-15 for identical rows).
-    square_dev = float(row_m2.sum() + (available * (row_mean - mean) ** 2).sum())
-    min_sim = float(row_min.min())
+    low, high = float(row_min.min()), float(nearest.max())
+    # Rounding can leave the mean out of the cosines' range (1 + 2e-15 for
+    # identical rows) and 1e-16 of M2 where there is none, a std of 1e-8;
+    # so M2 is clamped to [0, n (high - low)^2 / 4] (Popoviciu).
+    square_dev = min(max(square_dev, 0.0), n_pairs * ((high - low) / 2) ** 2)
     return DegenerationReport(
-        mean_sim=float(np.clip(m0 + mean, min_sim, nearest.max())),
+        mean_sim=min(max(m0 - e_sum / n_pairs, low), high),
         mean_sim_at={
             k: float((ranked[:, :k].sum(axis=1) / np.minimum(k, available)).mean()) for k in ks
         },
         histogram=_nn_histogram(nearest, bins),
         excluded_pairs=len(rows),
         std_sim=float(np.sqrt(square_dev / n_pairs)),
-        min_sim=min_sim,
+        min_sim=low,
     )
 
 

@@ -226,7 +226,15 @@ def load_relevance(path) -> dict:
 
 
 def save_relevance(rel: dict, path) -> None:
-    """Write a relevance map as sorted "query_id\\tgallery_id" lines."""
+    """Write a relevance map as sorted "query_id\\tgallery_id" lines.
+
+    An id that load_relevance could not read back, one that is empty or
+    holds a tab or a line break, is refused before the file is opened.
+    """
+    ids = [*rel, *(g for gs in rel.values() for g in gs)]
+    _check_ids_fit(ids, "tsv")
+    if "" in ids:
+        raise ValueError("id '' is empty, which the relevance format cannot store")
     with open(Path(path), "w", encoding="utf-8") as f:
         for q in sorted(rel):
             for g in sorted(rel[q]):

@@ -396,6 +396,19 @@ def test_diagnose_checks_bins_before_the_pass(dataset, capsys, monkeypatch):
     assert calls == []
 
 
+def test_diagnose_refuses_too_many_bins_before_the_pass(dataset, capsys, monkeypatch):
+    # the spies keep a missing check from allocating a billion bins
+    calls = []
+    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(diagnostics, "_nn_histogram", lambda *a: calls.append(a))
+    for cross in ([], ["--query", dataset["query"], "--relevance", dataset["rel"]]):
+        argv = ["diagnose", "--gallery", dataset["gallery"], *cross, "--bins", "1000000000"]
+        rc, out, err = run_main(argv, capsys)
+        assert rc == 2 and out == ""
+        assert err == "invgc diagnose: bins must be <= 1000000, got 1000000000\n"
+    assert calls == []
+
+
 def test_data_errors_exit_two(dataset, capsys, tmp_path):
     rc, _, err = run_main(
         ["diagnose", "--gallery", str(tmp_path / "missing.emb")], capsys
@@ -627,6 +640,15 @@ def _val_sets(dataset, rel):
         "--val-query", dataset["query"], "--val-gallery", dataset["gallery"],
         "--ref-gallery", dataset["refg"], "--ref-query", dataset["refq"], "--relevance", rel,
     ]
+
+
+@pytest.mark.parametrize("flag", ["--rg-grid", "--rq-grid"])
+def test_tune_refuses_an_empty_grid(dataset, capsys, flag):
+    # an empty list once fell back to the default 8 x 8 grid
+    argv = ["tune", *_val_sets(dataset, dataset["rel"]), "--variant", "full", flag, ""]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err == "invgc tune: error: list '' is empty\n"
 
 
 def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):

@@ -133,10 +133,11 @@ def two_pass_moments(X, Y, keep):
     scale=st.integers(-20, 60),
 )
 def test_closed_form_moments_match_a_two_pass_dense_pool(seed, n, m, d, duplicate, antipodal, scale):
-    # mean_sim and std_sim come from a centered d x d Gram and the
-    # excluded cells, not from the blocks; the reference sums the kept
-    # cells of the dense matrix.  Gallery row 0 keeps one unmatched
-    # query, and scaling both sets by 2^scale leaves every bit alone.
+    # mean_sim and std_sim come from the two sets' means and centered
+    # d x d Grams, less the excluded cells, not from the blocks; the
+    # reference sums the kept cells of the dense matrix.  Gallery row 0
+    # keeps one unmatched query, and scaling both sets by 2^scale leaves
+    # every bit alone.
     rng = np.random.default_rng(seed)
     G, Q = make_set(rng, n, d, "g"), make_set(rng, m, d, "q")
     if duplicate:
@@ -165,6 +166,20 @@ def test_closed_form_moments_match_a_two_pass_dense_pool(seed, n, m, d, duplicat
     Gs, Qs = EmbeddingSet(G.ids, G.data * k), EmbeddingSet(Q.ids, Q.data * k)
     assert intra_mean_sim(Gs, [1]) == reports["intra"][0]
     assert cross_mean_sim(Gs, Qs, rel, [1]) == reports["cross"][0]
+
+
+def test_each_set_gets_one_centered_gram(monkeypatch):
+    # intra pairs a set with itself, so its one Gram serves both sides
+    calls = []
+    gram = diagnostics._centered_gram
+    monkeypatch.setattr(diagnostics, "_centered_gram", lambda Z: calls.append(Z) or gram(Z))
+    rng = np.random.default_rng(46)
+    G, Q = make_set(rng, 7, 3, "g"), make_set(rng, 5, 3, "q")
+    intra_mean_sim(G, [1])
+    assert len(calls) == 1
+    calls.clear()
+    cross_mean_sim(G, Q, {"q0": {"g0"}}, [1])
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_identical_rows_keep_the_mean_at_most_one():
@@ -243,6 +258,23 @@ def test_bins_are_checked_before_the_pass(monkeypatch):
     for run in (lambda: intra_mean_sim(G, [1], bins=0),
                 lambda: cross_mean_sim(G, Q, {"q0": {"g0"}}, [1], bins=-3)):
         with pytest.raises(ValueError, match="bins must be >= 1"):
+            run()
+    assert calls == []
+
+
+@pytest.mark.parametrize("bins", [1_000_001, 10**9])
+def test_too_many_bins_are_refused_before_the_pass(monkeypatch, bins):
+    # a billion bins would ask _nn_histogram for about 8 GB of counts;
+    # the spies keep a missing check from getting that far
+    calls = []
+    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(diagnostics, "_nn_histogram", lambda *a: calls.append(a))
+    rng = np.random.default_rng(44)
+    G, Q = make_set(rng, 5, 3, "g"), make_set(rng, 4, 3, "q")
+    for run in (lambda: intra_mean_sim(G, [1], bins=bins),
+                lambda: cross_mean_sim(G, Q, {"q0": {"g0"}}, [1], bins=bins),
+                lambda: nn_similarity_histogram(G, bins)):
+        with pytest.raises(ValueError, match=f"bins must be <= 1000000, got {bins}"):
             run()
     assert calls == []
 

@@ -189,6 +189,28 @@ def test_relevance_round_trip_collapses_duplicates(tmp_path):
     assert out.read_text(encoding="utf-8") == "q0\tg0\nq1\tg1\nq1\tg2\n"
 
 
+@pytest.mark.parametrize("rel, bad", [
+    ({"q\t1": {"g1"}}, "q\t1"),
+    ({"q1": {"g\n1"}}, "g\n1"),
+    ({"q1": {"g\r1"}}, "g\r1"),
+], ids=["tab", "newline", "carriage-return"])
+def test_save_relevance_refuses_an_id_with_a_tab_or_line_break(tmp_path, rel, bad):
+    # load_relevance would read such a line as the wrong number of fields
+    out = tmp_path / "rel.tsv"
+    want = f"id {bad!r} holds a tab or line break, which the tsv format cannot store"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        save_relevance(rel, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rel", [{"": {"g1"}}, {"q1": {"g1", ""}}], ids=["query", "gallery"])
+def test_save_relevance_refuses_an_empty_id(tmp_path, rel):
+    out = tmp_path / "rel.tsv"
+    with pytest.raises(ValueError, match="id '' is empty"):
+        save_relevance(rel, out)
+    assert not out.exists()
+
+
 def test_relevance_rejects_malformed_lines(tmp_path):
     for text in ("q1\n", "q1\tg1\tg2\n", "\tg1\n", "q1\t\n", "q1\tg1\n\n"):
         path = tmp_path / "rel.tsv"
