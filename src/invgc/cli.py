@@ -50,8 +50,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _row(*cells) -> str:
+    return "\t".join(map(_fmt, cells))
+
+
 def _emit(key, value) -> None:
-    print(f"{key}\t{_fmt(value)}")
+    print(_row(key, value))
 
 
 _MAX_RANGE_POINTS = 1_000_000
@@ -145,6 +149,7 @@ def _step_flag(args, field: str) -> str:
 
 def _cfg_from_args(args):
     from .core import InvGCConfig
+    from .simgraph import _check_percent
 
     if args.k is not None and args.variant != "local":
         raise UsageError("--k applies only to --variant local")
@@ -152,9 +157,11 @@ def _cfg_from_args(args):
         raise UsageError("--p applies only to --variant avgpool")
     k = 1.0 if args.k is None else args.k
     p = 100.0 if args.p is None else args.p
-    for name, pct in (("--k", k), ("--p", p)):
-        if not (0.0 < pct <= 100.0):
-            raise UsageError(f"{name} must lie in (0, 100], got {pct}")
+    try:
+        _check_percent("--k", k)
+        _check_percent("--p", p)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     rg = getattr(args, "rg", 0.0)
     rq = getattr(args, "rq", 0.0)
     return InvGCConfig(args.variant, rg, rq, k, p)
@@ -170,10 +177,26 @@ def _emit_degeneration(report, mode: str) -> None:
     _emit("excluded_pairs", report.excluded_pairs)
 
 
-def _dump_histogram(histogram, path) -> None:
+def _emit_retrieval(report) -> None:
+    for k in sorted(report.recall_at):
+        _emit(f"R@{k}", report.recall_at[k])
+    _emit("MdR", report.median_rank)
+    _emit("MnR", report.mean_rank)
+
+
+def _load_val_sets(args) -> tuple:
+    """tune's and sweep's (valQ, valG, refG, refQ, relevance)."""
+    valQ = _load_set(args.val_query)
+    valG = _load_set(args.val_gallery)
+    refG = _load_set(args.ref_gallery)
+    refQ = _load_set(args.ref_query)
+    return valQ, valG, refG, refQ, _load_pairing(args.relevance, valQ, valG)
+
+
+def _write_tsv(path, rows) -> None:
     with open(Path(path), "w", encoding="utf-8") as f:
-        for lo, hi, count in histogram:
-            f.write(f"{_fmt(lo)}\t{_fmt(hi)}\t{count}\n")
+        for row in rows:
+            f.write(_row(*row) + "\n")
 
 
 def cmd_diagnose(args) -> int:
@@ -187,12 +210,11 @@ def cmd_diagnose(args) -> int:
         Q = _load_set(args.query)
         rel = _load_pairing(args.relevance, Q, G)
         report = cross_mean_sim(G, Q, rel, ks, bins=args.bins)
-        _emit_degeneration(report, "cross")
     else:
         report = intra_mean_sim(G, ks, bins=args.bins)
-        _emit_degeneration(report, "intra")
+    _emit_degeneration(report, "intra" if args.query is None else "cross")
     if args.dump_hist:
-        _dump_histogram(report.histogram, args.dump_hist)
+        _write_tsv(args.dump_hist, report.histogram)
     return EXIT_OK
 
 
@@ -218,34 +240,22 @@ def cmd_eval(args) -> int:
     Q = _load_set(args.query)
     G = _load_set(args.gallery)
     rel = _load_pairing(args.relevance, Q, G)
-    report = evaluate(Q, G, rel, Ks)
-    for k in sorted(report.recall_at):
-        _emit(f"R@{k}", report.recall_at[k])
-    _emit("MdR", report.median_rank)
-    _emit("MnR", report.mean_rank)
+    _emit_retrieval(evaluate(Q, G, rel, Ks))
     return EXIT_OK
 
 
-def _cfg_label(cfg) -> str:
-    parts = [cfg.variant]
-    if cfg.variant == "local":
-        parts.append(f"k={_fmt(cfg.k_percent)}")
-    if cfg.variant == "avgpool":
-        parts.append(f"p={_fmt(cfg.p_percent)}")
-    parts.append(f"rg={_fmt(cfg.r_g)}")
-    parts.append(f"rq={_fmt(cfg.r_q)}")
-    return ",".join(parts)
+def _cfg_fields(cfg) -> list:
+    """tune's config block as (key, value) pairs: the variant, the percent
+    it reads, if any, and the two steps."""
+    percent = {"local": [("k", cfg.k_percent)], "avgpool": [("p", cfg.p_percent)]}
+    return [("variant", cfg.variant), *percent.get(cfg.variant, []), ("rg", cfg.r_g), ("rq", cfg.r_q)]
 
 
 def cmd_tune(args) -> int:
     from .tuner import DEFAULT_R_GRID, grid_search
 
     cfg = _cfg_from_args(args)
-    valQ = _load_set(args.val_query)
-    valG = _load_set(args.val_gallery)
-    refG = _load_set(args.ref_gallery)
-    refQ = _load_set(args.ref_query)
-    rel = _load_pairing(args.relevance, valQ, valG)
+    valQ, valG, refG, refQ, rel = _load_val_sets(args)
     rg_grid = _parse_values(args.rg_grid) if args.rg_grid is not None else DEFAULT_R_GRID
     rq_grid = _parse_values(args.rq_grid) if args.rq_grid is not None else DEFAULT_R_GRID
     result = grid_search(
@@ -253,24 +263,16 @@ def cmd_tune(args) -> int:
         variant=cfg.variant, rg_grid=rg_grid, rq_grid=rq_grid,
         k_percent=cfg.k_percent, p_percent=cfg.p_percent,
     )
-    best = result.best_cfg
-    _emit("variant", best.variant)
-    if best.variant == "local":
-        _emit("k", best.k_percent)
-    if best.variant == "avgpool":
-        _emit("p", best.p_percent)
-    _emit("rg", best.r_g)
-    _emit("rq", best.r_q)
-    for k in sorted(result.best_report.recall_at):
-        _emit(f"R@{k}", result.best_report.recall_at[k])
-    _emit("MdR", result.best_report.median_rank)
-    _emit("MnR", result.best_report.mean_rank)
+    for key, value in _cfg_fields(result.best_cfg):
+        _emit(key, value)
+    _emit_retrieval(result.best_report)
     if args.trace:
-        with open(Path(args.trace), "w", encoding="utf-8") as f:
-            for cell_cfg, r1, r5, mnr in result.grid_trace:
-                f.write(
-                    f"{_cfg_label(cell_cfg)}\t{_fmt(r1)}\t{_fmt(r5)}\t{_fmt(mnr)}\t-\n"
-                )
+        rows = []
+        for cell_cfg, *scores in result.grid_trace:
+            # The cell's label, e.g. "local,k=1.0,rg=0.1,rq=0.0", then R@1, R@5, MnR.
+            (_, variant), *rest = _cfg_fields(cell_cfg)
+            rows.append([",".join([variant, *(f"{key}={_fmt(v)}" for key, v in rest)]), *scores, "-"])
+        _write_tsv(args.trace, rows)
     return EXIT_OK
 
 
@@ -281,16 +283,9 @@ def cmd_sweep(args) -> int:
     if args.param == "k" and cfg.variant != "local":
         raise UsageError("--param k requires --variant local")
     values = _parse_values(args.values)
-    valQ = _load_set(args.val_query)
-    valG = _load_set(args.val_gallery)
-    refG = _load_set(args.ref_gallery)
-    refQ = _load_set(args.ref_query)
-    rel = _load_pairing(args.relevance, valQ, valG)
-    curve = sweep_param(
-        cfg, args.param, values, valQ, valG, refG, refQ, rel, seed=args.seed
-    )
+    curve = sweep_param(cfg, args.param, values, *_load_val_sets(args), seed=args.seed)
     for v, r1, ddeg in curve.points:
-        print(f"{curve.param_name}={_fmt(v)}\t{_fmt(r1)}\t-\t-\t{_fmt(ddeg)}")
+        print(_row(f"{curve.param_name}={_fmt(v)}", r1, "-", "-", ddeg))
     return EXIT_OK
 
 
@@ -305,23 +300,19 @@ def cmd_synth(args) -> int:
         query_noise=args.qnoise,
         seed=args.seed,
     )
-    G, Q, refG, refQ, rel = generate_cone_dataset(cfg)
-    prefix = args.out_prefix
-    paths = {
-        "gallery": f"{prefix}.gallery.emb",
-        "query": f"{prefix}.query.emb",
-        "ref_gallery": f"{prefix}.refg.emb",
-        "ref_query": f"{prefix}.refq.emb",
-    }
-    for key, es in (
-        ("gallery", G), ("query", Q), ("ref_gallery", refG), ("ref_query", refQ)
-    ):
-        embio.save_embeddings(es, paths[key], "binary")
-    rel_path = f"{prefix}.rel.tsv"
-    embio.save_relevance(rel, rel_path)
-    for key in ("gallery", "query", "ref_gallery", "ref_query"):
-        _emit(key, paths[key])
-    _emit("relevance", rel_path)
+    *sets, rel = generate_cone_dataset(cfg)
+    paths = [
+        (key, f"{args.out_prefix}.{suffix}")
+        for key, suffix in (
+            ("gallery", "gallery.emb"), ("query", "query.emb"), ("ref_gallery", "refg.emb"),
+            ("ref_query", "refq.emb"), ("relevance", "rel.tsv"),
+        )
+    ]
+    for es, (_, path) in zip(sets, paths):
+        embio.save_embeddings(es, path, "binary")
+    embio.save_relevance(rel, paths[-1][1])
+    for key, path in paths:
+        _emit(key, path)
     return EXIT_OK
 
 
@@ -336,22 +327,24 @@ def cmd_verify_theory(args) -> int:
         seed=args.seed,
         include_thm1=args.include_thm1,
     )
-    dash = "-"
     for c in checks:
-        b_cell = dash if c.b is None else _fmt(c.b)
+        b_cell = "-" if c.b is None else _fmt(c.b)
         if c.b2 is not None:
             b_cell = f"{b_cell},{_fmt(c.b2)}"
-        mc_cell = dash if c.mc_estimate is None else _fmt(c.mc_estimate)
-        print(
-            f"{c.name}\t{c.n}\t{b_cell}\t{_fmt(c.exact_fraction)}\t{mc_cell}"
-            f"\t{_fmt(c.lower_bound)}\t{_fmt(c.upper_bound)}\t{_fmt(c.holds)}"
-        )
+        mc_cell = "-" if c.mc_estimate is None else c.mc_estimate
+        print(_row(c.name, c.n, b_cell, c.exact_fraction, mc_cell, c.lower_bound, c.upper_bound, c.holds))
     failed = sum(1 for c in checks if not c.holds)
     if failed:
         print(f"{failed} of {len(checks)} checks failed", file=sys.stderr)
     if args.strict and failed:
         return EXIT_THEORY
     return EXIT_OK
+
+
+def _add_val_sets(p) -> None:
+    """tune's and sweep's five input files, in their help order."""
+    for flag in ("--val-query", "--val-gallery", "--ref-gallery", "--ref-query", "--relevance"):
+        p.add_argument(flag, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,11 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tune", help="grid-search r_g and r_q")
-    p.add_argument("--val-query", required=True)
-    p.add_argument("--val-gallery", required=True)
-    p.add_argument("--ref-gallery", required=True)
-    p.add_argument("--ref-query", required=True)
-    p.add_argument("--relevance", required=True)
+    _add_val_sets(p)
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--k", type=float)
     p.add_argument("--p", type=float)
@@ -407,11 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="one-parameter ablation curve")
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--values", required=True, help="comma list or start:stop[:step]")
-    p.add_argument("--val-query", required=True)
-    p.add_argument("--val-gallery", required=True)
-    p.add_argument("--ref-gallery", required=True)
-    p.add_argument("--ref-query", required=True)
-    p.add_argument("--relevance", required=True)
+    _add_val_sets(p)
     p.add_argument("--variant", default="full", choices=VARIANTS)
     p.add_argument("--k", type=float)
     p.add_argument("--p", type=float)

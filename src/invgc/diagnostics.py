@@ -168,7 +168,10 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     return DegenerationReport(
         mean_sim=min(max(m0 - e_sum / n_pairs, low), high),
         mean_sim_at={
-            k: float((ranked[:, :k].sum(axis=1) / np.minimum(k, available)).mean()) for k in ks
+            # No row has more than Y.n cells available, so k is capped there
+            # before numpy sees it: a k past 2^63 - 1 does not fit a C long.
+            k: float((ranked[:, :k].sum(axis=1) / np.minimum(min(k, Y.n), available)).mean())
+            for k in ks
         },
         histogram=_nn_histogram(nearest, bins),
         excluded_pairs=len(rows),

@@ -143,6 +143,11 @@ def _load_binary(path: Path) -> EmbeddingSet:
         raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} at offset 4")
+    # Refused here, before any id is built: a header that claims 2^40 rows
+    # of zero dimensions would otherwise ask for 2^40 default ids.
+    for count, what, offset in ((n, "rows", 8), (d, "dimensions", 16)):
+        if count == 0:
+            raise FormatError(f"{path}: zero {what} at offset {offset}")
     want = n * d * 4
     got = len(raw) - _HEADER.size
     if got != want:

@@ -31,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MC_BLOCK = 65536
+# The largest n whose gamma forms stay finite: Gamma(n/2 + 1) overflows
+# a float from n = 342.
+_LEMMA2_MAX_N = 341
 
 
 @dataclass
@@ -142,10 +145,19 @@ def check_corollary(n: int, b1: float, b2: float) -> CapCheck:
 
 
 def sphere_area_volume_ratio(n: int) -> float:
-    """A(S_{n-1}) / V(B_n) from the closed gamma forms; equals n."""
+    """A(S_{n-1}) / V(B_n) from the closed gamma forms; equals n.
+
+    Refuses n > _LEMMA2_MAX_N.  lgamma would reach further, but its error
+    passes lemma2's 1e-12 tolerance from n = 80.
+    """
     n = _check_n(n)
-    # A = 2 pi^(n/2) / Gamma(n/2), V = pi^(n/2) / Gamma(n/2 + 1)
-    return 2.0 * math.gamma(n / 2.0 + 1.0) / math.gamma(n / 2.0)
+    if n > _LEMMA2_MAX_N:
+        raise ValueError(
+            f"n={n} is too large for the lemma2 gamma forms, which stay finite up to n={_LEMMA2_MAX_N}"
+        )
+    # A = 2 pi^(n/2) / Gamma(n/2), V = pi^(n/2) / Gamma(n/2 + 1); the
+    # quotient is taken before the doubling, which would overflow at n = 341.
+    return 2.0 * (math.gamma(n / 2.0 + 1.0) / math.gamma(n / 2.0))
 
 
 def check_lemma2(n: int) -> CapCheck:

@@ -111,6 +111,9 @@ def sweep_param(
 
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
+    if param == "k" and base_cfg.variant != "local":
+        # Only the local variant reads k_percent: any other gives a flat curve.
+        raise ValueError(f"param 'k' needs variant 'local', got {base_cfg.variant!r}")
     values = sorted(float(v) for v in values)
     if not values:
         raise ValueError("values must be non-empty")

@@ -177,6 +177,22 @@ def test_apply_flag_variant_pairing_is_enforced(dataset, capsys, tmp_path):
     assert "--p applies only to --variant avgpool" in err
 
 
+@pytest.mark.parametrize(("command", "flag", "value"), [
+    ("apply", "--k", "0"), ("tune", "--p", "101"), ("sweep", "--k", "nan"),
+])
+def test_a_percent_outside_its_range_is_a_usage_error(command, flag, value, dataset, tmp_path, capsys):
+    variant = "local" if flag == "--k" else "avgpool"
+    args = {
+        "apply": ["--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+                  "--ref-query", dataset["refq"], "--rg", "0", "--rq", "0", "--out", str(tmp_path / "x.emb")],
+        "tune": _val_sets(dataset, dataset["rel"]),
+        "sweep": ["--param", "rg", "--values", "0,1", *_val_sets(dataset, dataset["rel"])],
+    }[command]
+    rc, out, err = run_main([command, *args, "--variant", variant, flag, value], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"invgc {command}: error: {flag} must lie in (0, 100], got {float(value)}\n"
+
+
 def test_eval_report_matches_library(dataset, capsys):
     rc, out, _ = run_main(
         [
@@ -439,6 +455,31 @@ def test_unknown_arguments_exit_one_via_subprocess(cli_env):
         [sys.executable, "-m", "invgc"], env=cli_env, capture_output=True, text=True
     )
     assert proc.returncode == 1
+
+
+def test_verify_theory_past_the_gamma_forms_exits_two(cli_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "invgc", "verify-theory", "--n", "342", "--b", "0.4,0.5"],
+        env=cli_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "invgc verify-theory: n=342 is too large for the lemma2 gamma forms,"
+        " which stay finite up to n=341\n"
+    )
+
+
+def test_cross_diagnose_takes_a_topk_past_a_c_long(dataset, capsys):
+    huge = str(10**20)
+    rc, out, err = run_main(
+        ["diagnose", "--gallery", dataset["gallery"], "--query", dataset["query"],
+         "--relevance", dataset["rel"], "--topk", f"16,{huge}"],
+        capsys,
+    )
+    assert rc == 0, err
+    kv = parse_kv(out)
+    assert kv[f"mean_sim_at_{huge}"] == kv["mean_sim_at_16"]
 
 
 def test_console_entry_point_runs(cli_env):

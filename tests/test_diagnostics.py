@@ -182,6 +182,13 @@ def test_each_set_gets_one_centered_gram(monkeypatch):
     assert len(calls) == 2 and calls[0] is not calls[1]
 
 
+def test_a_cross_k_past_a_c_long_counts_every_query():
+    rng = np.random.default_rng(47)
+    G, Q = make_set(rng, 7, 3, "g"), make_set(rng, 5, 3, "q")
+    rep = cross_mean_sim(G, Q, {"q0": {"g0"}}, [5, 2**64])
+    assert rep.mean_sim_at[2**64] == rep.mean_sim_at[5]
+
+
 def test_identical_rows_keep_the_mean_at_most_one():
     # The mean rows of 300 copies of this row round so that the closed
     # form puts the mean of the cosines at about 1 + 2e-15, and the row's

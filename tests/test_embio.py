@@ -1,6 +1,8 @@
 """Round-trips and failure modes of the embedding and relevance file I/O."""
 
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,26 @@ def test_binary_header_errors(tmp_path):
     padded.write_bytes(raw + b"\x00\x00\x00\x00")
     with pytest.raises(FormatError, match="payload"):
         load_embeddings(padded, "binary")
+
+
+@pytest.mark.parametrize(("n", "d", "refusal"), [
+    (10**6, 0, "zero dimensions at offset 16"),
+    (0, 4, "zero rows at offset 8"),
+])
+def test_a_header_of_zero_rows_or_dimensions_is_refused_before_any_id(n, d, refusal, tmp_path):
+    # With no sidecar, a reader that built the n default ids before it
+    # checked d would hold a million strings here, about 70 MB.
+    path = tmp_path / "empty.emb"
+    path.write_bytes(struct.pack("<4sHHQQ", b"IGCE", 1, 0, n, d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as refused:
+            load_embeddings(path, "binary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(refused.value) == f"{path}: {refusal}"
 
 
 def test_sidecar_row_count_mismatch(tmp_path):

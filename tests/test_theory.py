@@ -112,6 +112,16 @@ def test_surface_to_volume_ratio_equals_the_dimension():
         assert c.lower_bound == c.upper_bound == float(n)
 
 
+def test_lemma2_reaches_the_largest_n_its_gamma_forms_allow():
+    # 2 Gamma(171.5) overflows, so the ratio at n = 341 is doubled after
+    # the division; Gamma(172) overflows itself, so n = 342 is refused
+    assert abs(sphere_area_volume_ratio(341) - 341) <= 1e-12
+    assert check_lemma2(341).holds
+    for n in (342, 1000):
+        with pytest.raises(ValueError, match=f"^n={n} is too large .* up to n=341$"):
+            sphere_area_volume_ratio(n)
+
+
 def test_mc_estimate_is_deterministic_for_a_seed():
     a = cap_fraction_mc(4, 0.6, 50_000, seed=13)
     b = cap_fraction_mc(4, 0.6, 50_000, seed=13)

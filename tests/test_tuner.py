@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from invgc import core, diagnostics, retrieval, simgraph, tuner
-from invgc.core import VARIANTS, InvGCConfig, inverse_convolve_dual
+from invgc.core import InvGCConfig, inverse_convolve_dual
 from invgc.diagnostics import degeneration_score
 from invgc.embio import EmbeddingSet
 from invgc.retrieval import evaluate
@@ -168,6 +168,14 @@ def test_sweep_validation():
         sweep_param(InvGCConfig("full"), "rg", [], Q, G, refG, refQ, rel)
 
 
+@pytest.mark.parametrize("variant", ["full", "avgpool"])
+def test_a_k_sweep_needs_the_local_variant(variant):
+    # no other variant reads k_percent, so its curve would be flat
+    G, Q, refG, refQ, rel = small_dataset()
+    with pytest.raises(ValueError, match=f"param 'k' needs variant 'local', got '{variant}'"):
+        sweep_param(InvGCConfig(variant), "k", [0.5, 5.0], Q, G, refG, refQ, rel)
+
+
 def test_every_grid_cell_equals_the_dual_update_for_its_config(monkeypatch):
     G, Q, _, refQ, rel = small_dataset(seed=4)
     seen = []
@@ -266,7 +274,9 @@ def test_a_k_sweep_makes_one_correction_pass_per_reference_set(monkeypatch):
     assert len(calls) == 2 + 2 * len(values)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+# Only local reads k; a k-sweep on any other variant is refused
+# (test_a_k_sweep_needs_the_local_variant).
+@pytest.mark.parametrize("variant", ["local"])
 def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatch):
     # a 64-cell budget runs each pass in 2-row blocks, and refG = G puts
     # self pairs in every block; ten k values give distinct thresholds
@@ -279,7 +289,7 @@ def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatc
         return degeneration_score(Gs)
 
     monkeypatch.setattr(diagnostics, "degeneration_score", recording_score)
-    base = InvGCConfig(variant, 0.2, 0.05, p_percent=30.0)
+    base = InvGCConfig(variant, 0.2, 0.05)
     values = [100.0, 1.0, 7.5, 20.0, 3.0, 50.0, 9.0, 33.0, 0.5, 12.0]
     curve = sweep_param(base, "k", values, Q, G, G, refQ, rel)
     assert len(seen) == len(curve.points) == len(values)
