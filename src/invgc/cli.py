@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"invgc {args.subcommand}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         if _is_step_overflow(e):
             print(
                 f"invgc {args.subcommand}: {_step_flag(args, e.field)} value {e.r!r} is too large:"

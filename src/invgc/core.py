@@ -182,7 +182,7 @@ _GATHER_SHARE = 1 / 32
 Measured per row block of 2**18 cosines on one thread of a 2.1 GHz Xeon,
 at N_ref 1000 and 5000 and d 8 to 256: at m / N_ref = 1/32 the gather
 takes 0.64 to 0.93 of the masked GEMM's time, at 1/16 it takes 1.05 to
-1.44.  avgpool's default p = 100 keeps every column and stays dense.
+1.44.  Keeping every column, as avgpool's default p = 100 does, needs no block.
 """
 
 
@@ -198,13 +198,15 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
     and one partition.  A percent that keeps at most _GATHER_SHARE of a
     row sums each row's kept reference rows (_kept_sums); a wider one
     masks the block and multiplies it by ref.  Which one runs depends on
-    the shapes and the percent alone.  full needs only a d x d map.
+    the shapes and the percent alone.  A row that keeps all N_ref columns
+    (full, or m = N_ref) needs only a d x d map and no cosine pass.
 
     The kept rows are gathered with numpy alone: scipy.sparse would cost
     every command about 175 ms of import, more than the gather saves.
     """
-    if cfg.variant == "full":
-        return [_full_aggregate(Gn, ref)] * len(percents)
+    kept = [ref.n if cfg.variant == "full" else _top_count(p, ref.n) for p in percents]
+    every = _every_column_aggregate(Gn, ref, cfg.variant) if ref.n in kept else None
+    percents = [p for p, m in zip(percents, kept) if m < ref.n]
     local = cfg.variant == "local"
     gathered = [_top_count(p, ref.n) <= _GATHER_SHARE * ref.n for p in percents]
     # _self_pairs lists rows in ascending order, so a block's pairs are a run
@@ -232,8 +234,10 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
             masked[self_cells] = 0.0
             agg[b] = _mm(masked, ref.data)
 
-    _map_blocks(block, Gn, ref)
-    return out
+    if percents:
+        _map_blocks(block, Gn, ref)
+    blocked = iter(out)
+    return [every if m == ref.n else next(blocked) for m in kept]
 
 
 def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
@@ -267,15 +271,20 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
     return out
 
 
-def _full_aggregate(Gn: EmbeddingSet, ref: EmbeddingSet) -> np.ndarray:
-    # The centered cosine adjacency is Gn @ Rn.T - mu with the scalar mean
-    # mu = mean_rows(Gn) . mean_rows(Rn), so its aggregate is the d x d map
-    # Gn @ (Rn.T @ R) minus mu * colsum(R), without the N x N_ref matrix.
-    # Each self pair (i, j) then drops its own term (clip(Gn_i . Rn_j) - mu) * R_j.
-    Rn = unit_rows(ref.data, ref.ids)
-    mu = float((Gn.data.mean(axis=0) * Rn.mean(axis=0)).sum())
-    agg = _mm(Gn.data, _mm(Rn.T, ref.data)) - mu * ref.data.sum(axis=0)
+def _every_column_aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str) -> np.ndarray:
+    # An adjacency that keeps every column is S = c + w * clip(Gn @ Rn.T):
+    # full is w = 1, c = -mu, mu the mean cosine; local w = 1, c = 0; avgpool
+    # w = 0, c = 1.  So S @ R is the d x d map w * Gn @ (Rn.T @ R) + c * colsum(R),
+    # with no N x N_ref matrix, less (w * clip(Gn_i . Rn_j) + c) * R_j per self
+    # pair (i, j).  The map's cosines are unclipped, so it differs from the
+    # clipped dense product only where rounding pushed a cosine past +-1.
+    Rn = unit_rows(ref.data, ref.ids)  # for avgpool too: refuses a zero-norm row
+    w, c = (0.0, 1.0) if variant == "avgpool" else (1.0, 0.0)
+    if variant == "full":
+        c = -float((Gn.data.mean(axis=0) * Rn.mean(axis=0)).sum())
+    agg = _mm(Gn.data, _mm(Rn.T, ref.data)) if w else np.zeros((Gn.n, ref.d))
+    agg += c * ref.data.sum(axis=0)
     rows, cols = _self_pairs(Gn.ids, ref.ids)
-    w = np.clip(np.einsum("ij,ij->i", Gn.data[rows], Rn[cols]), -1.0, 1.0)
-    agg[rows] -= (w - mu)[:, None] * ref.data[cols]
+    cos = np.clip(np.einsum("ij,ij->i", Gn.data[rows], Rn[cols]), -1.0, 1.0)
+    agg[rows] -= (w * cos + c)[:, None] * ref.data[cols]
     return agg

@@ -16,9 +16,11 @@ the dense matrix from the same blocks, for callers that want it whole.
 Row thresholds and top values come from one chunked partition,
 _partitioned_rows.  local and binary keep m entries per row, plus ties,
 so they are sparse: core._aggregate sums each row's kept reference rows
-when m is at most 1/32 of the row and multiplies the masked block only
-above that.  The kept rows are gathered with numpy alone, because
-scipy.sparse would add about 175 ms of import to every command.
+when m is at most 1/32 of the row and multiplies the masked block above
+that.  When m is the whole row, as for avgpool's default p = 100, it
+takes no cosine block: the aggregate is a d x d map, like full's.  The
+kept rows are gathered with numpy alone, because scipy.sparse would add
+about 175 ms of import to every command.
 """
 
 from __future__ import annotations

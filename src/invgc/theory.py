@@ -26,6 +26,7 @@ reports that verdict as observed; no constant is adjusted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,21 @@ def _check_b(b, allow_one: bool) -> float:
 
 
 def cap_fraction_exact(n: int, b: float) -> float:
-    """Exact cap volume fraction via the regularized incomplete beta."""
+    """Exact cap volume fraction via the regularized incomplete beta.
+
+    Refuses an (n, b) whose fraction is below the smallest normal float:
+    betainc underflows there to a subnormal or to 0.0, which no bound
+    check or ratio can use.
+    """
     # Imported here: scipy.special costs every other command its start-up.
     from scipy.special import betainc
 
     n = _check_n(n)
     b = _check_b(b, allow_one=True)
-    return float(0.5 * betainc((n + 1) / 2.0, 0.5, b * b))
+    fraction = float(0.5 * betainc((n + 1) / 2.0, 0.5, b * b))
+    if fraction < sys.float_info.min:
+        raise ValueError(f"the cap fraction at n={n}, b={b!r} underflows a float")
+    return fraction
 
 
 def cap_fraction_mc(n: int, b: float, samples: int, seed: int):

@@ -470,6 +470,27 @@ def test_verify_theory_past_the_gamma_forms_exits_two(cli_env):
     )
 
 
+@pytest.mark.parametrize("argv, n, b", [
+    (["--n", "340", "--b", "0.01,0.02"], 340, 0.01),
+    (["--n", "240,300", "--b", "0.05,0.5", "--strict"], 240, 0.05),
+])
+def test_verify_theory_refuses_an_underflowing_cap_fraction(argv, n, b, capsys):
+    # the first once ended in a ZeroDivisionError, the second in a wrong false
+    rc, out, err = run_main(["verify-theory", *argv], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"invgc verify-theory: the cap fraction at n={n}, b={b} underflows a float\n"
+
+
+def test_a_dataset_too_large_to_allocate_exits_two(capsys, tmp_path):
+    # 10**12 x 1000 float64 is 7.11 PiB, past any address space, so the
+    # first allocation is refused at once
+    argv = ["synth", "--items", str(10**12), "--dim", "1000", "--out-prefix", str(tmp_path / "big")]
+    rc, out, err = run_main(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("invgc synth: Unable to allocate 7.11 PiB for an array"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cross_diagnose_takes_a_topk_past_a_c_long(dataset, capsys):
     huge = str(10**20)
     rc, out, err = run_main(

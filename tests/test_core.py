@@ -26,7 +26,7 @@ from invgc.core import (
     row_normalize,
 )
 from invgc.embio import EmbeddingSet
-from invgc.simgraph import Adjacency, _mm, adjacency_full, cosine_similarity_matrix, unit_rows
+from invgc.simgraph import Adjacency, _mm, cosine_similarity_matrix, unit_rows
 
 
 def make_set(rng, n, d, prefix="x"):
@@ -224,10 +224,12 @@ def test_dual_update_normalizes_the_gallery_once(variant, monkeypatch):
     assert shapes.count((50, 8)) == shapes.count((70, 8)) == 1, shapes
 
 
-def test_full_aggregate_closed_form_matches_the_dense_adjacency():
-    # the d x d form of the centered aggregate against the dense N x N_ref
-    # path, with distinct ids, with shared ids on other data (diagonal
-    # dropped by id), and with the reference set itself
+def test_every_column_aggregate_closed_form_matches_the_dense_adjacency():
+    # the d x d form of each aggregate that keeps every column (full, and
+    # local and avgpool at 100% and at 99.95% of 700 columns) against the
+    # dense N x N_ref path, with distinct ids, with shared ids on other data
+    # (diagonal dropped by id), and with the reference set itself; observed
+    # max 2.8e-13 on aggregates up to 150
     rng = np.random.default_rng(36)
     R = make_set(rng, 700, 16, "r")
     cases = [
@@ -237,12 +239,15 @@ def test_full_aggregate_closed_form_matches_the_dense_adjacency():
     ]
     for G in cases:
         Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-        S = adjacency_full(cosine_similarity_matrix(Gn, R), center=True)
+        sims = cosine_similarity_matrix(Gn, R)
         # a zero operand and step -1 leave exactly the aggregate S @ R
         zero = EmbeddingSet(list(G.ids), np.zeros_like(G.data))
-        dense = inverse_convolve_single(zero, S, R, -1.0).data
-        got, = _aggregate(Gn, R, InvGCConfig("full"), [100.0])
-        assert_allclose(got, dense, rtol=0, atol=1e-12)
+        for variant in VARIANTS:
+            for p in (100.0, 99.95):
+                cfg = InvGCConfig(variant, k_percent=p, p_percent=p)
+                dense = inverse_convolve_single(zero, build_adjacency(sims, cfg), R, -1.0).data
+                got, = _aggregate(Gn, R, cfg, [p])
+                assert_allclose(got, dense, rtol=0, atol=1e-12, err_msg=f"{variant} {p}%")
 
 
 @settings(max_examples=30, deadline=None)
@@ -390,6 +395,29 @@ def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference,
                 assert_array_equal(a, b, err_msg=f"{p}%, {budget} cells, {workers} workers")
             for p, b in zip(percents, want):
                 assert_array_equal(_aggregate(Gn, refG, cfg, [p])[0], b, err_msg=f"{p}% alone")
+
+
+@pytest.mark.parametrize("reference", ["self", "shared ids", "duplicated rows"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_column_dual_update_matches_the_row_oracle(variant, reference):
+    # 100% and 99.95% keep every column of a set of fewer than 2000 rows,
+    # so both halves run the d x d map.  Duplicated rows give each row's
+    # copies the cosine of its own excluded self pair.
+    rng = np.random.default_rng(44)
+    if reference == "duplicated rows":
+        G = refG = duplicated_rows(rng, 10, 3, 5, "g")
+    else:
+        G = make_set(rng, 30, 5, "g")
+        refG = G if reference == "self" else shared_id_reference(rng, G, 12)
+    refQ = duplicated_rows(rng, 8, 3, 5, "q")
+    for p in (100.0, 99.95):
+        cfg = InvGCConfig(variant, 0.3, 0.6, k_percent=p, p_percent=p)
+        got = inverse_convolve_dual(G, refG, refQ, cfg)
+        want = oracles.invgc_dual(
+            G.ids, G.data.tolist(), refG.ids, refG.data.tolist(), refQ.ids, refQ.data.tolist(),
+            variant, cfg.r_g, cfg.r_q, cfg.k_percent, cfg.p_percent,
+        )
+        assert_allclose(got.data, want, rtol=0, atol=1e-9, err_msg=f"{p}%")
 
 
 def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch):

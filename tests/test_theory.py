@@ -1,6 +1,7 @@
 """Cap-fraction geometry: closed-form oracles, bounds, and Monte Carlo."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_lemma2_reaches_the_largest_n_its_gamma_forms_allow():
     for n in (342, 1000):
         with pytest.raises(ValueError, match=f"^n={n} is too large .* up to n=341$"):
             sphere_area_volume_ratio(n)
+
+
+def test_a_cap_fraction_below_the_smallest_normal_float_is_refused():
+    # betainc returns a subnormal at n = 235 and 0.0 from n = 237 at b = 0.05;
+    # a 0.0 once failed thm3 wrongly and divided by zero in the corollary
+    assert cap_fraction_exact(234, 0.05) >= sys.float_info.min
+    for n, b in ((235, 0.05), (237, 0.05), (340, 0.01)):
+        with pytest.raises(ValueError, match=f"^the cap fraction at n={n}, b={b} underflows a float$"):
+            cap_fraction_exact(n, b)
+    with pytest.raises(ValueError, match="n=235, b=0.05 underflows"):
+        check_thm3_bounds(235, 0.05)
+    with pytest.raises(ValueError, match="n=340, b=0.01 underflows"):
+        check_corollary(340, 0.01, 0.02)
 
 
 def test_mc_estimate_is_deterministic_for_a_seed():

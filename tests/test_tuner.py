@@ -210,9 +210,9 @@ def _count_similarity_passes(monkeypatch) -> list:
     calls = []
     original = simgraph._map_blocks
 
-    def counting_map(fn, rows, cols):
+    def counting_map(fn, rows, cols, **kw):
         calls.append((rows.n, cols.n))
-        return original(fn, rows, cols)
+        return original(fn, rows, cols, **kw)
 
     for module in (simgraph, core, retrieval, diagnostics):
         monkeypatch.setattr(module, "_map_blocks", counting_map)
@@ -229,6 +229,26 @@ def test_grid_search_builds_each_similarity_matrix_once(monkeypatch):
         cells = len(res.grid_trace)
         assert cells == len(DEFAULT_R_GRID) ** 2
         assert cells <= len(calls) <= 2 + cells, (variant, len(calls))
+
+
+@pytest.mark.parametrize("variant", ["full", "local", "avgpool"])
+def test_an_aggregate_that_keeps_every_column_takes_no_cosine_pass(variant, monkeypatch):
+    # full keeps every column, and local and avgpool do wherever m = N_ref:
+    # at 100%, and at 99.95% of 1000 columns (m = ceil(999.5) = 1000).  So
+    # neither reference set gets a pass, and a search only ranks its cells.
+    G, Q, refG, refQ, rel = generate_cone_dataset(ConeConfig(n_items=24, n_ref=1000, dim=8, seed=3))
+    calls = _count_similarity_passes(monkeypatch)
+    for p in (100.0, 99.95):
+        assert simgraph._top_count(p, refG.n) == refG.n
+        for ref in (refG, G):
+            inverse_convolve_dual(G, ref, refQ, InvGCConfig(variant, 0.1, 0.2, p, p))
+        assert calls == []
+        res = grid_search(
+            Q, G, refG, refQ, rel, variant=variant, rg_grid=[0.0, 0.1], rq_grid=[0.1],
+            k_percent=p, p_percent=p,
+        )
+        assert len(calls) == len(res.grid_trace) == 2
+        calls.clear()
 
 
 def test_a_search_checks_no_corrected_gallery(monkeypatch):
@@ -279,7 +299,8 @@ def test_a_k_sweep_makes_one_correction_pass_per_reference_set(monkeypatch):
 @pytest.mark.parametrize("variant", ["local"])
 def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatch):
     # a 64-cell budget runs each pass in 2-row blocks, and refG = G puts
-    # self pairs in every block; ten k values give distinct thresholds
+    # self pairs in every block; the k values give distinct thresholds,
+    # but 100 and 99.5 both keep all 60 columns and share one d x d map
     monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
     G, Q, _, refQ, rel = small_dataset(seed=6)
     seen = []
@@ -290,7 +311,7 @@ def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatc
 
     monkeypatch.setattr(diagnostics, "degeneration_score", recording_score)
     base = InvGCConfig(variant, 0.2, 0.05)
-    values = [100.0, 1.0, 7.5, 20.0, 3.0, 50.0, 9.0, 33.0, 0.5, 12.0]
+    values = [100.0, 1.0, 7.5, 20.0, 3.0, 50.0, 99.5, 9.0, 33.0, 0.5, 12.0]
     curve = sweep_param(base, "k", values, Q, G, G, refQ, rel)
     assert len(seen) == len(curve.points) == len(values)
     for (v, r1, ddeg), corrected in zip(curve.points, seen):
