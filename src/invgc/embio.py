@@ -111,19 +111,37 @@ def _check_ids_fit(ids: list, format: str) -> None:
         raise ValueError(f"id {bad!r} holds a {what}, which the {format} format cannot store")
 
 
+def _float32_payload(es: EmbeddingSet) -> np.ndarray:
+    # The binary payload.  A value past float32's range would be stored
+    # as an inf, which load_embeddings refuses, so it is refused here;
+    # the min and the max, each non-finite when any value is, are the
+    # only passes over the payload.
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(es.data, dtype="<f4")
+    if not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
+        r, c = np.argwhere(~np.isfinite(payload))[0]
+        raise ValueError(
+            f"value {float(es.data[r, c])!r} at id {es.ids[r]!r}, column {c} "
+            "is past the float32 range the binary format stores"
+        )
+    return payload
+
+
 def save_embeddings(es: EmbeddingSet, path, format: str = "binary") -> None:
     """Write an EmbeddingSet to disk in the given format.
 
     Binary writes the id sidecar next to the payload; tsv keeps ids
-    inline.  Binary round-trips float32-representable data bit-exactly.
+    inline.  Binary round-trips float32-representable data bit-exactly,
+    and refuses, before the file is opened, a value whose float32 is not
+    finite; a value that rounds to the largest float32 is stored as it.
     """
     path = Path(path)
     _check_ids_fit(es.ids, format)
     if format == "binary":
-        payload = np.ascontiguousarray(es.data, dtype="<f4")
+        payload = _float32_payload(es)
         with open(path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, VERSION, 0, es.n, es.d))
-            f.write(payload.tobytes())
+            f.write(payload)
         with open(_sidecar(path), "w", encoding="utf-8") as f:
             f.write("".join(i + "\n" for i in es.ids))
     elif format == "tsv":

@@ -117,6 +117,11 @@ class Adjacency:
 def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     """(Y, norms) with Y / norms[:, None] the unit rows of X.
 
+    The squares are taken in _row_blocks of about _PARTITION_CELLS cells,
+    in one reused buffer laid out as X is, by the np.multiply and per-row
+    np.add.reduce that np.linalg.norm(X, axis=1) runs: the norms are its
+    bits, and no N x d array of squares is made.
+
     A row whose sum of squares overflows is first divided by its max |x|,
     as BLAS nrm2 scales; every other row of Y is X's row, and its norm
     the plain one, so finite-norm rows keep their bytes.  A row holding
@@ -124,8 +129,14 @@ def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     ids are given.
     """
     X = np.asarray(X, dtype=np.float64)
+    chunks = _row_blocks(*X.shape, _PARTITION_CELLS)
+    buf = np.empty_like(X[: max((b.stop - b.start for b in chunks), default=0)])
+    norms = np.empty(len(X))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
+        for b in chunks:
+            squares = np.multiply(X[b], X[b], out=buf[: b.stop - b.start])
+            np.add.reduce(squares, axis=1, out=norms[b])
+    np.sqrt(norms, out=norms)
     big = np.nonzero(~np.isfinite(norms))[0]
     if big.size:
         finite = np.isfinite(X[big]).all(axis=1)
@@ -141,12 +152,17 @@ def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
 
 def unit_rows(X: np.ndarray, ids: list | None = None) -> np.ndarray:
     """Divide each row by its norm; a zero-norm row is an error here."""
+    return _unit_rows(X, ids)
+
+
+def _unit_rows(X: np.ndarray, ids: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    # unit_rows, written into out when it is given; out may be X itself.
     X, norms = _scaled_norms(X, ids)
     bad = np.nonzero(norms < 1e-12)[0]
     if bad.size:
         which = ids[bad[0]] if ids is not None else str(bad[0])
         raise ValueError(f"zero-norm embedding row, id {which!r}")
-    return X / norms[:, None]
+    return np.divide(X, norms[:, None], out=out)
 
 
 class _UnitRows:
@@ -183,12 +199,14 @@ def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatri
 _BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list:
-    # Row slices of an n_rows x n_cols matrix, about _BLOCK_CELLS cells
-    # each.  No block has one row unless n_rows is 1: numpy runs a 1-row
-    # product as gemv, whose sums differ in the last bit from gemm's, so a
+def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
+    # Row slices of an n_rows x n_cols matrix, about cells (by default
+    # _BLOCK_CELLS) cells each.  No block has one row unless n_rows is 1:
+    # numpy runs a 1-row product as gemv, whose sums differ in the last
+    # bit from gemm's, and sums a lone row of a column-major array
+    # pairwise where it sums the rows of a taller one in order; so a
     # one-row tail joins the block before it.
-    step = max(2, _BLOCK_CELLS // max(1, n_cols))
+    step = max(2, (cells or _BLOCK_CELLS) // max(1, n_cols))
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()

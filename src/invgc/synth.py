@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import unit_rows
+from .simgraph import _unit_rows
 
 MODALITY_GAP = 1.4
 """Length of the shared query-side offset along the cone axis.
@@ -85,19 +85,35 @@ class ConeConfig:
 
 
 def generate_cone_dataset(cfg: ConeConfig):
-    """Build (G, Q, refG, refQ, rel) with rel mapping query i to gallery i."""
+    """Build (G, Q, refG, refQ, rel) with rel mapping query i to gallery i.
+
+    Each set is built in its own normal draw z, in place: scaled by the
+    per-coordinate std c, offset by the axis (a query set by its latent,
+    then by MODALITY_GAP * axis) and divided by its row norms.  So the
+    only other array alive is the latent a query set is drawn around.
+    The steps are those of normalize(axis + c*z) and
+    normalize(latent + c*z + MODALITY_GAP*axis), left to right, with the
+    two operands of each sum or product swapped, which leaves a float
+    result's bits as they are.
+    """
     rng = np.random.default_rng(cfg.seed)
     axis = rng.standard_normal(cfg.dim)
     axis /= np.linalg.norm(axis)
+    gap = MODALITY_GAP * axis
     root_dim = math.sqrt(cfg.dim)
 
     def cone_rows(count: int) -> np.ndarray:
-        noise = (cfg.cone_spread / root_dim) * rng.standard_normal((count, cfg.dim))
-        return unit_rows(axis + noise)
+        z = rng.standard_normal((count, cfg.dim))
+        z *= cfg.cone_spread / root_dim
+        z += axis
+        return _unit_rows(z, out=z)
 
     def query_rows(latent: np.ndarray) -> np.ndarray:
-        noise = (cfg.query_noise / root_dim) * rng.standard_normal(latent.shape)
-        return unit_rows(latent + noise + MODALITY_GAP * axis)
+        z = rng.standard_normal(latent.shape)
+        z *= cfg.query_noise / root_dim
+        z += latent
+        z += gap
+        return _unit_rows(z, out=z)
 
     latent = cone_rows(cfg.n_items)
     G = EmbeddingSet([f"g{i}" for i in range(cfg.n_items)], latent)

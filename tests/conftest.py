@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,19 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(INVGC_ROOT), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args, **kwargs) -> (fn's result, the peak bytes
+    tracemalloc traced while fn ran)."""
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

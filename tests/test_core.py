@@ -1,7 +1,6 @@
 """Convolution updates against a per-row oracle and hand-checked cases."""
 
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -420,7 +419,7 @@ def test_every_column_dual_update_matches_the_row_oracle(variant, reference):
         assert_allclose(got.data, want, rtol=0, atol=1e-9, err_msg=f"{p}%")
 
 
-def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch):
+def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch, traced_peak):
     # 2000 x 1000 cosines run in row blocks of 262 x 1000 float64 (2.1 MB),
     # one at a time on one worker.  Both variants mask the block in place,
     # so they peak alike.  A float 0/1 mask for avgpool would add a whole
@@ -434,17 +433,12 @@ def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch):
     block_bytes = (block.stop - block.start) * R.n * 8
     peaks = {}
     for variant in ("local", "avgpool"):
-        tracemalloc.start()
-        try:
-            _aggregate(Gn, R, InvGCConfig(variant), [5.0])
-            _, peaks[variant] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peaks[variant] = traced_peak(_aggregate, Gn, R, InvGCConfig(variant), [5.0])
     assert peaks["local"] < 2.5 * block_bytes, (peaks, block_bytes)
     assert peaks["avgpool"] < peaks["local"] + block_bytes / 16, (peaks, block_bytes)
 
 
-def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch):
+def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch, traced_peak):
     # With one worker a pass holds one block of cosines, 262 x 1000
     # float64 (2.1 MB), at a time.  The thresholds come from 2**15-cell
     # chunks partitioned in one reused buffer; a partitioned copy of the
@@ -457,16 +451,11 @@ def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch
     block = simgraph._row_blocks(G.n, R.n)[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     for variant in ("local", "avgpool"):
-        tracemalloc.start()
-        try:
-            _aggregate(Gn, R, InvGCConfig(variant), [5.0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(_aggregate, Gn, R, InvGCConfig(variant), [5.0])
         assert peak < 1.5 * block_bytes, (variant, peak, block_bytes)
 
 
-def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch):
+def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch, traced_peak):
     # At 3% of 1000 columns (m = 30 <= 1000/32) each row sums its kept
     # reference rows, gathered in pieces of about 2**15 cells.  Besides
     # the output and the two sets' unit rows, one 262 x 1000 float64
@@ -482,12 +471,7 @@ def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch):
     block_bytes = (block.stop - block.start) * R.n * 8
     rows_bytes = (2 * G.n + R.n) * G.d * 8
     for variant in ("local", "avgpool"):
-        tracemalloc.start()
-        try:
-            _aggregate(Gn, R, InvGCConfig(variant), [3.0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(_aggregate, Gn, R, InvGCConfig(variant), [3.0])
         assert peak < 1.5 * block_bytes + rows_bytes, (variant, peak, block_bytes, rows_bytes)
 
 

@@ -1,7 +1,6 @@
 """Similarity-structure reports against brute-force recomputation."""
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,22 +414,17 @@ def test_reports_and_dense_cosines_do_not_depend_on_the_blocks_or_the_workers(mo
         sys.setswitchinterval(interval)
 
 
-def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix():
+def test_intra_on_3000_rows_never_holds_the_full_similarity_matrix(traced_peak):
     # the dense 3000 x 3000 float64 cosines take 72 MB; the blocked pass
     # holds a 2 MB block and its partitioned copy per worker
     rng = np.random.default_rng(48)
     G = make_set(rng, 3000, 8)
-    tracemalloc.start()
-    try:
-        rep = intra_mean_sim(G, [1, 10])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(intra_mean_sim, G, [1, 10])
     assert peak < 3000 * 3000 * 8 / 4, peak
     assert rep.excluded_pairs == 3000
 
 
-def test_one_worker_intra_pass_holds_no_partitioned_copy_of_its_block(monkeypatch):
+def test_one_worker_intra_pass_holds_no_partitioned_copy_of_its_block(monkeypatch, traced_peak):
     # With one worker the pass holds one block of cosines, 87 x 3000
     # float64 (2.1 MB), at a time.  The top values come from 2**15-cell
     # chunks partitioned in one reused buffer; a partitioned copy of the
@@ -440,12 +434,7 @@ def test_one_worker_intra_pass_holds_no_partitioned_copy_of_its_block(monkeypatc
     G = make_set(rng, 3000, 8)
     block = simgraph._row_blocks(G.n, G.n)[0]
     block_bytes = (block.stop - block.start) * G.n * 8
-    tracemalloc.start()
-    try:
-        intra_mean_sim(G, [1, 10])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(intra_mean_sim, G, [1, 10])
     assert peak < 1.5 * block_bytes, (peak, block_bytes)
 
 
@@ -480,3 +469,19 @@ def test_cross_report_follows_ids_not_row_order(seed, budget):
     for k in ks:
         assert_allclose(a.mean_sim_at[k], b.mean_sim_at[k], rtol=0, atol=1e-12)
     assert a.histogram == b.histogram
+
+
+def test_an_error_in_the_second_threads_gram_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
+    rng = np.random.default_rng(61)
+    G, Q = make_set(rng, 30, 4, "g"), make_set(rng, 20, 4, "q")
+    real = diagnostics._centered_gram
+
+    def gram(Z):
+        if Z.ids[0] == "q0":
+            raise MemoryError("query Gram")
+        return real(Z)
+
+    monkeypatch.setattr(diagnostics, "_centered_gram", gram)
+    with pytest.raises(MemoryError, match="query Gram"):
+        cross_mean_sim(G, Q, {"q0": {"g0"}}, [1])

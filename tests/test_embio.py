@@ -2,7 +2,6 @@
 
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,18 +92,12 @@ def test_binary_header_errors(tmp_path):
     (10**6, 0, "zero dimensions at offset 16"),
     (0, 4, "zero rows at offset 8"),
 ])
-def test_a_header_of_zero_rows_or_dimensions_is_refused_before_any_id(n, d, refusal, tmp_path):
+def test_a_header_of_zero_rows_or_dimensions_is_refused_before_any_id(n, d, refusal, tmp_path, traced_peak):
     # With no sidecar, a reader that built the n default ids before it
     # checked d would hold a million strings here, about 70 MB.
     path = tmp_path / "empty.emb"
     path.write_bytes(struct.pack("<4sHHQQ", b"IGCE", 1, 0, n, d))
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError) as refused:
-            load_embeddings(path, "binary")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    refused, peak = traced_peak(pytest.raises, FormatError, load_embeddings, path, "binary")
     assert peak < 1 << 20
     assert str(refused.value) == f"{path}: {refusal}"
 
@@ -153,6 +146,27 @@ def test_an_id_its_format_cannot_hold_is_refused(format, bad, tmp_path):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         save_embeddings(EmbeddingSet(["ok", bad], [[1.0], [2.0]]), path, format)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+@pytest.mark.filterwarnings("error")
+def test_binary_refuses_a_value_past_float32_and_writes_nothing(value, tmp_path):
+    es = EmbeddingSet(["a", "b"], [[1.0, 2.0], [3.0, value]])
+    with pytest.raises(ValueError, match=re.escape(f"value {value!r} at id 'b', column 1 is past")):
+        save_embeddings(es, tmp_path / "t.emb")
+    assert list(tmp_path.iterdir()) == []
+    save_embeddings(es, tmp_path / "t.tsv", "tsv")
+    assert_array_equal(load_embeddings(tmp_path / "t.tsv", "tsv").data, es.data)
+
+
+@pytest.mark.filterwarnings("error")
+def test_binary_stores_values_up_to_the_largest_float32(tmp_path):
+    # 3.4028235e38 is past the largest float32 but rounds to it.
+    big = float(np.finfo(np.float32).max)
+    es = EmbeddingSet(["a"], [[3.4e38, -3.4e38, 3.4028235e38, big]])
+    save_embeddings(es, tmp_path / "t.emb")
+    got = load_embeddings(tmp_path / "t.emb").data
+    assert_array_equal(got, [[np.float32(3.4e38), -np.float32(3.4e38), big, big]])
 
 
 def test_tsv_reports_offending_line(tmp_path):

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from invgc import simgraph
+from invgc.core import row_normalize
 from invgc.embio import EmbeddingSet
 from invgc.simgraph import (
     _mm,
@@ -413,3 +414,60 @@ def test_unit_rows_survive_a_sum_of_squares_that_overflows():
     assert_allclose(unit_rows(X), [[0.6, 0.8], [2 ** -0.5, -(2 ** -0.5)], [0.6, 0.8]], rtol=1e-15)
     # rows whose plain norm is finite keep the bytes of the plain division
     assert_array_equal(unit_rows(X)[2], X[2] / 5.0)
+
+
+def _linalg_rows(X):
+    # Unit rows and norms as np.linalg.norm(X, axis=1) gives the norms;
+    # a row whose norm overflows is divided by its max |x| first.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    big = ~np.isfinite(norms)
+    X = X.copy()
+    X[big] /= np.abs(X[big]).max(axis=1)[:, None]
+    norms[big] = np.linalg.norm(X[big], axis=1)
+    return X, norms
+
+
+_CELLS = simgraph._PARTITION_CELLS
+
+
+# Chunks hold _PARTITION_CELLS // d rows, and at least two: d past the
+# budget gives two-row chunks.  Each row count is 1 or a chunk's rows
+# less one, exact, or plus one (a one-row tail, which joins the chunk
+# before it).  Column-major rows are summed in order, not pairwise.
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("extra", [None, -1, 0, 1])
+@pytest.mark.parametrize("d", [1, 9, 64, _CELLS + 5])
+@pytest.mark.filterwarnings("error")
+def test_the_normalizer_keeps_the_bits_of_np_linalg_norm(d, extra, layout):
+    n = 1 if extra is None else max(2, _CELLS // d) + extra
+    rng = np.random.default_rng(d + n)
+    X = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0, (n, 1))
+    X = np.asfortranarray(X) if layout == "F" else X
+    if n > 2:
+        X[-1] = 1e200  # its sum of squares overflows
+    scaled, norms = _linalg_rows(X)
+    assert_array_equal(simgraph._scaled_norms(X)[1], norms)
+    assert_array_equal(unit_rows(X), scaled / norms[:, None])
+    if n > 2:
+        X[1] = 0.0
+        scaled, norms = _linalg_rows(X)
+        with pytest.warns(RuntimeWarning, match="1 zero-norm rows"):
+            got = row_normalize(X)
+        assert_array_equal(got[1], np.zeros(d))
+        keep = norms >= 1e-12
+        assert_array_equal(got[keep], scaled[keep] / norms[keep, None])
+    else:
+        assert_array_equal(row_normalize(X), scaled / norms[:, None])
+
+
+def test_the_normalizer_holds_one_chunk_of_squares(traced_peak):
+    # 4000 x 64 float64 is 2 MB.  The squares go through one buffer of
+    # _PARTITION_CELLS float64 (256 KB); np.linalg.norm squares all of X
+    # at once.  unit_rows' peak is its output plus about one buffer.
+    X = np.random.default_rng(60).standard_normal((4000, 64))
+    buffer_bytes = _CELLS * 8
+    _, peak = traced_peak(simgraph._scaled_norms, X)
+    assert peak < 2 * buffer_bytes, (peak, buffer_bytes)
+    _, peak = traced_peak(unit_rows, X)
+    assert peak < X.nbytes + buffer_bytes, (peak, X.nbytes, buffer_bytes)

@@ -1,9 +1,12 @@
 """Synthetic cone datasets: shape, determinism, and degeneration control."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from invgc.cli import main
 from invgc.diagnostics import degeneration_score
 from invgc.embio import EmbeddingSet
 from invgc.retrieval import evaluate
@@ -121,3 +124,54 @@ def test_gallery_is_independent_of_reference_count():
     large = generate_cone_dataset(ConeConfig(n_items=15, n_ref=200, dim=8, seed=5))
     assert_array_equal(small[0].data, large[0].data)
     assert_array_equal(small[1].data, large[1].data)
+
+
+# The sha256 of each file `invgc synth` writes, by name after the prefix.
+# The second set's reference rows span three chunks of the normalizer
+# (2048 rows of width 16 each).  The draws are numpy's PCG64
+# standard_normal stream, so another numpy may move them.
+SYNTH_DIGESTS = {
+    (): {
+        "gallery.emb": "fb4f0295b555ef00f93d36c8b3479d066970d6a81305f62147f296c05b561f8f",
+        "gallery.emb.ids": "f23be2cba5b94d1e25d55678b51830b5a026fdde9609424c069df8e1be28638b",
+        "query.emb": "eeeb3bd35afa0c292a0f9cf83141c89b576aec0b9941990bb4839bac2f87187b",
+        "query.emb.ids": "617c63de70f9e4e0888c2aa033ad27c4d0996991727ff69432176cca00e67320",
+        "refg.emb": "9a2b77bb077c153aa3fab9885c374fc33209e36e86ffe14883b5d3b459c0a6f4",
+        "refg.emb.ids": "6924b3ab1c6fe056da957212113fda8cb9f9d79fad694c7efd50c432566725c8",
+        "refq.emb": "32d5f9af01d56d6a79a1592c1d450ca8c82c1cfaa85ee317b79e6b4fd9cbac72",
+        "refq.emb.ids": "755503b2495ed3c7bd093acb8dc3bae8b6a4c4ea889890fe02a2d4ad67cc39a3",
+        "rel.tsv": "017e92704fc187833ef82d805f239674de018266d4bb1b8f4a7103bdb3022fb5",
+    },
+    ("--items", "300", "--refs", "5000", "--dim", "16"): {
+        "gallery.emb": "e57d04babd60f8b633138babb665abe07b73aae325d4a31ff28f94d559e8d5b7",
+        "gallery.emb.ids": "042dca48130ed19dafed7ed0d2b57ba8c314eae6b9e394a54fa02e7afd1b28fd",
+        "query.emb": "061fa4e342d84f52e5541bca04ee978a305b540c05f196fb5971a43869327976",
+        "query.emb.ids": "b099d23b08304c026fc47d7da88d0edb596119d801fa8713ba7bb36284e67d11",
+        "refg.emb": "08389c4faf109f9814b1b1e64b79e134d81f1f975401d602945344da4d8f0a18",
+        "refg.emb.ids": "04b72083e05193ce606205f5147d24dce2f1a716c50fa293835c89e62ed9ec0c",
+        "refq.emb": "47b17867340364251b73793cc529708248ed03192a5a634b2f62e7cb3a205f12",
+        "refq.emb.ids": "4420e7470940597ccc66214b6b161217eb8f73e05697e23832e111765cca1aec",
+        "rel.tsv": "b653423b9e13c00d1c7206456d23b1ca2bce89921b8573dbbd26c4ea0b30b4c4",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(SYNTH_DIGESTS))
+def test_synth_writes_the_same_bytes_for_a_seed(flags, tmp_path, capsys):
+    assert main(["synth", *flags, "--out-prefix", str(tmp_path / "s")]) == 0
+    got = {
+        path.name.removeprefix("s."): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert got == SYNTH_DIGESTS[flags]
+
+
+def test_generation_holds_its_four_sets_and_one_draw(traced_peak):
+    # Each set is built in place in its own draw, and the latent a query
+    # set is drawn around is the one other array.  Building the formulas
+    # with temporaries holds about three draws more.
+    cfg = ConeConfig(n_items=500, n_ref=2000, dim=256, seed=1)
+    sets, peak = traced_peak(generate_cone_dataset, cfg)
+    outputs = sum(es.data.nbytes for es in sets[:4])
+    draw = cfg.n_ref * cfg.dim * 8
+    assert peak < outputs + 1.5 * draw, (peak, outputs, draw)
