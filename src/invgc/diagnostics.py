@@ -9,15 +9,12 @@ so the score reflects unrelated neighbors only.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import simgraph
 from .embio import EmbeddingSet
-from .simgraph import _BLAS_PIN, _PARTITION_CELLS, _UnitRows, _map_blocks, _mm, _partitioned_rows
+from .simgraph import _PARTITION_CELLS, _UnitRows, _map_blocks, _mm, _partitioned_rows
 
 
 @dataclass
@@ -113,36 +110,6 @@ def _centered_gram(Z: _UnitRows) -> tuple:
     return zbar + drift / Z.n, gram
 
 
-def _centered_grams(X: _UnitRows, Y: _UnitRows) -> tuple:
-    """(_centered_gram(X), _centered_gram(Y)), one Gram when Y is X, and
-    Y's on a second thread when there is a second CPU.  Each product runs
-    on one BLAS thread, so the bits are those of the two calls in turn."""
-    if Y is X:
-        gram = _centered_gram(X)
-        return gram, gram
-    if simgraph._worker_count() < 2:
-        return _centered_gram(X), _centered_gram(Y)
-    y_gram = []
-
-    def work():
-        try:
-            y_gram.append(_centered_gram(Y))
-        except BaseException as e:  # re-raised below, after X's Gram
-            y_gram.append(e)
-
-    # Held across both Grams, so the count is not set back and forth.
-    with _BLAS_PIN or contextlib.nullcontext():
-        t = threading.Thread(target=work)
-        t.start()
-        try:
-            x_gram = _centered_gram(X)
-        finally:
-            t.join()
-    if isinstance(y_gram[0], BaseException):
-        raise y_gram[0]
-    return x_gram, y_gram[0]
-
-
 def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bins: int) -> DegenerationReport:
     # One pass over the row blocks of the X x Y cosines, leaving out the
     # cells (rows[t], cols[t]); every row must keep at least one cell.
@@ -178,7 +145,8 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     ranked[ranked == -np.inf] = 0.0
     for values in (ranked, row_min, excluded):
         np.clip(values, -1.0, 1.0, out=values)
-    (xbar, cx), (ybar, cy) = _centered_grams(Xu, Yu)
+    xbar, cx = _centered_gram(Xu)
+    ybar, cy = (xbar, cx) if Yu is Xu else _centered_gram(Yu)
     # With m0 = xbar . ybar, u_i = x_i - xbar and v_j = y_j - ybar, each
     # cosine splits as s_ij - m0 = u_i . ybar + xbar . v_j + u_i . v_j,
     # and every cross sum of the three terms is zero over all cells, so

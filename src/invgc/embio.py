@@ -113,18 +113,19 @@ def _check_ids_fit(ids: list, format: str) -> None:
 
 def _float32_payload(es: EmbeddingSet) -> np.ndarray:
     # The binary payload.  A value past float32's range would be stored
-    # as an inf, which load_embeddings refuses, so it is refused here;
-    # the min and the max, each non-finite when any value is, are the
-    # only passes over the payload.
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(es.data, dtype="<f4")
-    if not (np.isfinite(payload.min()) and np.isfinite(payload.max())):
-        r, c = np.argwhere(~np.isfinite(payload))[0]
+    # as an inf, which load_embeddings refuses, so it is refused here.
+    # es.data is finite, so the cast overflows exactly where a float32
+    # is not; a value that rounds to the largest float32 does not.
+    try:
+        with np.errstate(over="raise"):
+            return np.ascontiguousarray(es.data, dtype="<f4")
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            r, c = np.argwhere(np.isinf(es.data.astype(np.float32)))[0]
         raise ValueError(
             f"value {float(es.data[r, c])!r} at id {es.ids[r]!r}, column {c} "
             "is past the float32 range the binary format stores"
-        )
-    return payload
+        ) from None
 
 
 def save_embeddings(es: EmbeddingSet, path, format: str = "binary") -> None:

@@ -150,13 +150,11 @@ def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     return X, norms
 
 
-def unit_rows(X: np.ndarray, ids: list | None = None) -> np.ndarray:
-    """Divide each row by its norm; a zero-norm row is an error here."""
-    return _unit_rows(X, ids)
+def unit_rows(X: np.ndarray, ids: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Divide each row by its norm; a zero-norm row is an error here.
 
-
-def _unit_rows(X: np.ndarray, ids: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    # unit_rows, written into out when it is given; out may be X itself.
+    The unit rows are written into out when it is given; out may be X.
+    """
     X, norms = _scaled_norms(X, ids)
     bad = np.nonzero(norms < 1e-12)[0]
     if bad.size:
@@ -200,12 +198,13 @@ _BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
 
 
 def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
-    # Row slices of an n_rows x n_cols matrix, about cells (by default
-    # _BLOCK_CELLS) cells each.  No block has one row unless n_rows is 1:
-    # numpy runs a 1-row product as gemv, whose sums differ in the last
-    # bit from gemm's, and sums a lone row of a column-major array
-    # pairwise where it sums the rows of a taller one in order; so a
-    # one-row tail joins the block before it.
+    # Row slices of an n_rows x n_cols matrix, about cells cells each;
+    # without cells, _BLOCK_CELLS as it is at the call, not at import,
+    # so a test that patches it is obeyed.  No block has one row unless
+    # n_rows is 1: numpy runs a 1-row product as gemv, whose sums differ
+    # in the last bit from gemm's, and sums a lone row of a column-major
+    # array pairwise where it sums the rows of a taller one in order; so
+    # a one-row tail joins the block before it.
     step = max(2, (cells or _BLOCK_CELLS) // max(1, n_cols))
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] == 1:

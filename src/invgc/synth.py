@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _unit_rows
+from .simgraph import unit_rows
 
 MODALITY_GAP = 1.4
 """Length of the shared query-side offset along the cone axis.
@@ -106,14 +106,14 @@ def generate_cone_dataset(cfg: ConeConfig):
         z = rng.standard_normal((count, cfg.dim))
         z *= cfg.cone_spread / root_dim
         z += axis
-        return _unit_rows(z, out=z)
+        return unit_rows(z, out=z)
 
     def query_rows(latent: np.ndarray) -> np.ndarray:
         z = rng.standard_normal(latent.shape)
         z *= cfg.query_noise / root_dim
         z += latent
         z += gap
-        return _unit_rows(z, out=z)
+        return unit_rows(z, out=z)
 
     latent = cone_rows(cfg.n_items)
     G = EmbeddingSet([f"g{i}" for i in range(cfg.n_items)], latent)

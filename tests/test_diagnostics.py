@@ -470,18 +470,3 @@ def test_cross_report_follows_ids_not_row_order(seed, budget):
         assert_allclose(a.mean_sim_at[k], b.mean_sim_at[k], rtol=0, atol=1e-12)
     assert a.histogram == b.histogram
 
-
-def test_an_error_in_the_second_threads_gram_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
-    rng = np.random.default_rng(61)
-    G, Q = make_set(rng, 30, 4, "g"), make_set(rng, 20, 4, "q")
-    real = diagnostics._centered_gram
-
-    def gram(Z):
-        if Z.ids[0] == "q0":
-            raise MemoryError("query Gram")
-        return real(Z)
-
-    monkeypatch.setattr(diagnostics, "_centered_gram", gram)
-    with pytest.raises(MemoryError, match="query Gram"):
-        cross_mean_sim(G, Q, {"q0": {"g0"}}, [1])

@@ -151,7 +151,8 @@ def test_an_id_its_format_cannot_hold_is_refused(format, bad, tmp_path):
 @pytest.mark.parametrize("value", [1e39, -1e39])
 @pytest.mark.filterwarnings("error")
 def test_binary_refuses_a_value_past_float32_and_writes_nothing(value, tmp_path):
-    es = EmbeddingSet(["a", "b"], [[1.0, 2.0], [3.0, value]])
+    # 3.4028235e38 in row a rounds to the largest float32 and is not named
+    es = EmbeddingSet(["a", "b"], [[1.0, 3.4028235e38], [3.0, value]])
     with pytest.raises(ValueError, match=re.escape(f"value {value!r} at id 'b', column 1 is past")):
         save_embeddings(es, tmp_path / "t.emb")
     assert list(tmp_path.iterdir()) == []
