@@ -24,8 +24,9 @@ from .simgraph import (
     Adjacency,
     SimMatrix,
     _PARTITION_CELLS,
-    _UnitRows,
+    _block_cells,
     _check_percent,
+    _id_cells,
     _map_blocks,
     _mm,
     _row_thresholds,
@@ -86,17 +87,6 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _self_pairs(x_ids: list, r_ids: list) -> tuple:
-    """(rows, cols) of the operand/reference pairs whose ids are equal.
-
-    A point is never its own neighbor, whatever the row order of the two
-    sets; for equal id lists these are the diagonal, in order.
-    """
-    col = {r: j for j, r in enumerate(r_ids)}
-    pairs = [(i, col[x]) for i, x in enumerate(x_ids) if x in col]
-    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
-
-
 class StepOverflowError(ValueError):
     """A step r whose product with the reference aggregate is not finite."""
 
@@ -118,7 +108,7 @@ def inverse_convolve_single(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet, r: f
     """X'_i = X_i - r * sum_j S_ij R_j, without normalization."""
     _check_conv_args(X, S, R)
     vals = S.values.copy()
-    vals[_self_pairs(X.ids, R.ids)] = 0.0
+    vals[_id_cells(X.ids, R.ids, zip(X.ids, X.ids))] = 0.0
     return EmbeddingSet(list(X.ids), X.data - r * _mm(vals, R.data))
 
 
@@ -153,7 +143,7 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     for ref in (refG, refQ):
         if G.d != ref.d:
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
-    Gn = _UnitRows(G)  # so no cosine pass normalizes G again
+    Gn = EmbeddingSet._trusted(G.ids, unit_rows(G.data, G.ids))  # G's ids are checked
 
     def halves(ref, field):
         wanted = dict.fromkeys((_percent(c), getattr(c, field)) for c in cfgs)
@@ -205,23 +195,24 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
     every command about 175 ms of import, more than the gather saves.
     """
     kept = [ref.n if cfg.variant == "full" else _top_count(p, ref.n) for p in percents]
-    every = _every_column_aggregate(Gn, ref, cfg.variant) if ref.n in kept else None
+    Rn = unit_rows(ref.data, ref.ids)  # for avgpool too: refuses a zero-norm row
+    # A point is never its own neighbour, whatever the row order of the sets.
+    self_cells = _id_cells(Gn.ids, ref.ids, zip(Gn.ids, Gn.ids))
+    every = (_every_column_aggregate(Gn.data, Rn, ref.data, cfg.variant, self_cells)
+             if ref.n in kept else None)
     percents = [p for p, m in zip(percents, kept) if m < ref.n]
     local = cfg.variant == "local"
     gathered = [_top_count(p, ref.n) <= _GATHER_SHARE * ref.n for p in percents]
-    # _self_pairs lists rows in ascending order, so a block's pairs are a run
-    rows, cols = _self_pairs(Gn.ids, ref.ids)
     out = [np.empty((Gn.n, ref.d)) for _ in percents]
 
     def block(b, sims):
         thresholds = _row_thresholds(sims, percents)[:, :, None]
-        lo, hi = np.searchsorted(rows, (b.start, b.stop))
-        self_cells = rows[lo:hi] - b.start, cols[lo:hi]
+        _, own = _block_cells(*self_cells, b)
         # One percent masks the block in place; several share one copy.
         masked = sims if len(percents) == 1 else None
         for agg, thr, gather in zip(out, thresholds, gathered):
             if gather:
-                agg[b] = _kept_sums(sims, thr, self_cells, ref.data, local)
+                agg[b] = _kept_sums(sims, thr, own, ref.data, local)
                 continue
             if masked is None:
                 masked = np.empty_like(sims)
@@ -231,11 +222,11 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
                 masked[sims < thr] = 0.0
             else:
                 np.greater_equal(sims, thr, out=masked)
-            masked[self_cells] = 0.0
+            masked[own] = 0.0
             agg[b] = _mm(masked, ref.data)
 
     if percents:
-        _map_blocks(block, Gn, ref)
+        _map_blocks(block, Gn.data, Rn)
     blocked = iter(out)
     return [every if m == ref.n else next(blocked) for m in kept]
 
@@ -271,20 +262,19 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
     return out
 
 
-def _every_column_aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str) -> np.ndarray:
+def _every_column_aggregate(Gn: np.ndarray, Rn: np.ndarray, R: np.ndarray, variant: str, self_cells):
     # An adjacency that keeps every column is S = c + w * clip(Gn @ Rn.T):
     # full is w = 1, c = -mu, mu the mean cosine; local w = 1, c = 0; avgpool
     # w = 0, c = 1.  So S @ R is the d x d map w * Gn @ (Rn.T @ R) + c * colsum(R),
     # with no N x N_ref matrix, less (w * clip(Gn_i . Rn_j) + c) * R_j per self
-    # pair (i, j).  The map's cosines are unclipped, so it differs from the
+    # cell (i, j).  The map's cosines are unclipped, so it differs from the
     # clipped dense product only where rounding pushed a cosine past +-1.
-    Rn = unit_rows(ref.data, ref.ids)  # for avgpool too: refuses a zero-norm row
     w, c = (0.0, 1.0) if variant == "avgpool" else (1.0, 0.0)
     if variant == "full":
-        c = -float((Gn.data.mean(axis=0) * Rn.mean(axis=0)).sum())
-    agg = _mm(Gn.data, _mm(Rn.T, ref.data)) if w else np.zeros((Gn.n, ref.d))
-    agg += c * ref.data.sum(axis=0)
-    rows, cols = _self_pairs(Gn.ids, ref.ids)
-    cos = np.clip(np.einsum("ij,ij->i", Gn.data[rows], Rn[cols]), -1.0, 1.0)
-    agg[rows] -= (w * cos + c)[:, None] * ref.data[cols]
+        c = -float((Gn.mean(axis=0) * Rn.mean(axis=0)).sum())
+    agg = _mm(Gn, _mm(Rn.T, R)) if w else np.zeros((len(Gn), R.shape[1]))
+    agg += c * R.sum(axis=0)
+    rows, cols = self_cells
+    cos = np.clip(np.einsum("ij,ij->i", Gn[rows], Rn[cols]), -1.0, 1.0)
+    agg[rows] -= (w * cos + c)[:, None] * R[cols]
     return agg

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _PARTITION_CELLS, _UnitRows, _map_blocks, _mm, _partitioned_rows
+from .simgraph import _PARTITION_CELLS, _block_cells, _id_cells, _map_blocks, _mm, _partitioned_rows, unit_rows
 
 
 @dataclass
@@ -79,40 +79,34 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     """
     ks = _check_ks(ks, None)
     _check_bins(bins)
-    g_index = {g: i for i, g in enumerate(G.ids)}
-    q_index = {q: j for j, q in enumerate(Q.ids)}
-    pairs = [
-        (g_index[g], q_index[q])
-        for q, gs in rel.items() if q in q_index
-        for g in gs if g in g_index
-    ]
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rows, cols = _id_cells(G.ids, Q.ids, ((g, q) for q, gs in rel.items() for g in gs))
     full = np.bincount(rows, minlength=G.n) == Q.n
     if full.any():
         raise ValueError(f"gallery row {G.ids[int(np.argmax(full))]!r} has no unmatched queries left")
     return _neighbour_report(G, Q, rows, cols, ks, bins)
 
 
-def _centered_gram(Z: _UnitRows) -> tuple:
+def _centered_gram(Z: np.ndarray) -> tuple:
     """(zbar, C): Z's mean row, corrected by the sum of the deviations from
     it, and its centered d x d Gram C = sum_i (z_i - zbar)(z_i - zbar)'.
     The deviations come in chunks of about _PARTITION_CELLS cells, whose
     shapes depend on Z alone, in one reused buffer."""
-    zbar = Z.data.mean(axis=0)
-    gram, drift = np.zeros((Z.d, Z.d)), np.zeros(Z.d)
-    step = max(1, _PARTITION_CELLS // max(1, Z.d))
-    buf = np.empty((min(step, Z.n), Z.d))
-    for a in range(0, Z.n, step):
-        z = Z.data[a : a + step]
+    n, d = Z.shape
+    zbar = Z.mean(axis=0)
+    gram, drift = np.zeros((d, d)), np.zeros(d)
+    step = max(1, _PARTITION_CELLS // max(1, d))
+    buf = np.empty((min(step, n), d))
+    for a in range(0, n, step):
+        z = Z[a : a + step]
         dev = np.subtract(z, zbar, out=buf[: len(z)])
         gram += _mm(dev.T, dev)
         drift += dev.sum(axis=0)
-    return zbar + drift / Z.n, gram
+    return zbar + drift / n, gram
 
 
 def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bins: int) -> DegenerationReport:
     # One pass over the row blocks of the X x Y cosines, leaving out the
-    # cells (rows[t], cols[t]); every row must keep at least one cell.
+    # row-sorted cells (rows[t], cols[t]); each row must keep a cell.
     # Each block reads its excluded cells, then overwrites them to take
     # its rows' min and sorted top values over the kept cells.  The top
     # values come from the chunked partition, run in place on the block,
@@ -120,19 +114,16 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # values kept from it are.  The mean and the spread of the kept
     # cells need no block: they come from the two sets' means and
     # centered d x d Grams, with the excluded cells taken out.
-    Xu = _UnitRows(X)
-    Yu = Xu if Y is X else _UnitRows(Y)
+    Xn = unit_rows(X.data, X.ids)
+    Yn = Xn if Y is X else unit_rows(Y.data, Y.ids)
     available = Y.n - np.bincount(rows, minlength=X.n)
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
     top = Y.n - min(max(ks), Y.n)
     ranked = np.empty((X.n, Y.n - top))
     row_min, excluded = np.empty(X.n), np.empty(len(rows))
 
     def block(b, sims):
-        lo, hi = np.searchsorted(rows, (b.start, b.stop))
-        cells = rows[lo:hi] - b.start, cols[lo:hi]
-        excluded[lo:hi] = sims[cells]
+        span, cells = _block_cells(rows, cols, b)
+        excluded[span] = sims[cells]
         sims[cells] = np.inf
         row_min[b] = sims.min(axis=1)
         # A row with fewer cells than the width ends in excluded cells,
@@ -141,12 +132,12 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
         for chunk, part in _partitioned_rows(sims, top, in_place=True):
             ranked[b][chunk] = np.sort(part[:, top:], axis=1)[:, ::-1]
 
-    _map_blocks(block, Xu, Yu, clip=False)
+    _map_blocks(block, Xn, Yn, clip=False)
     ranked[ranked == -np.inf] = 0.0
     for values in (ranked, row_min, excluded):
         np.clip(values, -1.0, 1.0, out=values)
-    xbar, cx = _centered_gram(Xu)
-    ybar, cy = (xbar, cx) if Yu is Xu else _centered_gram(Yu)
+    xbar, cx = _centered_gram(Xn)
+    ybar, cy = (xbar, cx) if Yn is Xn else _centered_gram(Yn)
     # With m0 = xbar . ybar, u_i = x_i - xbar and v_j = y_j - ybar, each
     # cosine splits as s_ij - m0 = u_i . ybar + xbar . v_j + u_i . v_j,
     # and every cross sum of the three terms is zero over all cells, so
@@ -193,6 +184,7 @@ def degeneration_score(G: EmbeddingSet) -> float:
     """
     if G.n < 2:
         raise ValueError("need at least 2 points")
+    Gn = unit_rows(G.data, G.ids)
     nearest = np.empty(G.n)
 
     def block(b, sims):
@@ -200,5 +192,5 @@ def degeneration_score(G: EmbeddingSet) -> float:
         sims[own - b.start, own] = -np.inf
         nearest[b] = sims.max(axis=1)
 
-    _map_blocks(block, G, G)
+    _map_blocks(block, Gn, Gn)
     return float(nearest.mean())

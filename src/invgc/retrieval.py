@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _map_blocks, _UnitRows
+from .simgraph import _block_cells, _id_cells, _map_blocks, unit_rows
 
 
 @dataclass
@@ -36,15 +36,11 @@ class _Relevance:
     """
 
     def __init__(self, Q: EmbeddingSet, gallery_ids: list, rel: dict):
-        self.queries = _UnitRows(Q)
-        g_index = {g: j for j, g in enumerate(gallery_ids)}
-        pairs = []
-        for i, qid in enumerate(Q.ids):
-            cols = [g_index[g] for g in rel.get(qid, ()) if g in g_index]
-            if not cols:
-                raise ValueError(f"query {qid!r} has no relevant gallery item")
-            pairs.extend((i, j) for j in cols)
-        self.rows, self.cols = np.array(pairs, dtype=np.intp).T
+        self.ids, self.queries = Q.ids, unit_rows(Q.data, Q.ids)
+        self.rows, self.cols = _id_cells(Q.ids, gallery_ids, ((q, g) for q, gs in rel.items() for g in gs))
+        missing = np.bincount(self.rows, minlength=Q.n) == 0
+        if missing.any():
+            raise ValueError(f"query {Q.ids[int(np.argmax(missing))]!r} has no relevant gallery item")
 
 
 def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel) -> dict:
@@ -55,14 +51,14 @@ def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel) -> dict:
     """
     if not isinstance(rel, _Relevance):
         rel = _Relevance(Q, G.ids, rel)
-    ranks = np.empty(rel.queries.n, dtype=np.intp)
+    ranks = np.empty(len(rel.queries), dtype=np.intp)
 
     def block(b, sims):
-        lo, hi = np.searchsorted(rel.rows, (b.start, b.stop))
-        ranks[b] = _block_ranks(sims, rel.rows[lo:hi] - b.start, rel.cols[lo:hi])
+        _, cells = _block_cells(rel.rows, rel.cols, b)
+        ranks[b] = _block_ranks(sims, *cells)
 
-    _map_blocks(block, rel.queries, G)
-    return dict(zip(rel.queries.ids, ranks.tolist()))
+    _map_blocks(block, rel.queries, unit_rows(G.data, G.ids))
+    return dict(zip(rel.ids, ranks.tolist()))
 
 
 def _block_ranks(sims: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -12,6 +12,9 @@ Every cosine the library takes comes from _map_blocks, which hands row
 blocks of about 2**18 cells to a few threads, so no pass holds an
 N x N_ref matrix unless it asks for one: cosine_similarity_matrix fills
 the dense matrix from the same blocks, for callers that want it whole.
+_map_blocks takes unit rows: each entry point normalizes each set once.
+The cells a pass treats apart (self pairs, matched pairs, relevant
+items) come from _id_cells, by id; _block_cells hands each block its run.
 
 Row thresholds and top values come from one chunked partition,
 _partitioned_rows.  local and binary keep m entries per row, plus ties,
@@ -163,35 +166,38 @@ def unit_rows(X: np.ndarray, ids: list | None = None, out: np.ndarray | None = N
     return np.divide(X, norms[:, None], out=out)
 
 
-class _UnitRows:
-    """A set's ids and unit rows, for passes that reuse one normalization.
-
-    _map_blocks takes it in place of the EmbeddingSet and does not divide
-    its rows again, so its blocks equal the set's own bit for bit.
-    """
-
-    def __init__(self, es: EmbeddingSet):
-        self.ids, self.data = es.ids, unit_rows(es.data, es.ids)
-        self.n, self.d = self.data.shape
-
-
-def _unit(es) -> np.ndarray:
-    return es.data if isinstance(es, _UnitRows) else unit_rows(es.data, es.ids)
-
-
 def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatrix:
     """Pairwise cosines, clamped to [-1, 1] to absorb rounding drift.
 
     The matrix is _map_blocks' blocks, so it holds the bits of every
     blocked pass over the same sets.
     """
+    Xn = unit_rows(rows.data, rows.ids)
+    Yn = Xn if cols is rows else unit_rows(cols.data, cols.ids)
     vals = np.empty((rows.n, cols.n))
 
     def fill(b, sims):
         vals[b] = sims
 
-    _map_blocks(fill, rows, cols)
+    _map_blocks(fill, Xn, Yn)
     return SimMatrix(list(rows.ids), list(cols.ids), vals)
+
+
+def _id_cells(row_ids: list, col_ids: list, pairs) -> tuple:
+    """(rows, cols): the distinct cells (i, j) with (row_ids[i], col_ids[j])
+    in pairs, sorted by row, then column, so no sum over them depends on
+    the order of pairs.  A pair with an id the lists lack is dropped."""
+    row_at = {r: i for i, r in enumerate(row_ids)}
+    col_at = {c: j for j, c in enumerate(col_ids)}
+    cells = {(row_at[r], col_at[c]) for r, c in pairs if r in row_at and c in col_at}
+    return tuple(np.array(sorted(cells), dtype=np.intp).reshape(-1, 2).T)
+
+
+def _block_cells(rows: np.ndarray, cols: np.ndarray, b: slice) -> tuple:
+    """(span, cells): rows[span] are block b's run of the row-sorted cells
+    (rows, cols), and cells indexes them within the block."""
+    span = slice(*np.searchsorted(rows, (b.start, b.stop)))
+    return span, (rows[span] - b.start, cols[span])
 
 
 _BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
@@ -221,33 +227,32 @@ def _worker_count() -> int:
     return min(4, cpus)
 
 
-def _map_blocks(fn, rows: EmbeddingSet, cols: EmbeddingSet, clip: bool = True) -> None:
+def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
-    that tile rows x cols, on _worker_count() threads at most.
+    that tile Xn @ Yn.T, on _worker_count() threads at most.  Xn and Yn
+    are unit rows, which this never normalizes; a self pass passes one
+    array twice.
 
     With clip False, sims is the unclipped product, for a caller that
     reads only single cells and order statistics and clips those: the
     clip is monotone, so they come out the same, without a pass over the
     block.
 
-    Either side may be a _UnitRows, normalized once for many passes.  The
-    blocks depend on the shapes alone, and each product runs on one BLAS
-    thread, so a block's bits do not depend on which thread runs it or
-    how many run.  They can depend on _BLOCK_CELLS: at some shapes
+    The blocks depend on the shapes alone, and each product runs on one
+    BLAS thread, so a block's bits do not depend on which thread runs it
+    or how many run.  They can depend on _BLOCK_CELLS: at some shapes
     OpenBLAS's last bit in a cell depends on a product's row count, and
     numpy runs a self pass that fits one block as syrk.  Blocks finish in
     any order: fn must only write its own rows.  A single block runs
     inline.  The first exception fn raises, in block order, propagates.
     """
-    if rows.d != cols.d:
-        raise ValueError(f"dimension mismatch: {rows.d} vs {cols.d}")
-    Xn = _unit(rows)
-    Yt = (Xn if cols is rows else _unit(cols)).T
-    blocks = _row_blocks(rows.n, cols.n)
+    if Xn.shape[1] != Yn.shape[1]:
+        raise ValueError(f"dimension mismatch: {Xn.shape[1]} vs {Yn.shape[1]}")
+    blocks = _row_blocks(len(Xn), len(Yn))
     workers = min(_worker_count(), len(blocks))
 
     def run(b):
-        sims = _mm(Xn[b], Yt)
+        sims = _mm(Xn[b], Yn.T)
         fn(b, np.clip(sims, -1.0, 1.0, out=sims) if clip else sims)
 
     # Held for the whole pass, so the count is not set back and forth

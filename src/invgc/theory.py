@@ -178,9 +178,14 @@ def check_lemma2(n: int) -> CapCheck:
 
 
 def sample_corollary_pairs(ns, bs, count: int, seed: int) -> list:
-    """Deterministically sample distinct (n, b1 < b2) grid combinations."""
+    """Deterministically sample distinct (n, b1 < b2) grid combinations.
+
+    The radii are paired in ascending order, once each, whatever the
+    order of bs or its repeats.
+    """
+    radii = sorted(set(bs))
     combos = [
-        (n, b1, b2) for n in ns for i, b1 in enumerate(bs) for b2 in bs[i + 1 :]
+        (n, b1, b2) for n in ns for i, b1 in enumerate(radii) for b2 in radii[i + 1 :]
     ]
     if not combos:
         raise ValueError("grid yields no b1 < b2 pairs")
@@ -199,7 +204,11 @@ def run_theory_suite(
     corollary_count: int = 200,
 ) -> list:
     """All checks over a grid: lemma2 per n, thm3 per (n, b), optional
-    thm1 per (n, b), and the ratio bound on sampled radius pairs."""
+    thm1 per (n, b), and the ratio bound on sampled radius pairs, which
+    a grid of one distinct radius has none of.  mc_samples 0 runs no
+    Monte Carlo."""
+    if mc_samples < 0:
+        raise ValueError(f"mc_samples must be >= 0, got {mc_samples}")
     ns = [_check_n(n) for n in ns]
     bs = [_check_b(b, allow_one=False) for b in bs]
     checks = [check_lemma2(n) for n in ns]
@@ -211,8 +220,9 @@ def run_theory_suite(
             checks.append(c)
     if include_thm1:
         checks.extend(check_thm1_bounds(n, b) for n in ns for b in bs)
-    checks.extend(
-        check_corollary(n, b1, b2)
-        for n, b1, b2 in sample_corollary_pairs(ns, bs, corollary_count, seed)
-    )
+    if len(set(bs)) > 1:
+        checks.extend(
+            check_corollary(n, b1, b2)
+            for n, b1, b2 in sample_corollary_pairs(ns, bs, corollary_count, seed)
+        )
     return checks

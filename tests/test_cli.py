@@ -316,6 +316,34 @@ def test_verify_theory_mc_fills_the_estimate_column(capsys):
         assert abs(float(r[4]) - float(r[3])) < 0.05
 
 
+@pytest.mark.parametrize("radii, thm3_bs", [
+    ("0.6,0.3", ["0.6", "0.3"]),
+    ("0.3,0.3,0.6", ["0.3", "0.3", "0.6"]),
+    ("0.5", ["0.5"]),
+])
+def test_verify_theory_pairs_the_sorted_distinct_radii(radii, thm3_bs, capsys):
+    # a descending or repeated list gets the corollary rows of its sorted
+    # distinct radii; a single radius gets none, and every other row
+    rc, out, err = run_main(["verify-theory", "--n", "2,3", "--b", radii], capsys)
+    assert (rc, err) == (0, "")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [r[0] for r in rows[:2]] == ["lemma2", "lemma2"]
+    assert [r[2] for r in rows if r[0] == "thm3"] == thm3_bs * 2
+    corollary = [r for r in rows if r[0] == "corollary"]
+    if len(set(thm3_bs)) == 1:
+        assert corollary == []
+        return
+    _, ascending, _ = run_main(["verify-theory", "--n", "2,3", "--b", "0.3,0.6"], capsys)
+    want = [r for r in (line.split("\t") for line in ascending.splitlines()) if r[0] == "corollary"]
+    assert corollary == want and len(want) == 2
+
+
+def test_verify_theory_refuses_negative_mc_samples(capsys):
+    rc, out, err = run_main(["verify-theory", "--n", "2", "--b", "0.3,0.6", "--mc-samples", "-1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "invgc verify-theory: mc_samples must be >= 0, got -1\n"
+
+
 def test_verify_theory_wide_bounds_reported_and_strict_exit(capsys):
     # at b = 0.5 the wide lower bound exceeds the cap fraction; at 0.9
     # both sides pass, so exactly one row fails

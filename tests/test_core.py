@@ -17,7 +17,6 @@ from invgc.core import (
     VARIANTS,
     _aggregate,
     _percent,
-    _self_pairs,
     build_adjacency,
     forward_convolve,
     inverse_convolve_dual,
@@ -25,7 +24,7 @@ from invgc.core import (
     row_normalize,
 )
 from invgc.embio import EmbeddingSet
-from invgc.simgraph import Adjacency, _mm, cosine_similarity_matrix, unit_rows
+from invgc.simgraph import Adjacency, SimMatrix, _id_cells, _mm, cosine_similarity_matrix, unit_rows
 
 
 def make_set(rng, n, d, prefix="x"):
@@ -326,8 +325,14 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     R = shared_id_reference(rng, G, 1000)
     assert len(simgraph._row_blocks(G.n, R.n)) == 12
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    sims = cosine_similarity_matrix(Gn, R)
-    self_pairs = _self_pairs(Gn.ids, R.ids)
+    # the dense cosines from the unit rows and blocks _aggregate takes
+    sims = SimMatrix(Gn.ids, R.ids, np.empty((G.n, R.n)))
+
+    def fill(b, block):
+        sims.values[b] = block
+
+    simgraph._map_blocks(fill, Gn.data, unit_rows(R.data))
+    self_pairs = _id_cells(Gn.ids, R.ids, zip(Gn.ids, Gn.ids))
     own = dict(zip(*self_pairs))
     for k, p, gathered in [(0.7, 2.5, True), (10.0, 40.0, False)]:
         cfg = InvGCConfig(variant, k_percent=k, p_percent=p)

@@ -470,3 +470,46 @@ def test_cross_report_follows_ids_not_row_order(seed, budget):
         assert_allclose(a.mean_sim_at[k], b.mean_sim_at[k], rtol=0, atol=1e-12)
     assert a.histogram == b.histogram
 
+
+
+def cone_sets(rng, n_g, n_q, d, noise):
+    # two sets around one shared axis, so their cosines are close together
+    axis = rng.standard_normal(d)
+    G = EmbeddingSet([f"g{i}" for i in range(n_g)], axis + noise * rng.standard_normal((n_g, d)))
+    Q = EmbeddingSet([f"q{j}" for j in range(n_q)], axis + noise * rng.standard_normal((n_q, d)))
+    return G, Q
+
+
+def scalars(rep):
+    return rep.mean_sim, rep.std_sim, rep.mean_sim_at
+
+
+def test_cross_report_does_not_move_when_the_relevance_lines_are_reversed():
+    # the 140th draw maps 120 queries onto 40 gallery items at random; when
+    # the excluded cells were summed in the map's order, reversing its
+    # lines moved std_sim by one ulp
+    rng = np.random.default_rng(0)
+    for _ in range(140):
+        G, Q = cone_sets(rng, 40, 120, 8, 0.3)
+        rel = {q: {G.ids[int(rng.integers(G.n))]} for q in Q.ids}
+    a = cross_mean_sim(G, Q, rel, [1, 5])
+    b = cross_mean_sim(G, Q, dict(reversed(rel.items())), [1, 5])
+    assert scalars(a) == scalars(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cross_report_is_bit_identical_for_any_order_of_the_relevance_map(seed):
+    # about three queries per gallery item, each query matching one or two
+    # of them; the map's entries and each entry's gallery ids are reordered
+    rng = np.random.default_rng(seed)
+    n_g = int(rng.integers(2, 40))
+    G, Q = cone_sets(rng, n_g, 3 * n_g, int(rng.integers(2, 10)), 0.3)
+    owner = rng.permutation(Q.n) % n_g
+    rel = {q: [G.ids[owner[j]]] for j, q in enumerate(Q.ids)}
+    for j in rng.choice(Q.n, Q.n // 4, replace=False):
+        rel[Q.ids[j]].append(G.ids[(owner[j] + 1) % n_g])
+    items = list(rel.items())
+    reordered = {q: gs[::-1] for q, gs in (items[i] for i in rng.permutation(len(items)))}
+    ks = [1, 3, 10]
+    assert scalars(cross_mean_sim(G, Q, rel, ks)) == scalars(cross_mean_sim(G, Q, reordered, ks))

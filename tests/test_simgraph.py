@@ -13,6 +13,7 @@ import oracles
 from invgc import simgraph
 from invgc.core import row_normalize
 from invgc.embio import EmbeddingSet
+from invgc.retrieval import evaluate
 from invgc.simgraph import (
     _mm,
     SimMatrix,
@@ -288,6 +289,7 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
     rng = np.random.default_rng(31)
     X = make_set(rng, 40, 4)
     Y = make_set(rng, 8, 4, "y")
+    Xu, Yu = unit_rows(X.data), unit_rows(Y.data)
     threads = threading.active_count()
     got = np.full((X.n, Y.n), np.nan)
 
@@ -298,7 +300,7 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
     if pin is not None:
         # one pin around the whole pass: the count is set once and restored once
         monkeypatch.setattr(pin, "set", lambda n, _set=pin.set: sets.append(n) or _set(n))
-    simgraph._map_blocks(fill, X, Y)
+    simgraph._map_blocks(fill, Xu, Yu)
     assert len(sets) == (0 if pin is None else 2)
     assert threading.active_count() == threads
     Xn, Yn = (S.data / np.linalg.norm(S.data, axis=1)[:, None] for S in (X, Y))
@@ -311,7 +313,7 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
             raise error
 
     with pytest.raises(RuntimeError) as raised:
-        simgraph._map_blocks(fail_later, X, Y)
+        simgraph._map_blocks(fail_later, Xu, Yu)
     assert raised.value is error
     assert threading.active_count() == threads
     if pin is not None:
@@ -327,9 +329,9 @@ def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch
     monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 16)
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 8)
     rng = np.random.default_rng(32)
-    X = make_set(rng, 400, 3)
-    Y = make_set(rng, 8, 3, "y")
-    starts = [b.start for b in simgraph._row_blocks(X.n, Y.n)]
+    X = unit_rows(rng.standard_normal((400, 3)))
+    Y = unit_rows(rng.standard_normal((8, 3)))
+    starts = [b.start for b in simgraph._row_blocks(len(X), len(Y))]
     threads = threading.active_count()
 
     def run_pass(errors):
@@ -387,25 +389,42 @@ def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols, 
     rng = np.random.default_rng(23)
     X = make_set(rng, n_rows, 7)
     Y = make_set(rng, n_cols, 7, "y")
+    Xn, Yn = unit_rows(X.data), unit_rows(Y.data)
     blocks = []
-    simgraph._map_blocks(lambda b, sims: blocks.append((b, sims.copy())), X, Y)
+    simgraph._map_blocks(lambda b, sims: blocks.append((b, sims.copy())), Xn, Yn)
     blocks.sort(key=lambda pair: pair[0].start)
     assert [b for b, _ in blocks] == simgraph._row_blocks(n_rows, n_cols)
-    Xn, Yn = unit_rows(X.data), unit_rows(Y.data)
     for b, sims in blocks:
         assert_array_equal(sims, np.clip(_mm(Xn[b], Yn.T), -1.0, 1.0))
     assert_array_equal(np.concatenate([s for _, s in blocks]), cosine_similarity_matrix(X, Y).values)
 
 
-def test_sim_blocks_check_their_inputs_before_the_first_block():
-    def no_block(b, sims):
+def test_id_cells_drop_unknown_ids_collapse_repeats_and_sort_by_row_then_column():
+    pairs = [("c", "y"), ("a", "y"), ("zz", "x"), ("c", "x"), ("a", "y"), ("b", "w"), ("a", "x")]
+    rows, cols = simgraph._id_cells(["a", "b", "c"], ["x", "y"], pairs)
+    assert rows.dtype == cols.dtype == np.intp
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (0, 1), (2, 0), (2, 1)]
+    # a row block gets its run of cells, indexed within the block
+    span, (r, c) = simgraph._block_cells(rows, cols, slice(1, 3))
+    assert (span.start, span.stop, r.tolist(), c.tolist()) == (2, 4, [1, 1], [0, 1])
+    rows, cols = simgraph._id_cells(["a"], ["x"], [("b", "x"), ("a", "y")])
+    assert rows.shape == cols.shape == (0,)
+
+
+def test_sim_blocks_check_their_inputs_before_the_first_block(monkeypatch):
+    def no_block(*args):
         raise AssertionError("a block ran")
 
-    A = EmbeddingSet(["a"], [[1.0, 0.0]])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        simgraph._map_blocks(no_block, A, EmbeddingSet(["b"], [[1.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError, match="zero-norm embedding row, id 'z'"):
-        simgraph._map_blocks(no_block, A, EmbeddingSet(["y", "z"], [[1.0, 1.0], [0.0, 0.0]]))
+        simgraph._map_blocks(no_block, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+    # the entries normalize each set before the first block's product
+    monkeypatch.setattr(simgraph, "_mm", no_block)
+    A = EmbeddingSet(["a"], [[1.0, 0.0]])
+    Z = EmbeddingSet(["y", "z"], [[1.0, 1.0], [0.0, 0.0]])
+    for run in (lambda: cosine_similarity_matrix(A, Z), lambda: cosine_similarity_matrix(Z, A),
+                lambda: evaluate(A, Z, {"a": {"y"}}), lambda: evaluate(Z, A, {"y": {"a"}, "z": {"a"}})):
+        with pytest.raises(ValueError, match="zero-norm embedding row, id 'z'"):
+            run()
 
 
 @pytest.mark.filterwarnings("error")

@@ -177,6 +177,10 @@ def test_argument_validation():
         cap_fraction_mc(3, 0.5, 0, seed=0)
     with pytest.raises(ValueError, match="no b1 < b2 pairs"):
         sample_corollary_pairs([2], [0.5], 10, seed=0)
+    with pytest.raises(ValueError, match="no b1 < b2 pairs"):
+        sample_corollary_pairs([2], [0.5, 0.5], 10, seed=0)
+    with pytest.raises(ValueError, match="mc_samples must be >= 0, got -1"):
+        run_theory_suite([2], [0.3, 0.6], mc_samples=-1)
 
 
 def test_suite_row_order_and_contents():
@@ -191,6 +195,8 @@ def test_suite_row_order_and_contents():
         assert c.mc_estimate is None
     with_thm1 = run_theory_suite([2, 3], [0.3, 0.6], include_thm1=True)
     assert [c.name for c in with_thm1].count("thm1") == 4
+    assert [c.name for c in run_theory_suite([2, 3], [0.5, 0.5])] == ["lemma2"] * 2 + ["thm3"] * 4
+    assert [(c.b, c.b2) for c in run_theory_suite([2], [0.6, 0.3, 0.6]) if c.name == "corollary"] == [(0.3, 0.6)]
     with_mc = run_theory_suite([2], [0.3, 0.5], mc_samples=20_000, seed=13)
     mc_rows = [c for c in with_mc if c.name == "thm3"]
     assert all(c.mc_estimate is not None and c.mc_stderr is not None for c in mc_rows)

@@ -211,7 +211,7 @@ def _count_similarity_passes(monkeypatch) -> list:
     original = simgraph._map_blocks
 
     def counting_map(fn, rows, cols, **kw):
-        calls.append((rows.n, cols.n))
+        calls.append((len(rows), len(cols)))
         return original(fn, rows, cols, **kw)
 
     for module in (simgraph, core, retrieval, diagnostics):
