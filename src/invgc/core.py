@@ -143,7 +143,7 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     for ref in (refG, refQ):
         if G.d != ref.d:
             raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
-    Gn = EmbeddingSet._trusted(G.ids, unit_rows(G.data, G.ids))  # G's ids are checked
+    Gn = EmbeddingSet(G.ids, unit_rows(G.data, G.ids))
 
     def halves(ref, field):
         wanted = dict.fromkeys((_percent(c), getattr(c, field)) for c in cfgs)
@@ -159,10 +159,8 @@ def _dual_over_steps(G, refG, refQ, cfgs):
         return out
 
     g_half, q_half = halves(refG, "r_g"), halves(refQ, "r_q")
-    # G's ids were checked when G was built, and the mean of two halves of
-    # unit or zero rows is finite, so a search does not check each again.
-    return lambda c: EmbeddingSet._trusted(
-        list(G.ids), 0.5 * (g_half[_percent(c), c.r_g] + q_half[_percent(c), c.r_q])
+    return lambda c: EmbeddingSet(
+        G.ids, 0.5 * (g_half[_percent(c), c.r_g] + q_half[_percent(c), c.r_q])
     )
 
 
@@ -240,6 +238,8 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
     numpy runs as one vector-matrix product per row, gathered in pieces of
     about _PARTITION_CELLS cells.  So each row's bits are a function of
     its kept columns alone, not of the block, the piece or its neighbours.
+    The matmul bypasses _mm and stays on one BLAS thread only because
+    _map_blocks holds _BLAS_PIN around the whole pass that calls this.
     """
     n_cols, d = sims.shape[1], data.shape[1]
     keep = sims >= thr

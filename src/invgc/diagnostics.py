@@ -86,14 +86,16 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     return _neighbour_report(G, Q, rows, cols, ks, bins)
 
 
-def _centered_gram(Z: np.ndarray) -> tuple:
-    """(zbar, C): Z's mean row, corrected by the sum of the deviations from
-    it, and its centered d x d Gram C = sum_i (z_i - zbar)(z_i - zbar)'.
-    The deviations come in chunks of about _PARTITION_CELLS cells, whose
-    shapes depend on Z alone, in one reused buffer."""
+def _centered_gram(Z: np.ndarray, w: np.ndarray) -> tuple:
+    """(zbar, C, q): Z's mean row, corrected by the sum of the deviations
+    from it, its centered d x d Gram C, and q = w'Cw summed over the
+    deviations as sum_i ((z_i - zbar) . w)^2, which keeps the digits that
+    C's rounding loses on a collapsed cone.  The deviations come in chunks
+    of about _PARTITION_CELLS cells, whose shapes depend on Z alone, in
+    one reused buffer."""
     n, d = Z.shape
     zbar = Z.mean(axis=0)
-    gram, drift = np.zeros((d, d)), np.zeros(d)
+    gram, drift, q = np.zeros((d, d)), np.zeros(d), 0.0
     step = max(1, _PARTITION_CELLS // max(1, d))
     buf = np.empty((min(step, n), d))
     for a in range(0, n, step):
@@ -101,7 +103,9 @@ def _centered_gram(Z: np.ndarray) -> tuple:
         dev = np.subtract(z, zbar, out=buf[: len(z)])
         gram += _mm(dev.T, dev)
         drift += dev.sum(axis=0)
-    return zbar + drift / n, gram
+        proj = _mm(dev, w[:, None])
+        q += float((proj * proj).sum())
+    return zbar + drift / n, gram, q
 
 
 def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bins: int) -> DegenerationReport:
@@ -136,19 +140,20 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     ranked[ranked == -np.inf] = 0.0
     for values in (ranked, row_min, excluded):
         np.clip(values, -1.0, 1.0, out=values)
-    xbar, cx = _centered_gram(Xn)
-    ybar, cy = (xbar, cx) if Yn is Xn else _centered_gram(Yn)
+    xbar, cx, qx = _centered_gram(Xn, Yn.mean(axis=0))
+    ybar, cy, qy = (xbar, cx, qx) if Yn is Xn else _centered_gram(Yn, Xn.mean(axis=0))
     # With m0 = xbar . ybar, u_i = x_i - xbar and v_j = y_j - ybar, each
     # cosine splits as s_ij - m0 = u_i . ybar + xbar . v_j + u_i . v_j,
     # and every cross sum of the three terms is zero over all cells, so
     #   sum (s - m0) = 0,  sum (s - m0)^2 = Ny ybar'Cx ybar + Nx xbar'Cy xbar + <Cx, Cy>,
-    # where no term is negative.  With e = s - m0 over the excluded cells
-    # and n kept cells, the kept cells' mean is m0 - sum e / n and their
-    # M2 is that sum less sum e^2 + (sum e)^2 / n.
+    # where no term is negative and the quadratic forms are qx and qy.
+    # With e = s - m0 over the excluded cells and n kept cells, the kept
+    # cells' mean is m0 - sum e / n and their M2 is that sum less
+    # sum e^2 + (sum e)^2 / n.
     m0 = float(xbar @ ybar)
     e = excluded - m0
     e_sum, n_pairs = float(e.sum()), int(available.sum())
-    spread = Y.n * (cx * np.outer(ybar, ybar)).sum() + X.n * (cy * np.outer(xbar, xbar)).sum()
+    spread = Y.n * qx + X.n * qy
     square_dev = float(spread + (cx * cy).sum() - (e * e).sum() - e_sum**2 / n_pairs)
     nearest = ranked[:, 0]
     low, high = float(row_min.min()), float(nearest.max())
@@ -177,20 +182,5 @@ def nn_similarity_histogram(G: EmbeddingSet, bins: int) -> list:
 
 
 def degeneration_score(G: EmbeddingSet) -> float:
-    """Mean nearest-neighbor cosine within the set (MeanSim@1).
-
-    intra_mean_sim(G, [1]).mean_sim_at[1] from a pass of its own: each
-    row's maximum with its self pair set to -inf.
-    """
-    if G.n < 2:
-        raise ValueError("need at least 2 points")
-    Gn = unit_rows(G.data, G.ids)
-    nearest = np.empty(G.n)
-
-    def block(b, sims):
-        own = np.arange(b.start, b.stop)
-        sims[own - b.start, own] = -np.inf
-        nearest[b] = sims.max(axis=1)
-
-    _map_blocks(block, Gn, Gn)
-    return float(nearest.mean())
+    """Mean nearest-neighbor cosine within the set (MeanSim@1)."""
+    return intra_mean_sim(G, [1]).mean_sim_at[1]

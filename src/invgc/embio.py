@@ -67,14 +67,6 @@ class EmbeddingSet:
             r, c = np.argwhere(~np.isfinite(self.data))[0]
             raise ValueError(f"non-finite value at row {r}, column {c}")
 
-    @classmethod
-    def _trusted(cls, ids: list, data: np.ndarray) -> "EmbeddingSet":
-        """A set of ids and float64 rows that hold every invariant already,
-        built without checking them again."""
-        es = cls.__new__(cls)
-        es.ids, es.data = ids, data
-        return es
-
     @property
     def n(self) -> int:
         return self.data.shape[0]

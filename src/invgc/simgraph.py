@@ -92,8 +92,9 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Results must be bit-identical under any BLAS thread setting, but a
     # threaded dgemm splits the K reduction differently per thread count.
     # So the product runs with OpenBLAS's process-wide thread count set to
-    # 1 for the length of the call.  np.dot, unlike np.matmul, releases the
-    # GIL around dgemm, so products on several Python threads overlap.
+    # 1 for the length of the call.  np.dot, like np.matmul, releases the
+    # GIL around dgemm, so products on several Python threads overlap; it
+    # stays np.dot because the tests pin its bits.
     # Without the symbols (numpy on another BLAS), einsum contracts on a
     # single thread in index order.
     if _BLAS_PIN is None:

@@ -830,19 +830,3 @@ def test_an_id_the_output_format_cannot_hold_exits_two(dataset, capsys, tmp_path
     assert rc == 2 and stdout == ""
     assert err.startswith(f"invgc apply: id {bad_id!r} holds a ")
     assert not (tmp_path / out).exists()
-
-
-@pytest.mark.parametrize("variant", ["full", "local", "avgpool"])
-def test_tune_output_is_the_same_with_every_corrected_gallery_checked(
-    variant, dataset, capsys, tmp_path, monkeypatch
-):
-    def tune(trace):
-        rc, out, err = run_main(["tune", *_val_sets(dataset, dataset["rel"]), "--variant", variant,
-                                 "--rg-grid", "0,0.05,0.2", "--rq-grid", "0,0.1",
-                                 "--trace", str(trace)], capsys)
-        return rc, out, err, trace.read_bytes()
-
-    trusted = tune(tmp_path / "trusted.tsv")
-    monkeypatch.setattr(EmbeddingSet, "_trusted", classmethod(lambda cls, ids, data: cls(ids, data)))
-    assert tune(tmp_path / "checked.tsv") == trusted
-    assert trusted[0] == 0 and trusted[3].count(b"\n") == 6

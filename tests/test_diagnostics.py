@@ -171,7 +171,7 @@ def test_each_set_gets_one_centered_gram(monkeypatch):
     # intra pairs a set with itself, so its one Gram serves both sides
     calls = []
     gram = diagnostics._centered_gram
-    monkeypatch.setattr(diagnostics, "_centered_gram", lambda Z: calls.append(Z) or gram(Z))
+    monkeypatch.setattr(diagnostics, "_centered_gram", lambda Z, w: calls.append(Z) or gram(Z, w))
     rng = np.random.default_rng(46)
     G, Q = make_set(rng, 7, 3, "g"), make_set(rng, 5, 3, "q")
     intra_mean_sim(G, [1])
@@ -220,6 +220,19 @@ def test_std_of_a_collapsed_cone_keeps_its_digits():
         assert 0.97 < mean < 0.99 and 0.001 < std < 0.006, (mean, std)
         assert_allclose(rep.mean_sim, mean, rtol=1e-15, atol=0)
         assert_allclose(rep.std_sim, std, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, d, seed", [(1000, 32, 5), (600, 64, 2)])
+def test_intra_std_of_a_collapsed_cone_is_within_1e_15_of_a_long_double_pool(n, d, seed):
+    # the gallery's spread along its own mean direction is small, and a
+    # quadratic form read from the finished d x d Gram carried that
+    # Gram's rounding into std_sim (4e-15 and 2e-15 relative here); the
+    # reference is a long-double two-pass over the float64 cosines
+    G = generate_cone_dataset(ConeConfig(n_items=n, n_ref=2, dim=d, seed=seed))[0]
+    pool = simgraph.cosine_similarity_matrix(G, G).values[~np.eye(n, dtype=bool)]
+    pool = pool.astype(np.longdouble)
+    std = np.sqrt(np.mean((pool - np.mean(pool)) ** 2))
+    assert abs(intra_mean_sim(G, [1]).std_sim - std) <= 1e-15 * std
 
 
 def test_histogram_boundary_values_go_to_the_higher_bin():
@@ -360,9 +373,9 @@ def test_degeneration_score_is_mean_nn_similarity():
 
 @pytest.mark.parametrize("budget", [64, None])
 def test_degeneration_score_equals_intra_mean_sim_at_1_bit_for_bit(budget):
-    # its own pass keeps only the row maxima; a 64-cell budget runs it in
-    # 2-row blocks, the default in one, and duplicate rows put exact ties
-    # at the maximum
+    # sweep's degeneration column is intra diagnose's MeanSim@1; a 64-cell
+    # budget runs the pass in 2-row blocks, the default in one, and
+    # duplicate rows put exact ties at the maximum
     rng = np.random.default_rng(49)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
