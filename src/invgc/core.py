@@ -29,6 +29,7 @@ from .simgraph import (
     _id_cells,
     _map_blocks,
     _mm,
+    _row_blocks,
     _row_thresholds,
     _scaled_norms,
     _top_count,
@@ -234,9 +235,9 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
     """Row i's w @ data[cols] over cols = {j : sims[i, j] >= thr[i]} less
     its self cells, ascending, with w = sims[i, cols] if weighted, else 1.
 
-    Rows with equally many kept columns run as one batched matmul, which
-    numpy runs as one vector-matrix product per row, gathered in pieces of
-    about _PARTITION_CELLS cells.  So each row's bits are a function of
+    Rows with equally many kept columns run as batched matmuls over
+    _row_blocks pieces of about _PARTITION_CELLS gathered cells, one
+    vector-matrix product per row, so each row's bits are a function of
     its kept columns alone, not of the block, the piece or its neighbours.
     The matmul bypasses _mm and stays on one BLAS thread only because
     _map_blocks holds _BLAS_PIN around the whole pass that calls this.
@@ -255,9 +256,7 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
         group_cells = cells[(ends[group] - m)[:, None] + np.arange(m)]
         w = sims.take(group_cells) if weighted else np.ones(group_cells.shape)
         group_cols = group_cells % n_cols
-        step = max(1, _PARTITION_CELLS // max(1, m * d))
-        for a in range(0, len(group), step):
-            piece = slice(a, a + step)
+        for piece in _row_blocks(len(group), m * d, _PARTITION_CELLS):
             out[group[piece]] = np.matmul(w[piece, None, :], data[group_cols[piece]])[:, 0]
     return out
 

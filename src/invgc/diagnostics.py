@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _PARTITION_CELLS, _block_cells, _id_cells, _map_blocks, _mm, _partitioned_rows, unit_rows
+from .simgraph import _PARTITION_CELLS, _block_cells, _id_cells, _map_blocks, _mm, _row_blocks, unit_rows
 
 
 @dataclass
@@ -96,6 +96,7 @@ def _centered_gram(Z: np.ndarray, w: np.ndarray) -> tuple:
     n, d = Z.shape
     zbar = Z.mean(axis=0)
     gram, drift, q = np.zeros((d, d)), np.zeros(d), 0.0
+    # Not _row_blocks: its merged one-row tail would move std_sim's last bits.
     step = max(1, _PARTITION_CELLS // max(1, d))
     buf = np.empty((min(step, n), d))
     for a in range(0, n, step):
@@ -113,9 +114,9 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # row-sorted cells (rows[t], cols[t]); each row must keep a cell.
     # Each block reads its excluded cells, then overwrites them to take
     # its rows' min and sorted top values over the kept cells.  The top
-    # values come from the chunked partition, run in place on the block,
-    # which nothing reads after it.  The block is not clipped: only the
-    # values kept from it are.  The mean and the spread of the kept
+    # values come from partitions of _row_blocks chunks, run in place on
+    # the block, which nothing reads after it.  The block is not clipped:
+    # only the values kept from it are.  The mean and the spread of the kept
     # cells need no block: they come from the two sets' means and
     # centered d x d Grams, with the excluded cells taken out.
     Xn = unit_rows(X.data, X.ids)
@@ -133,8 +134,9 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
         # A row with fewer cells than the width ends in excluded cells,
         # which count as zero.
         sims[cells] = -np.inf
-        for chunk, part in _partitioned_rows(sims, top, in_place=True):
-            ranked[b][chunk] = np.sort(part[:, top:], axis=1)[:, ::-1]
+        for chunk in _row_blocks(*sims.shape, _PARTITION_CELLS):
+            sims[chunk].partition(top, axis=1)
+            ranked[b][chunk] = np.sort(sims[chunk, top:], axis=1)[:, ::-1]
 
     _map_blocks(block, Xn, Yn, clip=False)
     ranked[ranked == -np.inf] = 0.0

@@ -16,8 +16,8 @@ _map_blocks takes unit rows: each entry point normalizes each set once.
 The cells a pass treats apart (self pairs, matched pairs, relevant
 items) come from _id_cells, by id; _block_cells hands each block its run.
 
-Row thresholds and top values come from one chunked partition,
-_partitioned_rows.  local and binary keep m entries per row, plus ties,
+Row thresholds and top values come from partitioned _row_blocks chunks.
+local and binary keep m entries per row, plus ties,
 so they are sparse: core._aggregate sums each row's kept reference rows
 when m is at most 1/32 of the row and multiplies the masked block above
 that.  When m is the whole row, as for avgpool's default p = 100, it
@@ -244,8 +244,9 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     or how many run.  They can depend on _BLOCK_CELLS: at some shapes
     OpenBLAS's last bit in a cell depends on a product's row count, and
     numpy runs a self pass that fits one block as syrk.  Blocks finish in
-    any order: fn must only write its own rows.  A single block runs
-    inline.  The first exception fn raises, in block order, propagates.
+    any order: fn must only write its own rows.  The calling thread is
+    one of the workers.  The first exception fn raises, in block order,
+    propagates.
     """
     if Xn.shape[1] != Yn.shape[1]:
         raise ValueError(f"dimension mismatch: {Xn.shape[1]} vs {Yn.shape[1]}")
@@ -259,10 +260,6 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     # Held for the whole pass, so the count is not set back and forth
     # between blocks.
     with _BLAS_PIN or contextlib.nullcontext():
-        if workers < 2:
-            for b in blocks:
-                run(b)
-            return
         # Plain threads pulling block indices: concurrent.futures imports
         # logging, about 7 ms of start-up for every pooled command.  After
         # an error no block is started, but every block before it has
@@ -287,10 +284,11 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
 
         threads = []
         try:
-            for _ in range(workers):
+            for _ in range(workers - 1):
                 t = threading.Thread(target=work)
                 t.start()
                 threads.append(t)
+            work()
         finally:
             for t in threads:
                 t.join()
@@ -325,43 +323,24 @@ def _top_count(percent: float, n: int) -> int:
 _PARTITION_CELLS = 1 << 15
 
 
-def _partitioned_rows(values: np.ndarray, kth, in_place: bool = False):
-    """Yield (rows, part) for chunks of values of about _PARTITION_CELLS
-    cells: part is values[rows] partitioned along each row at kth.
-
-    Each of part's values at a kth position k is an exact order statistic
-    of its row, and part[:, k:] holds the row's n - k largest values.  The
-    chunks share one buffer, partitioned in place, so no partitioned copy
-    of all of values sits next to it; a caller reads each part before it
-    asks for the next.  A caller that no longer needs values' order may
-    pass in_place, and each part is then values[rows] itself, with no
-    copy.  This is the library's one row top-m selection.
-    """
-    n_rows, n_cols = values.shape
-    step = max(1, _PARTITION_CELLS // max(1, n_cols))
-    if not in_place:
-        buf = np.empty((min(step, n_rows), n_cols), dtype=values.dtype)
-    for a in range(0, n_rows, step):
-        part = values[a : a + step]
-        if not in_place:
-            np.copyto(buf[: len(part)], part)
-            part = buf[: len(part)]
-        part.partition(kth, axis=1)
-        yield slice(a, a + len(part)), part
-
-
 def _row_thresholds(values: np.ndarray, percents) -> np.ndarray:
     """Per percent, each row's m-th largest value, m = _top_count(%, len).
 
-    A len(percents) x n_rows array from one partition per chunk of rows,
-    so each equals the threshold of a partition of the whole row for its
-    percent alone.
+    A len(percents) x n_rows array from one partition per _row_blocks
+    chunk, copied into one reused buffer, so each equals the threshold of
+    a partition of the whole row for its percent alone.
     """
     n_rows, n_cols = values.shape
     kth = [n_cols - _top_count(p, n_cols) for p in percents]
+    order = sorted(set(kth))
+    chunks = _row_blocks(n_rows, n_cols, _PARTITION_CELLS)
+    buf = np.empty_like(values[: max((b.stop - b.start for b in chunks), default=0)])
     out = np.empty((len(kth), n_rows), dtype=values.dtype)
-    for rows, part in _partitioned_rows(values, sorted(set(kth))):
-        out[:, rows] = part[:, kth].T
+    for b in chunks:
+        part = buf[: b.stop - b.start]
+        np.copyto(part, values[b])
+        part.partition(order, axis=1)
+        out[:, b] = part[:, kth].T
     return out
 
 

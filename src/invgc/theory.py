@@ -120,25 +120,24 @@ def cap_fraction_mc(n: int, b: float, samples: int, seed: int):
     return estimate, stderr
 
 
-def check_thm3_bounds(n: int, b: float) -> CapCheck:
-    """Strict two-sided bound check on the cap volume fraction."""
+def _check_cap_bounds(name: str, n: int, b: float, bounds) -> CapCheck:
+    # bounds(n, b) -> (lower, upper), taken after n and b are checked
     n = _check_n(n)
     b = _check_b(b, allow_one=False)
     exact = cap_fraction_exact(n, b)
-    lower = b ** (n + 1) / (4.0 * n)
-    upper = 0.5 * b**n
-    return CapCheck("thm3", n, b, exact, lower, upper, lower < exact < upper)
+    lower, upper = bounds(n, b)
+    return CapCheck(name, n, b, exact, lower, upper, lower < exact < upper)
+
+
+def check_thm3_bounds(n: int, b: float) -> CapCheck:
+    """Strict two-sided bound check on the cap volume fraction."""
+    return _check_cap_bounds("thm3", n, b, lambda n, b: (b ** (n + 1) / (4.0 * n), 0.5 * b**n))
 
 
 def check_thm1_bounds(n: int, b: float) -> CapCheck:
     """Diagnostic check of the cap fraction against the n-times-wider
     bound pair; the lower bound is known to fail for some (n, b)."""
-    n = _check_n(n)
-    b = _check_b(b, allow_one=False)
-    exact = cap_fraction_exact(n, b)
-    lower = 0.25 * b ** (n + 1)
-    upper = 0.5 * n * b**n
-    return CapCheck("thm1", n, b, exact, lower, upper, lower < exact < upper)
+    return _check_cap_bounds("thm1", n, b, lambda n, b: (0.25 * b ** (n + 1), 0.5 * n * b**n))
 
 
 def check_corollary(n: int, b1: float, b2: float) -> CapCheck:
@@ -184,15 +183,21 @@ def sample_corollary_pairs(ns, bs, count: int, seed: int) -> list:
     order of bs or its repeats.
     """
     radii = sorted(set(bs))
-    combos = [
-        (n, b1, b2) for n in ns for i, b1 in enumerate(radii) for b2 in radii[i + 1 :]
-    ]
-    if not combos:
+    r = len(radii)
+    pairs = r * (r - 1) // 2
+    total = len(ns) * pairs
+    if not total:
         raise ValueError("grid yields no b1 < b2 pairs")
+    # Combination t, in the order n, then b1, then b2, is pair t % pairs of
+    # n = ns[t // pairs]; radius i's pairs start at starts[i].  So only
+    # the drawn combinations are built, not all total of them.
+    starts = np.cumsum([0] + list(range(r - 1, 0, -1)))
     rng = np.random.default_rng(seed)
-    take = min(count, len(combos))
-    idx = np.sort(rng.choice(len(combos), size=take, replace=False))
-    return [combos[i] for i in idx]
+    idx = np.sort(rng.choice(total, size=min(count, total), replace=False))
+    k, t = np.divmod(idx, pairs)
+    i = np.searchsorted(starts, t, side="right") - 1
+    j = i + 1 + t - starts[i]
+    return [(ns[a], radii[b], radii[c]) for a, b, c in zip(k.tolist(), i.tolist(), j.tolist())]
 
 
 def run_theory_suite(

@@ -114,6 +114,9 @@ def sweep_param(
     if param == "k" and base_cfg.variant != "local":
         # Only the local variant reads k_percent: any other gives a flat curve.
         raise ValueError(f"param 'k' needs variant 'local', got {base_cfg.variant!r}")
+    if param in ("k", "ratio") and base_cfg.r_g == base_cfg.r_q == 0:
+        # Zero steps leave every point the uncorrected gallery: a flat curve.
+        raise ValueError(f"param {param!r} needs a nonzero step: set --rg or --rq")
     values = sorted(float(v) for v in values)
     if not values:
         raise ValueError("values must be non-empty")

@@ -297,7 +297,8 @@ def _cli_session(workdir, threads, base_env):
         ["sweep", "--param", "ratio", "--values", "0.5,1", "--seed", "2",
          "--val-query", "syn.query.emb", "--val-gallery", "syn.gallery.emb",
          "--ref-gallery", "syn.refg.emb", "--ref-query", "syn.refq.emb",
-         "--relevance", "syn.rel.tsv", "--variant", "avgpool", "--p", "50"],
+         "--relevance", "syn.rel.tsv", "--variant", "avgpool", "--p", "50",
+         "--rg", "0.1", "--rq", "0.1"],
         ["verify-theory", "--n", "2:4", "--b", "0.2,0.5",
          "--mc-samples", "70000", "--seed", "13", "--include-thm1"],
     ]

@@ -600,7 +600,7 @@ def test_each_command_imports_only_the_modules_it_runs(sub, dataset, cli_env, tm
         "tune": ["tune", *_val_sets(dataset, dataset["rel"]), "--variant", "local",
                  "--rg-grid", "0,0.1", "--rq-grid", "0,0.1"],
         "sweep": ["sweep", "--param", "k", "--values", "1,2", *_val_sets(dataset, dataset["rel"]),
-                  "--variant", "local"],
+                  "--variant", "local", "--rg", "0.1", "--rq", "0.1"],
         "synth": ["synth", "--items", "10", "--refs", "20", "--dim", "4",
                   "--out-prefix", str(tmp_path / "s")],
         "verify-theory": ["verify-theory", "--n", "2:3", "--b", "0.3,0.5"],
@@ -616,7 +616,8 @@ def test_each_command_imports_only_the_modules_it_runs(sub, dataset, cli_env, tm
 def test_a_pooled_eval_does_not_import_concurrent_futures(dataset, cli_env):
     # concurrent.futures imports logging, 6-7 ms of every pooled command;
     # the row blocks run on plain threads.  A 16-cell budget cuts the
-    # 16 x 16 cosines into eight blocks for two threads.
+    # 16 x 16 cosines into eight blocks for two workers, the calling
+    # thread and one started thread.
     run = (
         "import threading\n"
         "from invgc import simgraph\n"
@@ -633,7 +634,7 @@ def test_a_pooled_eval_does_not_import_concurrent_futures(dataset, cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert "MdR\t" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "2 False"
+    assert proc.stdout.splitlines()[-1] == "1 False"
 
 
 def test_full_correction_is_byte_identical_across_blas_thread_counts(tmp_path, cli_env):
@@ -730,6 +731,18 @@ def _val_sets(dataset, rel):
         "--val-query", dataset["query"], "--val-gallery", dataset["gallery"],
         "--ref-gallery", dataset["refg"], "--ref-query", dataset["refq"], "--relevance", rel,
     ]
+
+
+@pytest.mark.parametrize("param, variant", [("k", "local"), ("ratio", "full")])
+def test_a_k_or_ratio_sweep_at_zero_steps_exits_2(dataset, capsys, param, variant):
+    # with --rg and --rq at 0 every point would be the uncorrected gallery
+    rc, out, err = run_main(
+        ["sweep", "--param", param, "--values", "0.5,1", *_val_sets(dataset, dataset["rel"]),
+         "--variant", variant],
+        capsys,
+    )
+    assert rc == 2 and out == ""
+    assert f"param {param!r} needs a nonzero step: set --rg or --rq" in err
 
 
 @pytest.mark.parametrize("flag", ["--rg-grid", "--rq-grid"])

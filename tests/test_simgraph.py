@@ -369,6 +369,37 @@ def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch
         sys.setswitchinterval(interval)
 
 
+def test_a_one_worker_pass_runs_every_block_on_the_calling_thread(monkeypatch):
+    # the calling thread is one of the workers, so one worker starts no thread
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    rng = np.random.default_rng(33)
+    X, Y = unit_rows(rng.standard_normal((40, 3))), unit_rows(rng.standard_normal((8, 3)))
+    seen = []
+    simgraph._map_blocks(lambda b, sims: seen.append((b, threading.get_ident())), X, Y)
+    assert [b for b, _ in seen] == simgraph._row_blocks(len(X), len(Y))
+    assert len(seen) == 20 and {t for _, t in seen} == {threading.get_ident()}
+    assert started == []
+
+
+def test_row_thresholds_over_a_one_row_tail_equal_whole_row_partitions():
+    # 2**15 cells of 1000 columns are 32-row chunks, so 65 rows leave a
+    # 1-row tail, which joins the chunk before it; one-decimal values tie
+    n_rows, n_cols = 65, 1000
+    chunks = simgraph._row_blocks(n_rows, n_cols, simgraph._PARTITION_CELLS)
+    assert [b.stop - b.start for b in chunks] == [32, 33]
+    values = np.round(np.random.default_rng(34).standard_normal((n_rows, n_cols)), 1)
+    before = values.copy()
+    percents = [1.0, 0.05, 50.0, 1.0, 100.0]
+    got = simgraph._row_thresholds(values, percents)
+    assert_array_equal(values, before)
+    for p, thresholds in zip(percents, got):
+        kth = n_cols - simgraph._top_count(p, n_cols)
+        assert_array_equal(thresholds, [np.partition(row, kth)[kth] for row in values])
+
+
 def test_row_blocks_tile_the_rows_without_one_row_blocks():
     # a 1-row product runs as gemv, whose sums can differ in the last bit
     # from the gemm rows of the full matrix, so a 1-row tail is merged

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,3 +202,38 @@ def test_suite_row_order_and_contents():
     mc_rows = [c for c in with_mc if c.name == "thm3"]
     assert all(c.mc_estimate is not None and c.mc_stderr is not None for c in mc_rows)
     assert all(c.mc_estimate is None for c in with_mc if c.name != "thm3")
+
+
+def _enumerated_pairs(ns, bs, count, seed):
+    # every (n, b1 < b2) combination built before the draw
+    radii = sorted(set(bs))
+    combos = [(n, b1, b2) for n in ns for i, b1 in enumerate(radii) for b2 in radii[i + 1 :]]
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.choice(len(combos), size=min(count, len(combos)), replace=False))
+    return [combos[i] for i in idx]
+
+
+def test_sampled_corollary_pairs_equal_an_enumeration_of_every_combination():
+    # repeated n and radii included; 1-decimal radii repeat often
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        ns = rng.integers(2, 6, size=rng.integers(1, 5)).tolist()
+        bs = np.round(rng.uniform(0.05, 0.95, size=rng.integers(2, 30)), 1).tolist()
+        if len(set(bs)) < 2:
+            continue
+        count, seed = int(rng.integers(1, 300)), int(rng.integers(0, 100))
+        assert sample_corollary_pairs(ns, bs, count, seed) == _enumerated_pairs(ns, bs, count, seed)
+
+
+def test_sampling_corollary_pairs_builds_only_the_drawn_combinations():
+    # 2 x 2000 radii make about 4e6 combinations, whose enumeration
+    # peaks near 300 MB
+    radii = np.linspace(0.0001, 0.9999, 2000).tolist()
+    tracemalloc.start()
+    try:
+        pairs = sample_corollary_pairs([2, 3], radii, 200, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 200 and all(b1 < b2 for _, b1, b2 in pairs)
+    assert peak < 5e6

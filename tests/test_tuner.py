@@ -176,6 +176,16 @@ def test_a_k_sweep_needs_the_local_variant(variant):
         sweep_param(InvGCConfig(variant), "k", [0.5, 5.0], Q, G, refG, refQ, rel)
 
 
+@pytest.mark.parametrize("param, variant", [("k", "local"), ("ratio", "avgpool")])
+def test_a_k_or_ratio_sweep_needs_a_nonzero_step(param, variant):
+    # at r_g = r_q = 0 every point is the uncorrected gallery; one step suffices
+    G, Q, refG, refQ, rel = small_dataset()
+    with pytest.raises(ValueError, match=f"param '{param}' needs a nonzero step: set --rg or --rq"):
+        sweep_param(InvGCConfig(variant), param, [0.5, 1.0], Q, G, refG, refQ, rel)
+    curve = sweep_param(InvGCConfig(variant, 0.0, 0.1), param, [0.5, 1.0], Q, G, refG, refQ, rel)
+    assert [v for v, _, _ in curve.points] == [0.5, 1.0]
+
+
 def test_every_grid_cell_equals_the_dual_update_for_its_config(monkeypatch):
     G, Q, _, refQ, rel = small_dataset(seed=4)
     seen = []
