@@ -1,6 +1,7 @@
 """Command-line entry point.
 
 Subcommands: diagnose, apply, eval, tune, sweep, synth, verify-theory.
+Each checks its usage, reads its inputs, writes its files, then prints.
 Metric reports go to stdout as "key<TAB>value" lines; verify-theory and
 sweep print multi-column TSV rows instead, one row per check or point.
 Anything else (logs, errors) goes to stderr.
@@ -15,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 # Each command imports the modules it runs, so it pays for no other.
 # embio stays here: it imports numpy, which every command but --help
@@ -42,20 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _row(*cells) -> str:
-    return "\t".join(map(_fmt, cells))
-
-
 def _emit(key, value) -> None:
-    print(_row(key, value))
+    print(embio._line((key, value)))
 
 
 _MAX_RANGE_POINTS = 1_000_000
@@ -111,12 +99,8 @@ def _parse_ints(spec: str) -> list:
     return out
 
 
-def _format_for(path) -> str:
-    return "tsv" if str(path).endswith(".tsv") else "binary"
-
-
 def _load_set(path) -> embio.EmbeddingSet:
-    return embio.load_embeddings(path, _format_for(path))
+    return embio.load_embeddings(path, embio._format_for(path))
 
 
 def _load_pairing(path, queries: embio.EmbeddingSet, gallery: embio.EmbeddingSet) -> dict:
@@ -193,28 +177,22 @@ def _load_val_sets(args) -> tuple:
     return valQ, valG, refG, refQ, _load_pairing(args.relevance, valQ, valG)
 
 
-def _write_tsv(path, rows) -> None:
-    with open(Path(path), "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(_row(*row) + "\n")
-
-
 def cmd_diagnose(args) -> int:
     from .diagnostics import cross_mean_sim, intra_mean_sim
 
     ks = _parse_ints(args.topk)
-    G = _load_set(args.gallery)
     if (args.query is None) != (args.relevance is None):
         raise UsageError("--query and --relevance must be given together")
+    G = _load_set(args.gallery)
     if args.query is not None:
         Q = _load_set(args.query)
         rel = _load_pairing(args.relevance, Q, G)
         report = cross_mean_sim(G, Q, rel, ks, bins=args.bins)
     else:
         report = intra_mean_sim(G, ks, bins=args.bins)
-    _emit_degeneration(report, "intra" if args.query is None else "cross")
     if args.dump_hist:
-        _write_tsv(args.dump_hist, report.histogram)
+        embio._write_tsv(args.dump_hist, report.histogram)
+    _emit_degeneration(report, "intra" if args.query is None else "cross")
     return EXIT_OK
 
 
@@ -226,7 +204,7 @@ def cmd_apply(args) -> int:
     refG = _load_set(args.ref_gallery)
     refQ = _load_set(args.ref_query)
     corrected = inverse_convolve_dual(G, refG, refQ, cfg)
-    embio.save_embeddings(corrected, args.out, _format_for(args.out))
+    embio.save_embeddings(corrected, args.out, embio._format_for(args.out))
     _emit("out", args.out)
     _emit("rows", corrected.n)
     _emit("dims", corrected.d)
@@ -255,24 +233,24 @@ def cmd_tune(args) -> int:
     from .tuner import DEFAULT_R_GRID, grid_search
 
     cfg = _cfg_from_args(args)
-    valQ, valG, refG, refQ, rel = _load_val_sets(args)
     rg_grid = _parse_values(args.rg_grid) if args.rg_grid is not None else DEFAULT_R_GRID
     rq_grid = _parse_values(args.rq_grid) if args.rq_grid is not None else DEFAULT_R_GRID
     result = grid_search(
-        valQ, valG, refG, refQ, rel,
+        *_load_val_sets(args),
         variant=cfg.variant, rg_grid=rg_grid, rq_grid=rq_grid,
         k_percent=cfg.k_percent, p_percent=cfg.p_percent,
     )
-    for key, value in _cfg_fields(result.best_cfg):
-        _emit(key, value)
-    _emit_retrieval(result.best_report)
     if args.trace:
         rows = []
         for cell_cfg, *scores in result.grid_trace:
             # The cell's label, e.g. "local,k=1.0,rg=0.1,rq=0.0", then R@1, R@5, MnR.
             (_, variant), *rest = _cfg_fields(cell_cfg)
-            rows.append([",".join([variant, *(f"{key}={_fmt(v)}" for key, v in rest)]), *scores, "-"])
-        _write_tsv(args.trace, rows)
+            label = ",".join([variant, *(f"{key}={embio._cell(v)}" for key, v in rest)])
+            rows.append([label, *scores, "-"])
+        embio._write_tsv(args.trace, rows)
+    for key, value in _cfg_fields(result.best_cfg):
+        _emit(key, value)
+    _emit_retrieval(result.best_report)
     return EXIT_OK
 
 
@@ -285,7 +263,7 @@ def cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     curve = sweep_param(cfg, args.param, values, *_load_val_sets(args), seed=args.seed)
     for v, r1, ddeg in curve.points:
-        print(_row(f"{curve.param_name}={_fmt(v)}", r1, "-", "-", ddeg))
+        print(embio._line((f"{curve.param_name}={embio._cell(v)}", r1, "-", "-", ddeg)))
     return EXIT_OK
 
 
@@ -328,11 +306,11 @@ def cmd_verify_theory(args) -> int:
         include_thm1=args.include_thm1,
     )
     for c in checks:
-        b_cell = "-" if c.b is None else _fmt(c.b)
+        b_cell = "-" if c.b is None else embio._cell(c.b)
         if c.b2 is not None:
-            b_cell = f"{b_cell},{_fmt(c.b2)}"
+            b_cell = f"{b_cell},{embio._cell(c.b2)}"
         mc_cell = "-" if c.mc_estimate is None else c.mc_estimate
-        print(_row(c.name, c.n, b_cell, c.exact_fraction, mc_cell, c.lower_bound, c.upper_bound, c.holds))
+        print(embio._line((c.name, c.n, b_cell, c.exact_fraction, mc_cell, c.lower_bound, c.upper_bound, c.holds)))
     failed = sum(1 for c in checks if not c.holds)
     if failed:
         print(f"{failed} of {len(checks)} checks failed", file=sys.stderr)

@@ -25,6 +25,7 @@ from .simgraph import (
     SimMatrix,
     _PARTITION_CELLS,
     _block_cells,
+    _check_dims,
     _check_percent,
     _id_cells,
     _map_blocks,
@@ -96,18 +97,11 @@ class StepOverflowError(ValueError):
         self.field, self.r = field, r
 
 
-def _check_conv_args(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet) -> None:
-    if X.d != R.d:
-        raise ValueError(f"dimension mismatch: {X.d} vs {R.d}")
-    if S.values.shape != (X.n, R.n):
-        raise ValueError(
-            f"adjacency shape {S.values.shape} does not match {X.n} x {R.n}"
-        )
-
-
 def inverse_convolve_single(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet, r: float) -> EmbeddingSet:
     """X'_i = X_i - r * sum_j S_ij R_j, without normalization."""
-    _check_conv_args(X, S, R)
+    _check_dims(X.d, R.d)
+    if S.values.shape != (X.n, R.n):
+        raise ValueError(f"adjacency shape {S.values.shape} does not match {X.n} x {R.n}")
     vals = S.values.copy()
     vals[_id_cells(X.ids, R.ids, zip(X.ids, X.ids))] = 0.0
     return EmbeddingSet(list(X.ids), X.data - r * _mm(vals, R.data))
@@ -141,9 +135,7 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     step); a call only averages two halves.
     """
     cfg = cfgs[0]
-    for ref in (refG, refQ):
-        if G.d != ref.d:
-            raise ValueError(f"dimension mismatch: {G.d} vs {ref.d}")
+    _check_dims(G.d, refG.d, refQ.d)
     Gn = EmbeddingSet(G.ids, unit_rows(G.data, G.ids))
 
     def halves(ref, field):

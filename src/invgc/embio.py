@@ -1,6 +1,8 @@
-"""Embedding-set and relevance-map file I/O.
+"""Embedding-set and relevance-map file I/O: every file format invgc
+reads or writes is decided here.
 
-Two embedding formats are supported:
+Embeddings come in two formats; _format_for takes a path ending in
+".tsv" as tsv and any other as binary.
 
 binary
     Header: bytes 0-3 ASCII "IGCE", u16 LE version (= 1), u16 LE reserved
@@ -11,8 +13,14 @@ binary
     absent, ids default to "0".."N-1".
 
 tsv
-    One row per line, "<id>\\t<v1>\\t...\\t<vd>", '.' decimal, no header,
-    constant d across rows.
+    One row per line, "<id>\\t<v1>\\t...\\t<vd>", no header, constant d.
+
+Every TSV file (tsv embeddings, relevance maps, dump_ranks, the CLI's
+histogram and grid trace) is UTF-8 lines of tab-joined _cell strings,
+each ended by "\\n" (a "\\r\\n" ending reads too): a bool is "true" or
+"false", a float repr(float(v)), anything else str(v).  _write_tsv
+writes one, and _tsv_rows reads one and refuses a blank line as
+"path:line".  The CLI's stdout rows come from the same _line.
 
 An id holds no "\\n" or "\\r", nor a tab in tsv: save_embeddings refuses
 one that does, which its reader could not read back.
@@ -90,6 +98,38 @@ def _sidecar(path: Path) -> Path:
     return Path(str(path) + ".ids")
 
 
+def _format_for(path) -> str:
+    return "tsv" if str(path).endswith(".tsv") else "binary"
+
+
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return float.__repr__(v)  # repr(float(v)): a numpy float64 prints as a Python float
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _line(cells) -> str:
+    return "\t".join(map(_cell, cells))
+
+
+def _write_tsv(path, rows) -> None:
+    with open(Path(path), "w", encoding="utf-8", newline="\n") as f:
+        for row in rows:
+            f.write(_line(row) + "\n")
+
+
+def _tsv_rows(path: Path):
+    """Yield (line number, cells) for each line of the TSV file at path."""
+    with open(path, encoding="utf-8") as f:
+        for ln, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                raise FormatError(f"{path}:{ln}: blank line")
+            yield ln, line.split("\t")
+
+
 # The characters that would end an id early in each format's reader.
 _ID_BREAKS = {"binary": "\n\r", "tsv": "\n\r\t"}
 
@@ -138,9 +178,7 @@ def save_embeddings(es: EmbeddingSet, path, format: str = "binary") -> None:
         with open(_sidecar(path), "w", encoding="utf-8") as f:
             f.write("".join(i + "\n" for i in es.ids))
     elif format == "tsv":
-        with open(path, "w", encoding="utf-8") as f:
-            for i, row in zip(es.ids, es.data):
-                f.write(i + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+        _write_tsv(path, ([i, *row.tolist()] for i, row in zip(es.ids, es.data)))
     else:
         raise ValueError(f"unknown format {format!r}")
 
@@ -188,22 +226,17 @@ def _load_binary(path: Path) -> EmbeddingSet:
 
 def _load_tsv(path: Path) -> EmbeddingSet:
     ids, rows = [], []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                raise FormatError(f"{path}:{ln}: blank line")
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise FormatError(f"{path}:{ln}: expected an id and at least one value")
-            try:
-                vals = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise FormatError(f"{path}:{ln}: unparseable value") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise FormatError(f"{path}:{ln}: non-finite value")
-            ids.append(parts[0])
-            rows.append(vals)
+    for ln, (i, *cells) in _tsv_rows(path):
+        if not cells:
+            raise FormatError(f"{path}:{ln}: expected an id and at least one value")
+        try:
+            vals = [float(c) for c in cells]
+        except ValueError:
+            raise FormatError(f"{path}:{ln}: unparseable value") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise FormatError(f"{path}:{ln}: non-finite value")
+        ids.append(i)
+        rows.append(vals)
     if not rows:
         raise FormatError(f"{path}: empty file")
     widths = {len(r) for r in rows}
@@ -229,15 +262,10 @@ def load_relevance(path) -> dict:
     """Read a relevance TSV into {query_id: set of gallery ids}."""
     path = Path(path)
     pairs: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                raise FormatError(f"{path}:{ln}: blank line")
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FormatError(f"{path}:{ln}: expected 'query_id<TAB>gallery_id'")
-            pairs.setdefault(parts[0], set()).add(parts[1])
+    for ln, cells in _tsv_rows(path):
+        if len(cells) != 2 or not all(cells):
+            raise FormatError(f"{path}:{ln}: expected 'query_id<TAB>gallery_id'")
+        pairs.setdefault(cells[0], set()).add(cells[1])
     return pairs
 
 
@@ -251,10 +279,7 @@ def save_relevance(rel: dict, path) -> None:
     _check_ids_fit(ids, "tsv")
     if "" in ids:
         raise ValueError("id '' is empty, which the relevance format cannot store")
-    with open(Path(path), "w", encoding="utf-8") as f:
-        for q in sorted(rel):
-            for g in sorted(rel[q]):
-                f.write(f"{q}\t{g}\n")
+    _write_tsv(path, ((q, g) for q in sorted(rel) for g in sorted(rel[q])))
 
 
 def validate_pairing(queries: EmbeddingSet, gallery: EmbeddingSet, rel: dict) -> PairingReport:

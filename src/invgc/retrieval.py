@@ -10,11 +10,10 @@ values for even counts); MnR is the mean rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .embio import EmbeddingSet
+from .embio import EmbeddingSet, _write_tsv
 from .simgraph import _block_cells, _id_cells, _map_blocks, unit_rows
 
 
@@ -110,6 +109,5 @@ def evaluate(Q: EmbeddingSet, G: EmbeddingSet, rel, Ks=(1, 5, 10)) -> RetrievalR
 
 def dump_ranks(report: RetrievalReport, path) -> None:
     """Write per-query ranks as TSV "query_id\\trank" lines."""
-    with open(Path(path), "w", encoding="utf-8") as f:
-        for q in sorted(report.per_query_rank):
-            f.write(f"{q}\t{report.per_query_rank[q]}\n")
+    ranks = report.per_query_rank
+    _write_tsv(path, ((q, ranks[q]) for q in sorted(ranks)))

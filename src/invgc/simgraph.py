@@ -228,6 +228,13 @@ def _worker_count() -> int:
     return min(4, cpus)
 
 
+def _check_dims(d: int, *others: int) -> None:
+    """Refuse operands whose width is not d, the first operand's."""
+    for e in others:
+        if e != d:
+            raise ValueError(f"dimension mismatch: {d} vs {e}")
+
+
 def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
     that tile Xn @ Yn.T, on _worker_count() threads at most.  Xn and Yn
@@ -248,8 +255,7 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     one of the workers.  The first exception fn raises, in block order,
     propagates.
     """
-    if Xn.shape[1] != Yn.shape[1]:
-        raise ValueError(f"dimension mismatch: {Xn.shape[1]} vs {Yn.shape[1]}")
+    _check_dims(Xn.shape[1], Yn.shape[1])
     blocks = _row_blocks(len(Xn), len(Yn))
     workers = min(_worker_count(), len(blocks))
 

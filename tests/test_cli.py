@@ -754,6 +754,36 @@ def test_tune_refuses_an_empty_grid(dataset, capsys, flag):
     assert err == "invgc tune: error: list '' is empty\n"
 
 
+@pytest.mark.parametrize("sub", ["diagnose", "tune"])
+def test_a_file_that_cannot_be_written_leaves_stdout_empty(sub, dataset, capsys, tmp_path):
+    # the file is written before the report is printed, as apply and synth do
+    path = str(tmp_path / "missing" / "out.tsv")
+    argv = {
+        "diagnose": ["diagnose", "--gallery", dataset["gallery"], "--dump-hist", path],
+        "tune": ["tune", *_val_sets(dataset, dataset["rel"]), "--variant", "full",
+                 "--rg-grid", "0,0.1", "--rq-grid", "0", "--trace", path],
+    }[sub]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"invgc {sub}: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize("sub, message", [
+    ("diagnose", "--query and --relevance must be given together"),
+    ("tune", "range '1:0' is empty"),
+])
+def test_a_usage_error_is_found_before_any_file_is_read(sub, message, capsys, tmp_path):
+    missing = str(tmp_path / "missing.emb")
+    argv = {
+        "diagnose": ["diagnose", "--gallery", missing, "--query", missing],
+        "tune": ["tune", *_val_sets(dict.fromkeys(("query", "gallery", "refg", "refq"), missing), missing),
+                 "--variant", "full", "--rg-grid", "1:0"],
+    }[sub]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err == f"invgc {sub}: error: {message}\n"
+
+
 def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
     # 1e200 * the aggregate is finite, but each row's sum of squares is not
     out = tmp_path / "huge.emb"

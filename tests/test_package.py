@@ -1,5 +1,6 @@
 """The package namespace: public names resolve on first use."""
 
+import ast
 import importlib
 import runpy
 import subprocess
@@ -57,3 +58,12 @@ def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
     monkeypatch.setattr(cli, "run", lambda: called.append(True))
     runpy.run_module("invgc", run_name="__main__")
     assert called == [True]
+
+
+def test_every_source_parses_as_the_oldest_python_it_supports():
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    sources = sorted((root / "src" / "invgc").glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        ast.parse(path.read_bytes(), str(path), feature_version=(3, 10))
