@@ -119,9 +119,10 @@ def inverse_convolve_dual(
     return _dual_over_steps(G, refG, refQ, [cfg])(cfg)
 
 
-def _percent(cfg: InvGCConfig) -> float:
-    # The percent that sets cfg's row threshold; full has none and ignores it.
-    return cfg.k_percent if cfg.variant == "local" else cfg.p_percent
+def _kept_count(cfg: InvGCConfig, n: int) -> int:
+    # m, the columns of an n-column row that cfg's adjacency keeps: all for full.
+    percent = {"local": cfg.k_percent, "avgpool": cfg.p_percent}.get(cfg.variant)
+    return n if percent is None else _top_count(percent, n)
 
 
 def _dual_over_steps(G, refG, refQ, cfgs):
@@ -130,30 +131,33 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     and the variant's percent.
 
     The aggregates do not depend on the steps, and their cosines not on
-    the percent, so each reference set gets one pass for all of cfgs, and
-    each half norm(Gn - r * A) is computed once per distinct (percent,
-    step); a call only averages two halves.
+    the kept count m, so each reference set gets one pass for all of
+    cfgs, and each half norm(Gn - r * A) is computed once per distinct
+    (m, step); a call only averages two halves.  Each aggregate is
+    dropped once its last half is built.
     """
-    cfg = cfgs[0]
     _check_dims(G.d, refG.d, refQ.d)
     Gn = EmbeddingSet(G.ids, unit_rows(G.data, G.ids))
 
     def halves(ref, field):
-        wanted = dict.fromkeys((_percent(c), getattr(c, field)) for c in cfgs)
-        percents = list(dict.fromkeys(p for p, _ in wanted))
-        A = dict(zip(percents, _aggregate(Gn, ref, cfg, percents)))
+        steps = {}
+        for c in cfgs:
+            steps.setdefault(_kept_count(c, ref.n), {})[getattr(c, field)] = None
+        aggs = _aggregate(Gn, ref, cfgs[0].variant, list(steps))
         out = {}
-        for p, r in wanted:
-            with np.errstate(over="ignore"):
-                step = r * A[p]
-            if not np.isfinite(step).all():
-                raise StepOverflowError(field, r)
-            out[p, r] = row_normalize(Gn.data - step)
+        for m, rs in steps.items():
+            A = aggs.pop(0)  # the only reference left, dropped by the next pop
+            for r in rs:
+                with np.errstate(over="ignore"):
+                    step = r * A
+                if not np.isfinite(step).all():
+                    raise StepOverflowError(field, r)
+                out[m, r] = row_normalize(np.subtract(Gn.data, step, out=step))
         return out
 
     g_half, q_half = halves(refG, "r_g"), halves(refQ, "r_q")
     return lambda c: EmbeddingSet(
-        G.ids, 0.5 * (g_half[_percent(c), c.r_g] + q_half[_percent(c), c.r_q])
+        G.ids, 0.5 * (g_half[_kept_count(c, refG.n), c.r_g] + q_half[_kept_count(c, refQ.n), c.r_q])
     )
 
 
@@ -167,47 +171,43 @@ takes 0.64 to 0.93 of the masked GEMM's time, at 1/16 it takes 1.05 to
 """
 
 
-def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) -> list:
-    """S @ ref at each of percents, for cfg's adjacency S over Gn x ref
-    with the threshold at that percent (k for local, p for avgpool), self
-    pairs excluded.
+def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> list:
+    """S @ ref at each kept count m in counts, for variant's adjacency S
+    over Gn x ref keeping each row's m largest cosines, ties included,
+    self pairs excluded.
 
-    Neither the steps nor the percent enter the cosines, so a search
-    computes this once per reference set.  local and avgpool threshold
-    one row block of cosines at a time, the rows of build_adjacency's S,
-    with the blocks spread over a few threads: each block gets one GEMM
-    and one partition.  A percent that keeps at most _GATHER_SHARE of a
-    row sums each row's kept reference rows (_kept_sums); a wider one
-    masks the block and multiplies it by ref.  Which one runs depends on
-    the shapes and the percent alone.  A row that keeps all N_ref columns
-    (full, or m = N_ref) needs only a d x d map and no cosine pass.
+    Neither the steps nor m enter the cosines, so a search computes this
+    once per reference set.  local and avgpool threshold one row block of
+    cosines at a time, the rows of build_adjacency's S, with the blocks
+    spread over a few threads: each block gets one GEMM and one
+    partition.  An m of at most _GATHER_SHARE of the row sums each row's
+    kept reference rows (_kept_sums); a wider one masks the block and
+    multiplies it by ref.  m = N_ref, full's count, needs only a d x d
+    map and no cosine pass.
 
     The kept rows are gathered with numpy alone: scipy.sparse would cost
     every command about 175 ms of import, more than the gather saves.
     """
-    kept = [ref.n if cfg.variant == "full" else _top_count(p, ref.n) for p in percents]
     Rn = unit_rows(ref.data, ref.ids)  # for avgpool too: refuses a zero-norm row
     # A point is never its own neighbour, whatever the row order of the sets.
     self_cells = _id_cells(Gn.ids, ref.ids, zip(Gn.ids, Gn.ids))
-    every = (_every_column_aggregate(Gn.data, Rn, ref.data, cfg.variant, self_cells)
-             if ref.n in kept else None)
-    percents = [p for p, m in zip(percents, kept) if m < ref.n]
-    local = cfg.variant == "local"
-    gathered = [_top_count(p, ref.n) <= _GATHER_SHARE * ref.n for p in percents]
-    out = [np.empty((Gn.n, ref.d)) for _ in percents]
+    every = (_every_column_aggregate(Gn.data, Rn, ref.data, variant, self_cells)
+             if ref.n in counts else None)
+    blocked = [m for m in counts if m < ref.n]
+    out = [np.empty((Gn.n, ref.d)) for _ in blocked]
 
     def block(b, sims):
-        thresholds = _row_thresholds(sims, percents)[:, :, None]
+        thresholds = _row_thresholds(sims, blocked)[:, :, None]
         _, own = _block_cells(*self_cells, b)
-        # One percent masks the block in place; several share one copy.
-        masked = sims if len(percents) == 1 else None
-        for agg, thr, gather in zip(out, thresholds, gathered):
-            if gather:
-                agg[b] = _kept_sums(sims, thr, own, ref.data, local)
+        # One count masks the block in place; several share one copy.
+        masked = sims if len(blocked) == 1 else None
+        for agg, thr, m in zip(out, thresholds, blocked):
+            if m <= _GATHER_SHARE * ref.n:
+                agg[b] = _kept_sums(sims, thr, own, ref.data, variant == "local")
                 continue
             if masked is None:
                 masked = np.empty_like(sims)
-            if local:
+            if variant == "local":
                 if masked is not sims:
                     np.copyto(masked, sims)
                 masked[sims < thr] = 0.0
@@ -216,10 +216,10 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, cfg: InvGCConfig, percents) 
             masked[own] = 0.0
             agg[b] = _mm(masked, ref.data)
 
-    if percents:
+    if blocked:
         _map_blocks(block, Gn.data, Rn)
-    blocked = iter(out)
-    return [every if m == ref.n else next(blocked) for m in kept]
+    aggs = iter(out)
+    return [every if m == ref.n else next(aggs) for m in counts]
 
 
 def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
@@ -227,12 +227,10 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
     """Row i's w @ data[cols] over cols = {j : sims[i, j] >= thr[i]} less
     its self cells, ascending, with w = sims[i, cols] if weighted, else 1.
 
-    Rows with equally many kept columns run as batched matmuls over
+    Rows with equally many kept columns run as batched _mm products over
     _row_blocks pieces of about _PARTITION_CELLS gathered cells, one
     vector-matrix product per row, so each row's bits are a function of
     its kept columns alone, not of the block, the piece or its neighbours.
-    The matmul bypasses _mm and stays on one BLAS thread only because
-    _map_blocks holds _BLAS_PIN around the whole pass that calls this.
     """
     n_cols, d = sims.shape[1], data.shape[1]
     keep = sims >= thr
@@ -249,7 +247,7 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
         w = sims.take(group_cells) if weighted else np.ones(group_cells.shape)
         group_cols = group_cells % n_cols
         for piece in _row_blocks(len(group), m * d, _PARTITION_CELLS):
-            out[group[piece]] = np.matmul(w[piece, None, :], data[group_cols[piece]])[:, 0]
+            out[group[piece]] = _mm(w[piece, None, :], data[group_cols[piece]])[:, 0]
     return out
 
 

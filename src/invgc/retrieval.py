@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import EmbeddingSet, _write_tsv
+from .embio import EmbeddingSet, _check_ids_fit, _write_tsv
 from .simgraph import _block_cells, _id_cells, _map_blocks, unit_rows
 
 
@@ -108,6 +108,8 @@ def evaluate(Q: EmbeddingSet, G: EmbeddingSet, rel, Ks=(1, 5, 10)) -> RetrievalR
 
 
 def dump_ranks(report: RetrievalReport, path) -> None:
-    """Write per-query ranks as TSV "query_id\\trank" lines."""
+    """Write per-query ranks as TSV "query_id\\trank" lines.  An id with a
+    tab or a line break, which the file could not hold, is refused first."""
     ranks = report.per_query_rank
+    _check_ids_fit(list(ranks), "tsv")
     _write_tsv(path, ((q, ranks[q]) for q in sorted(ranks)))

@@ -17,13 +17,14 @@ The cells a pass treats apart (self pairs, matched pairs, relevant
 items) come from _id_cells, by id; _block_cells hands each block its run.
 
 Row thresholds and top values come from partitioned _row_blocks chunks.
-local and binary keep m entries per row, plus ties,
-so they are sparse: core._aggregate sums each row's kept reference rows
-when m is at most 1/32 of the row and multiplies the masked block above
-that.  When m is the whole row, as for avgpool's default p = 100, it
-takes no cosine block: the aggregate is a d x d map, like full's.  The
-kept rows are gathered with numpy alone, because scipy.sparse would add
-about 175 ms of import to every command.
+local and binary keep m entries per row, plus ties, so they are sparse;
+a percent becomes m once, by _top_count, and everything below takes m.
+core._aggregate sums each row's kept reference rows when m is at most
+1/32 of the row and multiplies the masked block above that; when m is
+the whole row, as for avgpool's default p = 100, the aggregate is a
+d x d map, like full's.  scipy.sparse would add about 175 ms of import
+to every command, so the kept rows are gathered with numpy alone.
+Every product, cosine block, gathered sum or d x d map, goes through _mm.
 """
 
 from __future__ import annotations
@@ -92,15 +93,14 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Results must be bit-identical under any BLAS thread setting, but a
     # threaded dgemm splits the K reduction differently per thread count.
     # So the product runs with OpenBLAS's process-wide thread count set to
-    # 1 for the length of the call.  np.dot, like np.matmul, releases the
-    # GIL around dgemm, so products on several Python threads overlap; it
-    # stays np.dot because the tests pin its bits.
+    # 1 for the length of the call.  np.matmul releases the GIL around
+    # dgemm, so products on several Python threads overlap.
     # Without the symbols (numpy on another BLAS), einsum contracts on a
     # single thread in index order.
     if _BLAS_PIN is None:
-        return np.einsum("ij,jk->ik", a, b)
+        return np.einsum("...ij,...jk->...ik", a, b)
     with _BLAS_PIN:
-        return np.dot(a, b)
+        return np.matmul(a, b)
 
 
 @dataclass
@@ -318,7 +318,7 @@ def row_percentile_threshold(row, k_percent: float) -> float:
     if row.size == 0:
         raise ValueError("empty row")
     _check_percent("k_percent", k_percent)
-    return float(_row_thresholds(row[None, :], [k_percent])[0, 0])
+    return float(_row_thresholds(row[None, :], [_top_count(k_percent, row.size)])[0, 0])
 
 
 def _top_count(percent: float, n: int) -> int:
@@ -329,19 +329,18 @@ def _top_count(percent: float, n: int) -> int:
 _PARTITION_CELLS = 1 << 15
 
 
-def _row_thresholds(values: np.ndarray, percents) -> np.ndarray:
-    """Per percent, each row's m-th largest value, m = _top_count(%, len).
+def _row_thresholds(values: np.ndarray, counts) -> np.ndarray:
+    """Per kept count m in counts, each row's m-th largest value.
 
-    A len(percents) x n_rows array from one partition per _row_blocks
+    A len(counts) x n_rows array from one partition per _row_blocks
     chunk, copied into one reused buffer, so each equals the threshold of
-    a partition of the whole row for its percent alone.
+    a partition of the whole row for its m alone.
     """
-    n_rows, n_cols = values.shape
-    kth = [n_cols - _top_count(p, n_cols) for p in percents]
+    kth = [values.shape[1] - m for m in counts]
     order = sorted(set(kth))
-    chunks = _row_blocks(n_rows, n_cols, _PARTITION_CELLS)
+    chunks = _row_blocks(*values.shape, _PARTITION_CELLS)
     buf = np.empty_like(values[: max((b.stop - b.start for b in chunks), default=0)])
-    out = np.empty((len(kth), n_rows), dtype=values.dtype)
+    out = np.empty((len(kth), len(values)), dtype=values.dtype)
     for b in chunks:
         part = buf[: b.stop - b.start]
         np.copyto(part, values[b])
@@ -359,13 +358,13 @@ def adjacency_full(sim: SimMatrix, center: bool) -> Adjacency:
 
 def adjacency_local(sim: SimMatrix, k_percent: float) -> Adjacency:
     _check_percent("k_percent", k_percent)
-    thr = _row_thresholds(sim.values, [k_percent])[0]
+    thr = _row_thresholds(sim.values, [_top_count(k_percent, sim.values.shape[1])])[0]
     vals = np.where(sim.values >= thr[:, None], sim.values, 0.0)
     return Adjacency(vals, "local", float(k_percent), False)
 
 
 def adjacency_binary(sim: SimMatrix, p_percent: float) -> Adjacency:
     _check_percent("p_percent", p_percent)
-    thr = _row_thresholds(sim.values, [p_percent])[0]
+    thr = _row_thresholds(sim.values, [_top_count(p_percent, sim.values.shape[1])])[0]
     vals = (sim.values >= thr[:, None]).astype(np.float64)
     return Adjacency(vals, "binary", float(p_percent), False)

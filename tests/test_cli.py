@@ -798,7 +798,7 @@ def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
     G = load_embeddings(dataset["gallery"])
     refG = load_embeddings(dataset["refg"])
     Gn = G.data / np.linalg.norm(G.data, axis=1)[:, None]
-    A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, InvGCConfig("full"), [100.0])
+    A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, "full", [refG.n])
     want = 0.5 * (-A / np.linalg.norm(A, axis=1)[:, None] + Gn)
     assert_allclose(load_embeddings(out).data, want, rtol=0, atol=1e-7)
 

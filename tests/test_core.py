@@ -16,7 +16,7 @@ from invgc.core import (
     StepOverflowError,
     VARIANTS,
     _aggregate,
-    _percent,
+    _kept_count,
     build_adjacency,
     forward_convolve,
     inverse_convolve_dual,
@@ -244,7 +244,7 @@ def test_every_column_aggregate_closed_form_matches_the_dense_adjacency():
             for p in (100.0, 99.95):
                 cfg = InvGCConfig(variant, k_percent=p, p_percent=p)
                 dense = inverse_convolve_single(zero, build_adjacency(sims, cfg), R, -1.0).data
-                got, = _aggregate(Gn, R, cfg, [p])
+                got, = _aggregate(Gn, R, variant, [_kept_count(cfg, R.n)])
                 assert_allclose(got, dense, rtol=0, atol=1e-12, err_msg=f"{variant} {p}%")
 
 
@@ -336,16 +336,16 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     own = dict(zip(*self_pairs))
     for k, p, gathered in [(0.7, 2.5, True), (10.0, 40.0, False)]:
         cfg = InvGCConfig(variant, k_percent=k, p_percent=p)
-        m = simgraph._top_count(_percent(cfg), R.n)
+        m = _kept_count(cfg, R.n)
         assert (m <= core._GATHER_SHARE * R.n) == gathered
         S = build_adjacency(sims, cfg)
         S.values[self_pairs] = 0.0
-        got = _aggregate(Gn, R, cfg, [_percent(cfg)])[0]
+        got = _aggregate(Gn, R, variant, [m])[0]
         if not gathered:
             assert_array_equal(got, _mm(S.values, R.data))
             continue
         for i in range(G.n):
-            thr = simgraph.row_percentile_threshold(sims.values[i], _percent(cfg))
+            thr = simgraph.row_percentile_threshold(sims.values[i], k if variant == "local" else p)
             cols = [j for j in np.flatnonzero(sims.values[i] >= thr) if j != own.get(i)]
             assert_array_equal(got[i], S.values[i, cols] @ R.data[cols], err_msg=f"row {i}")
         assert_allclose(got, _mm(S.values, R.data), rtol=0, atol=1e-12)
@@ -389,16 +389,16 @@ def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference,
         assert_allclose(got.data, want, rtol=0, atol=1e-9, err_msg=f"{p}%")
     # each row is a function of its kept set alone
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    cfg = InvGCConfig(variant)
-    want = _aggregate(Gn, refG, cfg, percents)
+    counts = [simgraph._top_count(p, refG.n) for p in percents]
+    want = _aggregate(Gn, refG, variant, counts)
     for budget in (64, simgraph._BLOCK_CELLS):
         for workers in (1, 3):
             monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
             monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
-            for p, a, b in zip(percents, _aggregate(Gn, refG, cfg, percents), want):
+            for p, a, b in zip(percents, _aggregate(Gn, refG, variant, counts), want):
                 assert_array_equal(a, b, err_msg=f"{p}%, {budget} cells, {workers} workers")
-            for p, b in zip(percents, want):
-                assert_array_equal(_aggregate(Gn, refG, cfg, [p])[0], b, err_msg=f"{p}% alone")
+            for p, m, b in zip(percents, counts, want):
+                assert_array_equal(_aggregate(Gn, refG, variant, [m])[0], b, err_msg=f"{p}% alone")
 
 
 @pytest.mark.parametrize("reference", ["self", "shared ids", "duplicated rows"])
@@ -438,7 +438,7 @@ def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch, traced_peak)
     block_bytes = (block.stop - block.start) * R.n * 8
     peaks = {}
     for variant in ("local", "avgpool"):
-        _, peaks[variant] = traced_peak(_aggregate, Gn, R, InvGCConfig(variant), [5.0])
+        _, peaks[variant] = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
     assert peaks["local"] < 2.5 * block_bytes, (peaks, block_bytes)
     assert peaks["avgpool"] < peaks["local"] + block_bytes / 16, (peaks, block_bytes)
 
@@ -456,7 +456,7 @@ def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch
     block = simgraph._row_blocks(G.n, R.n)[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     for variant in ("local", "avgpool"):
-        _, peak = traced_peak(_aggregate, Gn, R, InvGCConfig(variant), [5.0])
+        _, peak = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
         assert peak < 1.5 * block_bytes, (variant, peak, block_bytes)
 
 
@@ -476,8 +476,25 @@ def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch, traced
     block_bytes = (block.stop - block.start) * R.n * 8
     rows_bytes = (2 * G.n + R.n) * G.d * 8
     for variant in ("local", "avgpool"):
-        _, peak = traced_peak(_aggregate, Gn, R, InvGCConfig(variant), [3.0])
+        _, peak = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(3.0, R.n)])
         assert peak < 1.5 * block_bytes + rows_bytes, (variant, peak, block_bytes, rows_bytes)
+
+
+def test_a_multi_count_search_drops_each_aggregate_after_its_last_half(monkeypatch, traced_peak):
+    # Six k values keep m = 4, 7, 10, 13, 16 and 20 of 640 columns, all
+    # gathered, so each reference set has six 4000 x 64 aggregates.  The
+    # twelve halves the search returns, with Gn, are 13 such arrays.
+    # Holding every aggregate of refQ beside the halves of both sets
+    # peaks near 21; dropping each one after its half, near 15.
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(45)
+    G = make_set(rng, 4000, 64, "g")
+    refG, refQ = make_set(rng, 640, 64, "r"), make_set(rng, 640, 64, "q")
+    cfgs = [InvGCConfig("local", 0.1, 0.2, k_percent=k) for k in (0.5, 1, 1.5, 2, 2.5, 3)]
+    assert [_kept_count(c, refG.n) for c in cfgs] == [4, 7, 10, 13, 16, 20]
+    assert 20 <= core._GATHER_SHARE * refG.n
+    _, peak = traced_peak(core._dual_over_steps, G, refG, refQ, cfgs)
+    assert peak < 18 * G.data.nbytes, peak / G.data.nbytes
 
 
 @pytest.mark.parametrize("budget", [None, 64])
@@ -494,17 +511,17 @@ def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, m
     R = shared_id_reference(rng, G, 1466)
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
     assert len(simgraph._row_blocks(G.n, R.n)) == (5 if budget is None else 300)
-    cfg = InvGCConfig(variant)
-    percent_lists = [[1.0], [0.5, 1.0, 3.0, 50.0]]
+    count_lists = [[simgraph._top_count(p, R.n) for p in percents]
+                   for percents in ([1.0], [0.5, 1.0, 3.0, 50.0])]
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
-    want = [_aggregate(Gn, R, cfg, percents) for percents in percent_lists]
+    want = [_aggregate(Gn, R, variant, counts) for counts in count_lists]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 3, 4):
             monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
-            for percents, aggs in zip(percent_lists, want):
-                got = _aggregate(Gn, R, cfg, percents)
+            for counts, aggs in zip(count_lists, want):
+                got = _aggregate(Gn, R, variant, counts)
                 assert len(got) == len(aggs)
                 for a, b in zip(got, aggs):
                     assert_array_equal(a, b, err_msg=f"{workers} workers")
@@ -567,7 +584,7 @@ def test_a_huge_step_is_dominated_by_the_aggregate_and_an_overflowing_one_is_ref
     for variant in VARIANTS:
         cfg = InvGCConfig(variant, 1e200, 0.0, k_percent=20.0, p_percent=20.0)
         Gn = unit_rows(G.data)
-        A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, cfg, [20.0])
+        A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, variant, [_kept_count(cfg, refG.n)])
         # norm(Gn - r A) = norm(Gn / r - A), and Gn / r is below A's last bit
         want = 0.5 * (row_normalize(-A) + Gn)
         assert_allclose(inverse_convolve_dual(G, refG, refQ, cfg).data, want, rtol=0, atol=1e-15)

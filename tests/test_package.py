@@ -60,6 +60,27 @@ def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
     assert called == [True]
 
 
+def test_every_matrix_product_goes_through_mm():
+    # _mm holds BLAS at one thread, which keeps every result's bits
+    # independent of the thread setting; a direct np.dot or np.matmul
+    # elsewhere would not be pinned.
+    root = Path(__file__).resolve().parents[1]
+    outside = []
+    for path in sorted((root / "src" / "invgc").glob("*.py")):
+        tree = ast.parse(path.read_bytes(), str(path))
+        allowed = set()
+        if path.name == "simgraph.py":
+            mm, = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_mm")
+            allowed = {id(node) for node in ast.walk(mm)}
+        outside += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul")
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            and id(node) not in allowed
+        ]
+    assert outside == []
+
+
 def test_every_source_parses_as_the_oldest_python_it_supports():
     root = Path(__file__).resolve().parents[1]
     assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 """Rank computation and metric aggregation."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ import oracles
 from invgc import simgraph
 from invgc.embio import EmbeddingSet
 from invgc.retrieval import (
+    RetrievalReport,
     compute_metrics,
     dump_ranks,
     evaluate,
@@ -168,6 +170,17 @@ def test_dump_ranks_writes_sorted_tsv(tmp_path):
     path = tmp_path / "ranks.tsv"
     dump_ranks(rep, path)
     assert path.read_text(encoding="utf-8") == "qa\t5\nqb\t2\nqc\t1\n"
+
+
+@pytest.mark.parametrize("bad", ["q\t1", "q\n2"])
+def test_dump_ranks_refuses_an_id_its_file_could_not_hold(tmp_path, bad):
+    # a binary set keeps such an id through save and load, so evaluate
+    # can rank it; the TSV line would split it
+    rep = RetrievalReport({1: 100.0}, 1.0, 1.0, {"q0": 1, bad: 2})
+    path = tmp_path / "ranks.tsv"
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        dump_ranks(rep, path)
+    assert not path.exists()
 
 
 def test_ranks_over_several_row_blocks_match_the_oracle_on_tie_heavy_data():

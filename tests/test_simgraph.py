@@ -241,16 +241,16 @@ def test_concurrent_mm_calls_share_one_pin():
     want = _mm(a, a.T)
     seen = []
 
-    def spy_dot(x, y, _dot=np.dot):
+    def spy_matmul(x, y, _matmul=np.matmul):
         seen.append(pin.get())
-        return _dot(x, y)
+        return _matmul(x, y)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         pin.set(2)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "dot", spy_dot)
+            mp.setattr(np, "matmul", spy_matmul)
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: _mm(a, a.T), range(64)))
         assert pin.get() == 2
@@ -270,11 +270,11 @@ def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
     monkeypatch.setattr(simgraph.ctypes, "CDLL", NoSymbols)
     assert simgraph._find_blas_pin() is None
 
-    def no_dot(*args, **kwargs):
-        raise AssertionError("dot called on the fallback path")
+    def no_matmul(*args, **kwargs):
+        raise AssertionError("matmul called on the fallback path")
 
     monkeypatch.setattr(simgraph, "_BLAS_PIN", None)
-    monkeypatch.setattr(np, "dot", no_dot)
+    monkeypatch.setattr(np, "matmul", no_matmul)
     rng = np.random.default_rng(29)
     a = rng.standard_normal((20, 30))
     b = rng.standard_normal((30, 5))
@@ -392,11 +392,11 @@ def test_row_thresholds_over_a_one_row_tail_equal_whole_row_partitions():
     assert [b.stop - b.start for b in chunks] == [32, 33]
     values = np.round(np.random.default_rng(34).standard_normal((n_rows, n_cols)), 1)
     before = values.copy()
-    percents = [1.0, 0.05, 50.0, 1.0, 100.0]
-    got = simgraph._row_thresholds(values, percents)
+    counts = [simgraph._top_count(p, n_cols) for p in (1.0, 0.05, 50.0, 1.0, 100.0)]
+    got = simgraph._row_thresholds(values, counts)
     assert_array_equal(values, before)
-    for p, thresholds in zip(percents, got):
-        kth = n_cols - simgraph._top_count(p, n_cols)
+    for m, thresholds in zip(counts, got):
+        kth = n_cols - m
         assert_array_equal(thresholds, [np.partition(row, kth)[kth] for row in values])
 
 

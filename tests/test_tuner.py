@@ -288,6 +288,35 @@ def test_a_k_sweep_makes_one_correction_pass_per_reference_set(monkeypatch):
     assert len(calls) == 2 + 2 * len(values)
 
 
+def test_a_k_sweep_builds_one_half_per_kept_count_and_step(monkeypatch):
+    # 1% and 1.5% of 60 columns keep m = 1, 2% and 3% keep 2, and 99% and
+    # 100% keep all 60, so each reference set needs four halves, not seven
+    G, Q, refG, refQ, rel = generate_cone_dataset(ConeConfig(n_items=40, n_ref=60, dim=8, seed=5))
+    values = [1, 1.5, 2, 3, 50, 99, 100]
+    assert [simgraph._top_count(v, n) for n in (refG.n, refQ.n) for v in values] == 2 * [
+        1, 1, 2, 2, 30, 60, 60]
+    normalized, seen = [], []
+
+    def counting_normalize(M, _normalize=core.row_normalize):
+        normalized.append(M.shape)
+        return _normalize(M)
+
+    def recording_score(Gs):
+        seen.append(Gs)
+        return degeneration_score(Gs)
+
+    monkeypatch.setattr(core, "row_normalize", counting_normalize)
+    monkeypatch.setattr(diagnostics, "degeneration_score", recording_score)
+    base = InvGCConfig("local", 0.1, 0.2)
+    curve = sweep_param(base, "k", values, Q, G, refG, refQ, rel)
+    assert len(normalized) == 2 * 4
+    assert len(seen) == len(curve.points) == len(values)
+    for (v, _, _), corrected in zip(curve.points, seen):
+        want = inverse_convolve_dual(G, refG, refQ, replace(base, k_percent=v))
+        assert corrected.ids == want.ids
+        assert_array_equal(corrected.data, want.data, err_msg=f"k={v}")
+
+
 # Only local reads k; a k-sweep on any other variant is refused
 # (test_a_k_sweep_needs_the_local_variant).
 @pytest.mark.parametrize("variant", ["local"])
