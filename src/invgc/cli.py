@@ -91,12 +91,10 @@ def _parse_values(spec: str) -> list:
 
 def _parse_ints(spec: str) -> list:
     vals = _parse_values(spec)
-    out = []
-    for v in vals:
-        if not math.isfinite(v) or int(v) != v:
-            raise UsageError(f"expected integers, got {v}")
-        out.append(int(v))
-    return out
+    bad = [v for v in vals if not math.isfinite(v) or int(v) != v]
+    if bad:
+        raise UsageError(f"expected integers, got {bad[0]}")
+    return [int(v) for v in vals]
 
 
 def _load_set(path) -> embio.EmbeddingSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _PARTITION_CELLS, _block_cells, _id_cells, _map_blocks, _mm, _row_blocks, unit_rows
+from .simgraph import _block_cells, _chunks, _id_cells, _map_blocks, _mm, unit_rows
 
 
 @dataclass
@@ -90,18 +90,13 @@ def _centered_gram(Z: np.ndarray, w: np.ndarray) -> tuple:
     """(zbar, C, q): Z's mean row, corrected by the sum of the deviations
     from it, its centered d x d Gram C, and q = w'Cw summed over the
     deviations as sum_i ((z_i - zbar) . w)^2, which keeps the digits that
-    C's rounding loses on a collapsed cone.  The deviations come in chunks
-    of about _PARTITION_CELLS cells, whose shapes depend on Z alone, in
-    one reused buffer."""
+    C's rounding loses on a collapsed cone.  The deviations come in
+    _chunks' buffer, in chunks cut by Z's shape alone."""
     n, d = Z.shape
     zbar = Z.mean(axis=0)
     gram, drift, q = np.zeros((d, d)), np.zeros(d), 0.0
-    # Not _row_blocks: its merged one-row tail would move std_sim's last bits.
-    step = max(1, _PARTITION_CELLS // max(1, d))
-    buf = np.empty((min(step, n), d))
-    for a in range(0, n, step):
-        z = Z[a : a + step]
-        dev = np.subtract(z, zbar, out=buf[: len(z)])
+    for b, part in _chunks(Z):
+        dev = np.subtract(Z[b], zbar, out=part)
         gram += _mm(dev.T, dev)
         drift += dev.sum(axis=0)
         proj = _mm(dev, w[:, None])
@@ -114,8 +109,8 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # row-sorted cells (rows[t], cols[t]); each row must keep a cell.
     # Each block reads its excluded cells, then overwrites them to take
     # its rows' min and sorted top values over the kept cells.  The top
-    # values come from partitions of _row_blocks chunks, run in place on
-    # the block, which nothing reads after it.  The block is not clipped:
+    # values come from one partition of the whole block, run in place,
+    # as nothing reads the block after it.  The block is not clipped:
     # only the values kept from it are.  The mean and the spread of the kept
     # cells need no block: they come from the two sets' means and
     # centered d x d Grams, with the excluded cells taken out.
@@ -134,9 +129,8 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
         # A row with fewer cells than the width ends in excluded cells,
         # which count as zero.
         sims[cells] = -np.inf
-        for chunk in _row_blocks(*sims.shape, _PARTITION_CELLS):
-            sims[chunk].partition(top, axis=1)
-            ranked[b][chunk] = np.sort(sims[chunk, top:], axis=1)[:, ::-1]
+        sims.partition(top, axis=1)
+        ranked[b] = np.sort(sims[:, top:], axis=1)[:, ::-1]
 
     _map_blocks(block, Xn, Yn, clip=False)
     ranked[ranked == -np.inf] = 0.0
@@ -152,7 +146,7 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # With e = s - m0 over the excluded cells and n kept cells, the kept
     # cells' mean is m0 - sum e / n and their M2 is that sum less
     # sum e^2 + (sum e)^2 / n.
-    m0 = float(xbar @ ybar)
+    m0 = float(_mm(xbar[None, :], ybar[:, None])[0, 0])
     e = excluded - m0
     e_sum, n_pairs = float(e.sum()), int(available.sum())
     spread = Y.n * qx + X.n * qy

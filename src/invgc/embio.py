@@ -19,8 +19,9 @@ Every TSV file (tsv embeddings, relevance maps, dump_ranks, the CLI's
 histogram and grid trace) is UTF-8 lines of tab-joined _cell strings,
 each ended by "\\n" (a "\\r\\n" ending reads too): a bool is "true" or
 "false", a float repr(float(v)), anything else str(v).  _write_tsv
-writes one, and _tsv_rows reads one and refuses a blank line as
-"path:line".  The CLI's stdout rows come from the same _line.
+writes one, and _tsv_rows reads one and refuses a blank line, or (as
+_utf8 does a sidecar's) a byte that is not UTF-8, as "path:line".  The
+CLI's stdout rows come from the same _line.
 
 An id holds no "\\n" or "\\r", nor a tab in tsv: save_embeddings refuses
 one that does, which its reader could not read back.
@@ -120,14 +121,29 @@ def _write_tsv(path, rows) -> None:
             f.write(_line(row) + "\n")
 
 
+def _utf8(path: Path) -> str:
+    """The file at path as text, or a FormatError naming the line of its first
+    byte that is not UTF-8, counting "\\r\\n", "\\r" and "\\n" endings."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        ln = raw[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise FormatError(f"{path}:{ln}: not UTF-8") from None
+
+
 def _tsv_rows(path: Path):
     """Yield (line number, cells) for each line of the TSV file at path."""
     with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                raise FormatError(f"{path}:{ln}: blank line")
-            yield ln, line.split("\t")
+        try:
+            for ln, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    raise FormatError(f"{path}:{ln}: blank line")
+                yield ln, line.split("\t")
+        except UnicodeDecodeError:
+            _utf8(path)  # raises, naming the line
+            raise
 
 
 # The characters that would end an id early in each format's reader.
@@ -209,8 +225,7 @@ def _load_binary(path: Path) -> EmbeddingSet:
     if sidecar.exists():
         # "\n" ends each id, as save_embeddings writes it: str.splitlines
         # would also split at "\x85", "\u2028" and the like.
-        with open(sidecar, encoding="utf-8", newline="") as f:
-            ids = f.read().split("\n")
+        ids = _utf8(sidecar).split("\n")
         if ids[-1] == "":
             ids.pop()
         ids = [i.removesuffix("\r") for i in ids]

@@ -16,7 +16,7 @@ _map_blocks takes unit rows: each entry point normalizes each set once.
 The cells a pass treats apart (self pairs, matched pairs, relevant
 items) come from _id_cells, by id; _block_cells hands each block its run.
 
-Row thresholds and top values come from partitioned _row_blocks chunks.
+Row thresholds, norms and diagnose's Grams walk _chunks' reused buffer.
 local and binary keep m entries per row, plus ties, so they are sparse;
 a percent becomes m once, by _top_count, and everything below takes m.
 core._aggregate sums each row's kept reference rows when m is at most
@@ -24,7 +24,7 @@ core._aggregate sums each row's kept reference rows when m is at most
 the whole row, as for avgpool's default p = 100, the aggregate is a
 d x d map, like full's.  scipy.sparse would add about 175 ms of import
 to every command, so the kept rows are gathered with numpy alone.
-Every product, cosine block, gathered sum or d x d map, goes through _mm.
+Every product goes through _mm, a dot of two vectors as a 1 x 1 one.
 """
 
 from __future__ import annotations
@@ -121,10 +121,9 @@ class Adjacency:
 def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     """(Y, norms) with Y / norms[:, None] the unit rows of X.
 
-    The squares are taken in _row_blocks of about _PARTITION_CELLS cells,
-    in one reused buffer laid out as X is, by the np.multiply and per-row
-    np.add.reduce that np.linalg.norm(X, axis=1) runs: the norms are its
-    bits, and no N x d array of squares is made.
+    The squares are taken in _chunks' buffer by the np.multiply and
+    per-row np.add.reduce that np.linalg.norm(X, axis=1) runs: the norms
+    are its bits, and no N x d array of squares is made.
 
     A row whose sum of squares overflows is first divided by its max |x|,
     as BLAS nrm2 scales; every other row of Y is X's row, and its norm
@@ -133,13 +132,10 @@ def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     ids are given.
     """
     X = np.asarray(X, dtype=np.float64)
-    chunks = _row_blocks(*X.shape, _PARTITION_CELLS)
-    buf = np.empty_like(X[: max((b.stop - b.start for b in chunks), default=0)])
     norms = np.empty(len(X))
     with np.errstate(over="ignore"):
-        for b in chunks:
-            squares = np.multiply(X[b], X[b], out=buf[: b.stop - b.start])
-            np.add.reduce(squares, axis=1, out=norms[b])
+        for b, part in _chunks(X):
+            np.add.reduce(np.multiply(X[b], X[b], out=part), axis=1, out=norms[b])
     np.sqrt(norms, out=norms)
     big = np.nonzero(~np.isfinite(norms))[0]
     if big.size:
@@ -202,6 +198,7 @@ def _block_cells(rows: np.ndarray, cols: np.ndarray, b: slice) -> tuple:
 
 
 _BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
+_PARTITION_CELLS = 1 << 15
 
 
 def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
@@ -217,6 +214,15 @@ def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+def _chunks(X: np.ndarray):
+    """Yield (b, part) for the _row_blocks chunks of X of about
+    _PARTITION_CELLS cells; part is one reused buffer laid out as X[b]."""
+    blocks = _row_blocks(*X.shape, _PARTITION_CELLS)
+    buf = np.empty_like(X[: max((b.stop - b.start for b in blocks), default=0)])
+    for b in blocks:
+        yield b, buf[: b.stop - b.start]
 
 
 def _worker_count() -> int:
@@ -326,23 +332,14 @@ def _top_count(percent: float, n: int) -> int:
     return max(1, math.ceil(percent / 100.0 * n))
 
 
-_PARTITION_CELLS = 1 << 15
-
-
 def _row_thresholds(values: np.ndarray, counts) -> np.ndarray:
-    """Per kept count m in counts, each row's m-th largest value.
-
-    A len(counts) x n_rows array from one partition per _row_blocks
-    chunk, copied into one reused buffer, so each equals the threshold of
-    a partition of the whole row for its m alone.
-    """
+    """Per kept count m in counts, each row's m-th largest value, in a
+    len(counts) x n_rows array from one partition per chunk in _chunks'
+    buffer: each is the threshold of a partition of the row for m alone."""
     kth = [values.shape[1] - m for m in counts]
     order = sorted(set(kth))
-    chunks = _row_blocks(*values.shape, _PARTITION_CELLS)
-    buf = np.empty_like(values[: max((b.stop - b.start for b in chunks), default=0)])
     out = np.empty((len(kth), len(values)), dtype=values.dtype)
-    for b in chunks:
-        part = buf[: b.stop - b.start]
+    for b, part in _chunks(values):
         np.copyto(part, values[b])
         part.partition(order, axis=1)
         out[:, b] = part[:, kth].T

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import unit_rows
+from .simgraph import _mm, unit_rows
 
 MODALITY_GAP = 1.4
 """Length of the shared query-side offset along the cone axis.
@@ -98,7 +98,7 @@ def generate_cone_dataset(cfg: ConeConfig):
     """
     rng = np.random.default_rng(cfg.seed)
     axis = rng.standard_normal(cfg.dim)
-    axis /= np.linalg.norm(axis)
+    axis /= np.sqrt(_mm(axis[None, :], axis[:, None])[0, 0])
     gap = MODALITY_GAP * axis
     root_dim = math.sqrt(cfg.dim)
 

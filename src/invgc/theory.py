@@ -104,17 +104,13 @@ def cap_fraction_mc(n: int, b: float, samples: int, seed: int):
         raise ValueError(f"samples must be >= 1, got {samples}")
     cutoff = math.sqrt(max(0.0, 1.0 - b * b))
     hits = 0
-    done = 0
-    block = 0
-    while done < samples:
-        count = min(MC_BLOCK, samples - done)
+    for block, start in enumerate(range(0, samples, MC_BLOCK)):
+        count = min(MC_BLOCK, samples - start)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), block)))
         g = rng.standard_normal((count, n))
         radii = rng.random(count) ** (1.0 / n)
         first = g[:, 0] / np.linalg.norm(g, axis=1) * radii
         hits += int(np.count_nonzero(first >= cutoff))
-        done += count
-        block += 1
     estimate = hits / samples
     stderr = math.sqrt(estimate * (1.0 - estimate) / samples)
     return estimate, stderr

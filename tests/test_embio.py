@@ -138,6 +138,35 @@ def test_a_crlf_sidecar_loads(tmp_path):
     assert load_embeddings(path, "binary").ids == ["a", "b "]
 
 
+def test_a_sidecar_that_is_not_utf8_is_named_with_its_line(tmp_path):
+    path = tmp_path / "t.emb"
+    save_embeddings(EmbeddingSet(["a", "b", "c"], [[1.0], [2.0], [3.0]]), path, "binary")
+    (tmp_path / "t.emb.ids").write_bytes(b"a\r\nb\n\xffc\n")
+    with pytest.raises(FormatError) as refused:
+        load_embeddings(path, "binary")
+    assert str(refused.value) == f"{path}.ids:3: not UTF-8"
+
+
+def test_a_tsv_embedding_file_that_is_not_utf8_is_named_with_its_line(tmp_path):
+    # past the text reader's first 8 KB, with "\r\n", "\r" and "\n" endings
+    path = tmp_path / "t.tsv"
+    endings = [b"\r\n", b"\n", b"\r"]
+    head = b"".join(b"e%d\t1.0%s" % (i, endings[i % 3]) for i in range(3000))
+    assert len(head) > 8192
+    path.write_bytes(head + b"x\t2.0\ny\xff\t3.0\n")
+    with pytest.raises(FormatError) as refused:
+        load_embeddings(path, "tsv")
+    assert str(refused.value) == f"{path}:3002: not UTF-8"
+
+
+def test_a_relevance_file_that_is_not_utf8_is_named_with_its_line(tmp_path):
+    path = tmp_path / "rel.tsv"
+    path.write_bytes(b"q0\tg0\nq1\tg\xff1\n")
+    with pytest.raises(FormatError) as refused:
+        load_relevance(path)
+    assert str(refused.value) == f"{path}:2: not UTF-8"
+
+
 @pytest.mark.parametrize("format, bad", [
     ("binary", "a\nb"), ("binary", "a\r"), ("tsv", "a\nb"), ("tsv", "\ra"), ("tsv", "a\tb"),
 ])

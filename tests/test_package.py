@@ -60,9 +60,25 @@ def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
     assert called == [True]
 
 
+def _reaches_blas(node) -> bool:
+    # Every numpy route to a BLAS product: @ and @=, a dot, matmul,
+    # inner, vdot or tensordot of any object, an np.linalg call that is
+    # not a per-axis reduction, and an einsum that may call tensordot.
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("dot", "matmul", "inner", "vdot", "tensordot")
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    f, keywords = node.func, {k.arg for k in node.keywords}
+    if isinstance(f.value, ast.Attribute) and f.value.attr == "linalg":
+        return "axis" not in keywords
+    return f.attr == "einsum" and "optimize" in keywords
+
+
 def test_every_matrix_product_goes_through_mm():
     # _mm holds BLAS at one thread, which keeps every result's bits
-    # independent of the thread setting; a direct np.dot or np.matmul
+    # independent of the thread setting; a product that reaches BLAS
     # elsewhere would not be pinned.
     root = Path(__file__).resolve().parents[1]
     outside = []
@@ -74,9 +90,7 @@ def test_every_matrix_product_goes_through_mm():
             allowed = {id(node) for node in ast.walk(mm)}
         outside += [
             f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul")
-            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
-            and id(node) not in allowed
+            if _reaches_blas(node) and id(node) not in allowed
         ]
     assert outside == []
 

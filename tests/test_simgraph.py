@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles
 from invgc import simgraph
 from invgc.core import row_normalize
+from invgc.diagnostics import cross_mean_sim, intra_mean_sim
 from invgc.embio import EmbeddingSet
 from invgc.retrieval import evaluate
 from invgc.simgraph import (
@@ -24,6 +25,7 @@ from invgc.simgraph import (
     row_percentile_threshold,
     unit_rows,
 )
+from invgc.synth import ConeConfig, generate_cone_dataset
 
 
 def make_set(rng, n, d, prefix="x"):
@@ -262,11 +264,24 @@ def test_concurrent_mm_calls_share_one_pin():
         assert_array_equal(got, want)
 
 
+def _fallback_results():
+    # Every product kind the package takes: Grams, blocks and dot
+    # products of two vectors in diagnose, and the axis norm in synth.
+    rng = np.random.default_rng(37)
+    G, Q = make_set(rng, 30, 6, "g"), make_set(rng, 20, 6, "q")
+    rel = {f"q{i}": {f"g{i}"} for i in range(20)}
+    reports = [intra_mean_sim(G, [1, 3]), cross_mean_sim(G, Q, rel, [1, 3])]
+    numbers = [[r.mean_sim, r.std_sim, r.min_sim, *r.mean_sim_at.values()] for r in reports]
+    sets = generate_cone_dataset(ConeConfig(n_items=10, n_ref=15, dim=8, seed=5))[:4]
+    return numbers + [s.data for s in sets]
+
+
 def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
     class NoSymbols:
         def __init__(self, path):
             pass
 
+    pinned = _fallback_results()
     monkeypatch.setattr(simgraph.ctypes, "CDLL", NoSymbols)
     assert simgraph._find_blas_pin() is None
 
@@ -279,6 +294,8 @@ def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
     a = rng.standard_normal((20, 30))
     b = rng.standard_normal((30, 5))
     assert_array_equal(_mm(a, b), np.einsum("ij,jk->ik", a, b))
+    for got, want in zip(_fallback_results(), pinned):
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeypatch):

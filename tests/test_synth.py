@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from invgc import simgraph
 from invgc.cli import main
 from invgc.diagnostics import degeneration_score
 from invgc.embio import EmbeddingSet
@@ -94,6 +95,25 @@ def test_zero_query_noise_is_allowed():
     assert_allclose(np.linalg.norm(Q.data, axis=1), 1.0, atol=1e-9)
     rep = evaluate(Q, G, rel, (1, 5))
     assert rep.recall_at[5] >= rep.recall_at[1] > 0.0
+
+
+def test_generation_does_not_depend_on_the_blas_thread_count():
+    # Above d = 10,000 OpenBLAS threads a dot product of two vectors, so
+    # the axis norm is taken through the pinned _mm like every product.
+    pin = simgraph._BLAS_PIN
+    if pin is None:
+        pytest.skip("numpy runs on a BLAS without the OpenBLAS thread symbols")
+    cfg = ConeConfig(n_items=2, n_ref=2, dim=10001, seed=3)
+    saved = pin.get()
+    try:
+        pin.set(1)
+        one = generate_cone_dataset(cfg)
+        pin.set(2)
+        two = generate_cone_dataset(cfg)
+    finally:
+        pin.set(saved)
+    for a, b in zip(one[:4], two[:4]):
+        assert_array_equal(a.data, b.data)
 
 
 def test_config_validation():
