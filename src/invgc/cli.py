@@ -144,9 +144,9 @@ def _cfg_from_args(args):
         _check_percent("--p", p)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    rg = getattr(args, "rg", 0.0)
-    rq = getattr(args, "rq", 0.0)
-    return InvGCConfig(args.variant, rg, rq, k, p)
+    # tune has no --rg or --rq, and sweep leaves an unset one None
+    rg, rq = (getattr(args, step, None) for step in ("rg", "rq"))
+    return InvGCConfig(args.variant, 0.0 if rg is None else rg, 0.0 if rq is None else rq, k, p)
 
 
 def _emit_degeneration(report, mode: str) -> None:
@@ -255,11 +255,18 @@ def cmd_tune(args) -> int:
 def cmd_sweep(args) -> int:
     from .tuner import sweep_param
 
+    # --values sets the swept parameter, so its own flag would be ignored
+    # ("ratio" has none), and only a ratio sweep draws with --seed.
+    if getattr(args, args.param, None) is not None:
+        raise UsageError(f"--{args.param} does not apply to --param {args.param}: --values sets it")
+    if args.seed is not None and args.param != "ratio":
+        raise UsageError("--seed applies only to --param ratio")
     cfg = _cfg_from_args(args)
     if args.param == "k" and cfg.variant != "local":
         raise UsageError("--param k requires --variant local")
     values = _parse_values(args.values)
-    curve = sweep_param(cfg, args.param, values, *_load_val_sets(args), seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    curve = sweep_param(cfg, args.param, values, *_load_val_sets(args), seed=seed)
     for v, r1, ddeg in curve.points:
         print(embio._line((f"{curve.param_name}={embio._cell(v)}", r1, "-", "-", ddeg)))
     return EXIT_OK
@@ -376,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="full", choices=VARIANTS)
     p.add_argument("--k", type=float)
     p.add_argument("--p", type=float)
-    p.add_argument("--rg", type=float, default=0.0)
-    p.add_argument("--rq", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0, help="ratio subsampling seed")
+    p.add_argument("--rg", type=float)
+    p.add_argument("--rq", type=float)
+    p.add_argument("--seed", type=int, help="ratio subsampling seed")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a cone-degenerate dataset")

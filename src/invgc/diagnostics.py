@@ -28,16 +28,11 @@ class DegenerationReport:
 
 
 def _nn_histogram(nn_values: np.ndarray, bins: int) -> list:
-    # Equal-width bins over [-1, 1]; a value on a bin boundary lands in
-    # the higher bin, except the global maximum 1.0 which stays in the
-    # top bin so the partition is exact.
-    width = 2.0 / bins
-    idx = np.floor((nn_values + 1.0) / width).astype(int)
-    idx = np.minimum(idx, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    return [
-        (-1.0 + i * width, -1.0 + (i + 1) * width, int(counts[i])) for i in range(bins)
-    ]
+    """(lower, upper, count) per equal-width bin over [-1, 1], as numpy's
+    histogram bins it: each bin holds lower <= v < upper, the top bin also
+    1.0, and the edges are linspace(-1, 1, bins + 1), so the top one is 1.0."""
+    counts, edges = np.histogram(nn_values, bins=bins, range=(-1.0, 1.0))
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def _check_bins(bins: int) -> None:
@@ -80,9 +75,6 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     ks = _check_ks(ks, None)
     _check_bins(bins)
     rows, cols = _id_cells(G.ids, Q.ids, ((g, q) for q, gs in rel.items() for g in gs))
-    full = np.bincount(rows, minlength=G.n) == Q.n
-    if full.any():
-        raise ValueError(f"gallery row {G.ids[int(np.argmax(full))]!r} has no unmatched queries left")
     return _neighbour_report(G, Q, rows, cols, ks, bins)
 
 
@@ -106,7 +98,8 @@ def _centered_gram(Z: np.ndarray, w: np.ndarray) -> tuple:
 
 def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bins: int) -> DegenerationReport:
     # One pass over the row blocks of the X x Y cosines, leaving out the
-    # row-sorted cells (rows[t], cols[t]); each row must keep a cell.
+    # row-sorted cells (rows[t], cols[t]); a row that keeps no cell is an
+    # error, raised before anything is normalized.
     # Each block reads its excluded cells, then overwrites them to take
     # its rows' min and sorted top values over the kept cells.  The top
     # values come from one partition of the whole block, run in place,
@@ -114,9 +107,11 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
     # only the values kept from it are.  The mean and the spread of the kept
     # cells need no block: they come from the two sets' means and
     # centered d x d Grams, with the excluded cells taken out.
+    available = Y.n - np.bincount(rows, minlength=X.n)
+    if not available.all():
+        raise ValueError(f"gallery row {X.ids[int(np.argmin(available))]!r} has no unmatched queries left")
     Xn = unit_rows(X.data, X.ids)
     Yn = Xn if Y is X else unit_rows(Y.data, Y.ids)
-    available = Y.n - np.bincount(rows, minlength=X.n)
     top = Y.n - min(max(ks), Y.n)
     ranked = np.empty((X.n, Y.n - top))
     row_min, excluded = np.empty(X.n), np.empty(len(rows))

@@ -199,6 +199,19 @@ def save_embeddings(es: EmbeddingSet, path, format: str = "binary") -> None:
         raise ValueError(f"unknown format {format!r}")
 
 
+def _loaded_set(path: Path, ids: list, data: np.ndarray, id_file: Path) -> EmbeddingSet:
+    """EmbeddingSet(ids, data), or a FormatError naming path; a repeated id
+    is named at the line of id_file that repeats it, ids[0] being line 1."""
+    try:
+        return EmbeddingSet(ids, data)
+    except ValueError as e:
+        first = {}
+        for ln, i in enumerate(ids, 1):
+            if first.setdefault(i, ln) != ln:
+                raise FormatError(f"{id_file}:{ln}: duplicate id {i!r}") from None
+        raise FormatError(f"{path}: {e}") from None
+
+
 def _load_binary(path: Path) -> EmbeddingSet:
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
@@ -233,10 +246,7 @@ def _load_binary(path: Path) -> EmbeddingSet:
             raise FormatError(f"{sidecar}: {len(ids)} ids for {n} rows")
     else:
         ids = [str(i) for i in range(n)]
-    try:
-        return EmbeddingSet(ids, data)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _loaded_set(path, ids, data, sidecar)
 
 
 def _load_tsv(path: Path) -> EmbeddingSet:
@@ -257,10 +267,7 @@ def _load_tsv(path: Path) -> EmbeddingSet:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise FormatError(f"{path}: inconsistent dimensions {sorted(widths)}")
-    try:
-        return EmbeddingSet(ids, np.array(rows, dtype=np.float64))
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from None
+    return _loaded_set(path, ids, np.array(rows, dtype=np.float64), path)
 
 
 def load_embeddings(path, format: str = "binary") -> EmbeddingSet:

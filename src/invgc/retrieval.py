@@ -41,23 +41,22 @@ class _Relevance:
         if missing.any():
             raise ValueError(f"query {Q.ids[int(np.argmax(missing))]!r} has no relevant gallery item")
 
+    def rank(self, G: EmbeddingSet) -> dict:
+        """rank_queries' rank map for G, whose ids must be those resolved against."""
+        ranks = np.empty(len(self.queries), dtype=np.intp)
 
-def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel) -> dict:
-    """1-based rank of the best-ranked relevant gallery item per query.
+        def block(b, sims):
+            _, cells = _block_cells(self.rows, self.cols, b)
+            ranks[b] = _block_ranks(sims, *cells)
 
-    rel maps query ids to sets of gallery ids.  A search that ranks many
-    galleries with G's ids passes a _Relevance of Q resolved once instead.
-    """
-    if not isinstance(rel, _Relevance):
-        rel = _Relevance(Q, G.ids, rel)
-    ranks = np.empty(len(rel.queries), dtype=np.intp)
+        _map_blocks(block, self.queries, unit_rows(G.data, G.ids))
+        return dict(zip(self.ids, ranks.tolist()))
 
-    def block(b, sims):
-        _, cells = _block_cells(rel.rows, rel.cols, b)
-        ranks[b] = _block_ranks(sims, *cells)
 
-    _map_blocks(block, rel.queries, unit_rows(G.data, G.ids))
-    return dict(zip(rel.ids, ranks.tolist()))
+def rank_queries(Q: EmbeddingSet, G: EmbeddingSet, rel: dict) -> dict:
+    """1-based rank of the best-ranked relevant gallery item per query;
+    rel maps query ids to sets of gallery ids, of which G must hold one."""
+    return _Relevance(Q, G.ids, rel).rank(G)
 
 
 def _block_ranks(sims: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -102,7 +101,7 @@ def compute_metrics(ranks: dict, Ks) -> RetrievalReport:
     )
 
 
-def evaluate(Q: EmbeddingSet, G: EmbeddingSet, rel, Ks=(1, 5, 10)) -> RetrievalReport:
+def evaluate(Q: EmbeddingSet, G: EmbeddingSet, rel: dict, Ks=(1, 5, 10)) -> RetrievalReport:
     """Rank and aggregate in one step."""
     return compute_metrics(rank_queries(Q, G, rel), Ks)
 

@@ -10,7 +10,7 @@ import numpy as np
 from ._choices import SWEEP_PARAMS
 from .core import InvGCConfig, _dual_over_steps, inverse_convolve_dual
 from .embio import EmbeddingSet
-from .retrieval import RetrievalReport, _Relevance, evaluate
+from .retrieval import RetrievalReport, _Relevance, compute_metrics
 
 DEFAULT_R_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 
@@ -60,7 +60,7 @@ def grid_search(
     best = None
     best_key = None
     for cfg in cells:
-        report = evaluate(valQ, correct(cfg), resolved, ks)
+        report = compute_metrics(resolved.rank(correct(cfg)), ks)
         r1, r5 = report.recall_at[1], report.recall_at[5]
         mnr = report.mean_rank
         trace.append((cfg, r1, r5, mnr))
@@ -133,6 +133,6 @@ def sweep_param(
     resolved = _Relevance(valQ, valG.ids, rel)
     points = []
     for v, corrected in zip(values, corrections):
-        report = evaluate(valQ, corrected, resolved, (1,))
-        points.append((v, report.recall_at[1], degeneration_score(corrected)))
+        r1 = compute_metrics(resolved.rank(corrected), (1,)).recall_at[1]
+        points.append((v, r1, degeneration_score(corrected)))
     return SweepCurve(param_name=param, points=points)

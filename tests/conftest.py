@@ -38,3 +38,14 @@ def traced_peak():
             tracemalloc.stop()
 
     return run
+
+
+def pytest_collection_modifyitems(config, items):
+    """Every warning a test under tests/ raises fails it.  The mark goes on
+    here, not in pyproject's filterwarnings, which would also reach any
+    other test tree run in the same session.  It goes first, so a test's
+    own filterwarnings mark still takes precedence."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)

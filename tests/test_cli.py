@@ -3,14 +3,13 @@
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from invgc import diagnostics
+from invgc import diagnostics, embio
 from invgc.cli import main
 from invgc.core import InvGCConfig, _aggregate, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
@@ -745,6 +744,23 @@ def test_a_k_or_ratio_sweep_at_zero_steps_exits_2(dataset, capsys, param, varian
     assert f"param {param!r} needs a nonzero step: set --rg or --rq" in err
 
 
+@pytest.mark.parametrize("param, flags, message", [
+    ("rg", ["--rg", "5", "--rq", "0.1"], "--rg does not apply to --param rg: --values sets it"),
+    ("rq", ["--rq", "5"], "--rq does not apply to --param rq: --values sets it"),
+    ("k", ["--variant", "local", "--k", "50", "--rg", "0.1"], "--k does not apply to --param k: --values sets it"),
+    ("rg", ["--seed", "4"], "--seed applies only to --param ratio"),
+    ("k", ["--variant", "local", "--rg", "0.1", "--seed", "0"], "--seed applies only to --param ratio"),
+])
+def test_sweep_refuses_a_flag_its_values_override(dataset, capsys, monkeypatch, param, flags, message):
+    # such a flag was once read by nothing: the rows printed as without it
+    loads = []
+    monkeypatch.setattr(embio, "load_embeddings", lambda *a: loads.append(a))
+    argv = ["sweep", "--param", param, "--values", "1,2", *_val_sets(dataset, dataset["rel"]), *flags]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1 and out == "" and loads == []
+    assert err == f"invgc sweep: error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--rg-grid", "--rq-grid"])
 def test_tune_refuses_an_empty_grid(dataset, capsys, flag):
     # an empty list once fell back to the default 8 x 8 grid
@@ -787,13 +803,11 @@ def test_a_usage_error_is_found_before_any_file_is_read(sub, message, capsys, tm
 def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
     # 1e200 * the aggregate is finite, but each row's sum of squares is not
     out = tmp_path / "huge.emb"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc, _, err = run_main([
-            "apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
-            "--ref-query", dataset["refq"], "--variant", "full",
-            "--rg", "1e200", "--rq", "0", "--out", str(out),
-        ], capsys)
+    rc, _, err = run_main([
+        "apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+        "--ref-query", dataset["refq"], "--variant", "full",
+        "--rg", "1e200", "--rq", "0", "--out", str(out),
+    ], capsys)
     assert rc == 0 and err == ""
     G = load_embeddings(dataset["gallery"])
     refG = load_embeddings(dataset["refg"])
@@ -826,9 +840,7 @@ def test_an_overflowing_step_exits_two_naming_its_option(dataset, capsys, tmp_pa
         argv = ["sweep", "--param", "rg", "--values", "0,1e308", *val_sets]
     else:
         argv = ["sweep", "--param", "rg", "--values", "0", "--rq", "1e308", *val_sets]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc, out, err = run_main(argv, capsys)
+    rc, out, err = run_main(argv, capsys)
     assert rc == 2 and out == ""
     assert err == (f"invgc {sub}: {flag} value 1e+308 is too large:"
                    " the step times the reference aggregate is not finite\n")

