@@ -112,11 +112,11 @@ def _load_pairing(path, queries: embio.EmbeddingSet, gallery: embio.EmbeddingSet
     return rel
 
 
-def _is_step_overflow(e: Exception) -> bool:
-    # Only core raises StepOverflowError, so if core was never imported
-    # e is not one, and checking does not import it.
+def _is_step_error(e: Exception) -> bool:
+    # Only core raises a StepError, so if core was never imported e is
+    # not one, and checking does not import it.
     core = sys.modules.get(f"{__package__}.core")
-    return core is not None and isinstance(e, core.StepOverflowError)
+    return core is not None and isinstance(e, core.StepError)
 
 
 def _step_flag(args, field: str) -> str:
@@ -418,14 +418,8 @@ def main(argv=None) -> int:
         print(f"invgc {args.subcommand}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, MemoryError) as e:
-        if _is_step_overflow(e):
-            print(
-                f"invgc {args.subcommand}: {_step_flag(args, e.field)} value {e.r!r} is too large:"
-                " the step times the reference aggregate is not finite",
-                file=sys.stderr,
-            )
-        else:
-            print(f"invgc {args.subcommand}: {e}", file=sys.stderr)
+        message = e.named(_step_flag(args, e.field)) if _is_step_error(e) else e
+        print(f"invgc {args.subcommand}: {message}", file=sys.stderr)
         return EXIT_DATA
 
 

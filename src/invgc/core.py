@@ -56,7 +56,7 @@ class InvGCConfig:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name, r in (("r_g", self.r_g), ("r_q", self.r_q)):
             if not (math.isfinite(r) and r >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {r}")
+                raise StepRangeError(name, r)
         _check_percent("k_percent", self.k_percent)
         _check_percent("p_percent", self.p_percent)
 
@@ -89,12 +89,35 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     return out
 
 
-class StepOverflowError(ValueError):
+class StepError(ValueError):
+    """A step r_g or r_q that the update cannot take.  str(e) names the
+    config field, e.field; e.named(option) words the same error for the
+    option that set the step."""
+
+    def __init__(self, field: str, r: float, message: str):
+        super().__init__(message)
+        self.field, self.r = field, r
+
+
+class StepRangeError(StepError):
+    """A step r that is negative or not finite."""
+
+    def __init__(self, field: str, r: float):
+        super().__init__(field, r, f"{field} must be finite and >= 0, got {r}")
+
+    def named(self, option: str) -> str:
+        return f"{option} must be finite and >= 0, got {self.r}"
+
+
+class StepOverflowError(StepError):
     """A step r whose product with the reference aggregate is not finite."""
 
     def __init__(self, field: str, r: float):
-        super().__init__(f"{field}={r!r} is too large: {field} times the aggregate is not finite")
-        self.field, self.r = field, r
+        super().__init__(field, r, f"{field}={r!r} is too large: {field} times the aggregate is not finite")
+
+    def named(self, option: str) -> str:
+        return (f"{option} value {self.r!r} is too large:"
+                " the step times the reference aggregate is not finite")
 
 
 def inverse_convolve_single(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet, r: float) -> EmbeddingSet:
@@ -164,10 +187,12 @@ def _dual_over_steps(G, refG, refQ, cfgs):
 _GATHER_SHARE = 1 / 32
 """Largest share m / N_ref of a row that _aggregate sums from gathered rows.
 
-Measured per row block of 2**18 cosines on one thread of a 2.1 GHz Xeon,
-at N_ref 1000 and 5000 and d 8 to 256: at m / N_ref = 1/32 the gather
-takes 0.64 to 0.93 of the masked GEMM's time, at 1/16 it takes 1.05 to
-1.44.  Keeping every column, as avgpool's default p = 100 does, needs no block.
+Measured per row block on one thread of a 2.1 GHz Xeon, at N_ref 1000
+and 5000: on 2**18-cell blocks at d 8 to 256, at m / N_ref = 1/32 the
+gather takes 0.64 to 0.93 of the masked GEMM's time, at 1/16 it takes
+1.05 to 1.44.  On the wider blocks of d 128 and 256 (2**19 and 2**20
+cells) it takes 0.58 to 0.77 at 1/32 and 0.92 to 1.61 at 1/16.  Keeping
+every column, as avgpool's default p = 100 does, needs no block.
 """
 
 

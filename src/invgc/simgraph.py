@@ -9,9 +9,10 @@ local   per row, keep entries >= the m-th largest value verbatim and
 binary  same row threshold, but retained entries become 1 and the rest 0
 
 Every cosine the library takes comes from _map_blocks, which hands row
-blocks of about 2**18 cells to a few threads, so no pass holds an
-N x N_ref matrix unless it asks for one: cosine_similarity_matrix fills
-the dense matrix from the same blocks, for callers that want it whole.
+blocks of 2**18 cells at d <= 64, rising with d to 2**20 from d = 256
+(_pass_blocks), to a few threads, so no pass holds an N x N_ref matrix
+unless it asks for one: cosine_similarity_matrix fills the dense matrix
+from the same blocks, for callers that want it whole.
 _map_blocks takes unit rows: each entry point normalizes each set once.
 The cells a pass treats apart (self pairs, matched pairs, relevant
 items) come from _id_cells, by id; _block_cells hands each block its run.
@@ -201,6 +202,15 @@ _BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
 _PARTITION_CELLS = 1 << 15
 
 
+def _pass_blocks(n_rows: int, n_cols: int, d: int) -> list:
+    # _map_blocks' row blocks: _row_blocks at _BLOCK_CELLS times d // 64,
+    # held between 1 and 4, so 2 MB at d <= 64 and 8 MB from d = 256 on.
+    # Each block's GEMM packs the whole n_cols x d panel it multiplies, so
+    # at wide d a 2**18-cell block repacks it every few dozen rows: 40
+    # times per pass over 5000 x 256 references.
+    return _row_blocks(n_rows, n_cols, _BLOCK_CELLS * min(4, max(1, d // 64)))
+
+
 def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
     # Row slices of an n_rows x n_cols matrix, about cells cells each;
     # without cells, _BLOCK_CELLS as it is at the call, not at import,
@@ -252,17 +262,17 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     clip is monotone, so they come out the same, without a pass over the
     block.
 
-    The blocks depend on the shapes alone, and each product runs on one
-    BLAS thread, so a block's bits do not depend on which thread runs it
-    or how many run.  They can depend on _BLOCK_CELLS: at some shapes
-    OpenBLAS's last bit in a cell depends on a product's row count, and
-    numpy runs a self pass that fits one block as syrk.  Blocks finish in
-    any order: fn must only write its own rows.  The calling thread is
-    one of the workers.  The first exception fn raises, in block order,
-    propagates.
+    The blocks are _pass_blocks', which depend on the shapes alone, and
+    each product runs on one BLAS thread, so a block's bits do not depend
+    on which thread runs it or how many run.  They can depend on the
+    block budget: at some shapes OpenBLAS's last bit in a cell depends on
+    a product's row count, and numpy runs a self pass that fits one block
+    as syrk.  Blocks finish in any order: fn must only write its own
+    rows.  The calling thread is one of the workers.  The first exception
+    fn raises, in block order, propagates.
     """
     _check_dims(Xn.shape[1], Yn.shape[1])
-    blocks = _row_blocks(len(Xn), len(Yn))
+    blocks = _pass_blocks(len(Xn), len(Yn), Xn.shape[1])
     workers = min(_worker_count(), len(blocks))
 
     def run(b):

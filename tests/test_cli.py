@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from invgc import diagnostics, embio
+from invgc import diagnostics, embio, simgraph
 from invgc.cli import main
 from invgc.core import InvGCConfig, _aggregate, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
@@ -725,6 +725,37 @@ def test_pooled_correction_is_byte_identical_across_blas_threads_and_cpus(tmp_pa
         assert run == runs[0]
 
 
+def test_a_wide_sparse_correction_is_byte_identical_across_blas_threads_and_workers(tmp_path, cli_env):
+    # At d = 256 a pass takes four times the cells of a narrow one: 800 x
+    # 3000 cosines are two 349-row blocks and a 102-row one, where the
+    # narrow budget would cut ten.  local at 1% gathers its kept rows,
+    # avgpool at 5% multiplies the masked block.  Each run sets one
+    # OpenBLAS thread count and one _worker_count in the child.
+    run = ("import sys\nfrom invgc import simgraph\nworkers = int(sys.argv.pop(1))\n"
+           "simgraph._worker_count = lambda: workers\n" + _CALL_MAIN)
+    main(["synth", "--items", "800", "--refs", "3000", "--dim", "256", "--seed", "4",
+          "--out-prefix", str(tmp_path / "syn")])
+    assert len(simgraph._pass_blocks(800, 3000, 256)) == 3
+    refs = ["--gallery", "../syn.gallery.emb", "--ref-gallery", "../syn.refg.emb",
+            "--ref-query", "../syn.refq.emb", "--rg", "0.1", "--rq", "0.2"]
+    runs = []
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            cwd = tmp_path / f"{threads}-{workers}"
+            cwd.mkdir()
+            for argv in (["--variant", "local", "--k", "1", "--out", "local.emb"],
+                         ["--variant", "avgpool", "--p", "5", "--out", "avgpool.emb"]):
+                proc = subprocess.run(
+                    [sys.executable, "-c", run, workers, "apply", *refs, *argv], cwd=cwd,
+                    env=dict(cli_env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                )
+                assert proc.returncode == 0, proc.stderr.decode()
+            runs.append({p.name: p.read_bytes() for p in sorted(cwd.iterdir())})
+    assert sorted(runs[0]) == ["avgpool.emb", "avgpool.emb.ids", "local.emb", "local.emb.ids"]
+    for files in runs[1:]:
+        assert files == runs[0]
+
+
 def _val_sets(dataset, rel):
     return [
         "--val-query", dataset["query"], "--val-gallery", dataset["gallery"],
@@ -844,6 +875,25 @@ def test_an_overflowing_step_exits_two_naming_its_option(dataset, capsys, tmp_pa
     assert rc == 2 and out == ""
     assert err == (f"invgc {sub}: {flag} value 1e+308 is too large:"
                    " the step times the reference aggregate is not finite\n")
+    assert not (tmp_path / "o.emb").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["apply", "--rg=-1", "--rq=0"], "--rg"),
+    (["tune", "--rg-grid=-1,0"], "--rg-grid"),
+    (["sweep", "--param", "rg", "--values=-1,0"], "--values"),
+])
+def test_a_negative_step_exits_two_naming_its_option(dataset, capsys, tmp_path, argv, flag):
+    sub, *steps = argv
+    if sub == "apply":
+        argv = ["apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+                "--ref-query", dataset["refq"], "--variant", "full", *steps,
+                "--out", str(tmp_path / "o.emb")]
+    else:
+        argv = [*argv, *_val_sets(dataset, dataset["rel"]), "--variant", "full"]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"invgc {sub}: {flag} must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "o.emb").exists()
 
 

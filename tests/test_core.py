@@ -321,7 +321,7 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     rng = np.random.default_rng(37)
     G = make_set(rng, 1500, 12, "g")
     R = shared_id_reference(rng, G, 1000)
-    assert len(simgraph._row_blocks(G.n, R.n)) == 12
+    assert len(simgraph._pass_blocks(G.n, R.n, G.d)) == 12
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
     # the dense cosines from the unit rows and blocks _aggregate takes
     sims = SimMatrix(Gn.ids, R.ids, np.empty((G.n, R.n)))
@@ -393,6 +393,7 @@ def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference,
         for workers in (1, 3):
             monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
             monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
+            assert len(simgraph._pass_blocks(G.n, refG.n, G.d)) == (64 if budget == 64 else 1)
             for p, a, b in zip(percents, _aggregate(Gn, refG, variant, counts), want):
                 assert_array_equal(a, b, err_msg=f"{p}%, {budget} cells, {workers} workers")
             for p, m, b in zip(percents, counts, want):
@@ -432,7 +433,7 @@ def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch, traced_peak)
     G = make_set(rng, 2000, 8, "g")
     R = make_set(rng, 1000, 8, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    block = simgraph._row_blocks(G.n, R.n)[0]
+    block = simgraph._pass_blocks(G.n, R.n, G.d)[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     peaks = {}
     for variant in ("local", "avgpool"):
@@ -451,7 +452,7 @@ def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch
     G = make_set(rng, 2000, 8, "g")
     R = make_set(rng, 1000, 8, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    block = simgraph._row_blocks(G.n, R.n)[0]
+    block = simgraph._pass_blocks(G.n, R.n, G.d)[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     for variant in ("local", "avgpool"):
         _, peak = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
@@ -470,7 +471,7 @@ def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch, traced
     R = make_set(rng, 1000, 64, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
     assert simgraph._top_count(3.0, R.n) <= core._GATHER_SHARE * R.n
-    block = simgraph._row_blocks(G.n, R.n)[0]
+    block = simgraph._pass_blocks(G.n, R.n, G.d)[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     rows_bytes = (2 * G.n + R.n) * G.d * 8
     for variant in ("local", "avgpool"):
@@ -508,7 +509,7 @@ def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, m
     G = make_set(rng, 600, 12, "g")
     R = shared_id_reference(rng, G, 1466)
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    assert len(simgraph._row_blocks(G.n, R.n)) == (5 if budget is None else 300)
+    assert len(simgraph._pass_blocks(G.n, R.n, G.d)) == (5 if budget is None else 300)
     count_lists = [[simgraph._top_count(p, R.n) for p in percents]
                    for percents in ([1.0], [0.5, 1.0, 3.0, 50.0])]
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
@@ -536,7 +537,7 @@ def test_blocked_dual_update_matches_the_row_oracle(variant, monkeypatch):
     G = make_set(rng, 41, 4, "g")
     refG = shared_id_reference(rng, G, 9)
     refQ = EmbeddingSet(list(reversed(G.ids)), G.data[::-1])
-    assert len(simgraph._row_blocks(G.n, refG.n)) == 20
+    assert len(simgraph._pass_blocks(G.n, refG.n, G.d)) == 20
     cfg = InvGCConfig(variant, 0.3, 0.6, k_percent=8.0, p_percent=15.0)
     got = inverse_convolve_dual(G, refG, refQ, cfg)
     want = oracles.invgc_dual(

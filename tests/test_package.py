@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from invgc import cli
+from invgc import cli, simgraph
 
 LIBRARY = ["core", "diagnostics", "embio", "retrieval", "simgraph", "synth", "theory", "tuner"]
 
@@ -58,6 +59,20 @@ def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
     monkeypatch.setattr(cli, "run", lambda: called.append(True))
     runpy.run_module("invgc", run_name="__main__")
     assert called == [True]
+
+
+def test_the_blas_pin_is_found_on_the_numpy_pyproject_admits():
+    # Without the pin every product falls back to a single-thread einsum,
+    # about 4.7 times slower, and nothing says so; the floor is the numpy
+    # whose wheel layout simgraph._find_blas_pin is tested against.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    floor, = (dep.removeprefix("numpy>=") for dep in deps if dep.startswith("numpy>="))
+    assert np.lib.NumpyVersion(np.__version__) >= floor + ".0" * (2 - floor.count("."))
+    pin = simgraph._BLAS_PIN
+    assert pin is not None
+    assert pin.get() >= 1
 
 
 def _reaches_blas(node) -> bool:

@@ -306,6 +306,7 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
     X = make_set(rng, 40, 4)
     Y = make_set(rng, 8, 4, "y")
     Xu, Yu = unit_rows(X.data), unit_rows(Y.data)
+    assert len(simgraph._pass_blocks(X.n, Y.n, X.d)) == 20
     threads = threading.active_count()
     got = np.full((X.n, Y.n), np.nan)
 
@@ -347,7 +348,8 @@ def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch
     rng = np.random.default_rng(32)
     X = unit_rows(rng.standard_normal((400, 3)))
     Y = unit_rows(rng.standard_normal((8, 3)))
-    starts = [b.start for b in simgraph._row_blocks(len(X), len(Y))]
+    starts = [b.start for b in simgraph._pass_blocks(len(X), len(Y), 3)]
+    assert len(starts) == 200
     threads = threading.active_count()
 
     def run_pass(errors):
@@ -395,7 +397,7 @@ def test_a_one_worker_pass_runs_every_block_on_the_calling_thread(monkeypatch):
     X, Y = unit_rows(rng.standard_normal((40, 3))), unit_rows(rng.standard_normal((8, 3)))
     seen = []
     simgraph._map_blocks(lambda b, sims: seen.append((b, threading.get_ident())), X, Y)
-    assert [b for b, _ in seen] == simgraph._row_blocks(len(X), len(Y))
+    assert [b for b, _ in seen] == simgraph._pass_blocks(len(X), len(Y), 3)
     assert len(seen) == 20 and {t for _, t in seen} == {threading.get_ident()}
     assert started == []
 
@@ -428,19 +430,61 @@ def test_row_blocks_tile_the_rows_without_one_row_blocks():
         assert all((b.stop - b.start - 1) * n_cols <= cells for b in blocks)
 
 
-@pytest.mark.parametrize("n_rows, n_cols", [(1500, 2000), (2097, 1000), (5, 3)])
-def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols, monkeypatch):
+def test_pass_blocks_scale_the_cell_budget_with_d_up_to_four_times():
+    # Below d = 128 a pass is cut as _row_blocks cuts it; from there the
+    # budget is _BLOCK_CELLS times d // 64, up to 4 times: 2**20 cells
+    cells = simgraph._BLOCK_CELLS
+    for n_rows, n_cols in [(2000, 5000), (1100, 2000), (3001, 700), (7, 1 << 20), (3, 0)]:
+        for d, times in [(1, 1), (8, 1), (64, 1), (127, 1), (128, 2), (255, 3), (256, 4), (4096, 4)]:
+            want = simgraph._row_blocks(n_rows, n_cols, times * cells)
+            assert simgraph._pass_blocks(n_rows, n_cols, d) == want, (n_rows, n_cols, d)
+        # no block holds more than 2**20 cells, but for a merged tail row
+        # and the 2 rows every block has
+        for d in (1, 256, 4096, 1 << 16):
+            for b in simgraph._pass_blocks(n_rows, n_cols, d):
+                assert (b.stop - b.start - 1) * n_cols <= max(1 << 20, 2 * n_cols)
+    # the L shape: 5000 reference columns in 209-row blocks, not 52-row ones
+    assert {b.stop - b.start for b in simgraph._pass_blocks(2000, 5000, 256)} == {209, 119}
+    assert {b.stop - b.start for b in simgraph._row_blocks(2000, 5000)} == {52, 24}
+
+
+def test_map_blocks_cuts_each_pass_by_its_width(monkeypatch):
+    rng = np.random.default_rng(36)
+
+    def blocks(n_rows, n_cols, d):
+        X, Y = unit_rows(rng.standard_normal((n_rows, d))), unit_rows(rng.standard_normal((n_cols, d)))
+        seen = []
+        simgraph._map_blocks(lambda b, sims: seen.append(b), X, Y)
+        return sorted(seen, key=lambda b: b.start)
+
+    for d in (8, 64):
+        assert blocks(1500, 1500, d) == simgraph._row_blocks(1500, 1500)
+    wide = blocks(1500, 1500, 256)
+    assert wide == simgraph._row_blocks(1500, 1500, 4 * simgraph._BLOCK_CELLS) and len(wide) == 3
+    # a patched budget still sets the tiling, scaled by the same rule
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    assert blocks(40, 8, 4096) == [slice(0, 32), slice(32, 40)]
+    assert len(blocks(40, 8, 64)) == 5
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_cols, d", [(1500, 2000, 7), (2097, 1000, 7), (5, 3, 7), (1100, 2000, 256)],
+    ids=["1500-2000", "2097-1000", "5-3", "1100-2000-d256"],
+)
+def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols, d, monkeypatch):
     # 2097 rows of 1000 columns leave a 1-row tail after eight 262-row
-    # blocks; two threads hand out the blocks, which may finish in any order
+    # blocks; at d 256, 1100 rows of 2000 columns are two 524-row blocks
+    # and a 52-row one.  Two threads hand out the blocks, which may finish
+    # in any order.
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
     rng = np.random.default_rng(23)
-    X = make_set(rng, n_rows, 7)
-    Y = make_set(rng, n_cols, 7, "y")
+    X = make_set(rng, n_rows, d)
+    Y = make_set(rng, n_cols, d, "y")
     Xn, Yn = unit_rows(X.data), unit_rows(Y.data)
     blocks = []
     simgraph._map_blocks(lambda b, sims: blocks.append((b, sims.copy())), Xn, Yn)
     blocks.sort(key=lambda pair: pair[0].start)
-    assert [b for b, _ in blocks] == simgraph._row_blocks(n_rows, n_cols)
+    assert [b for b, _ in blocks] == simgraph._pass_blocks(n_rows, n_cols, d)
     for b, sims in blocks:
         assert_array_equal(sims, np.clip(_mm(Xn[b], Yn.T), -1.0, 1.0))
     assert_array_equal(np.concatenate([s for _, s in blocks]), cosine_similarity_matrix(X, Y).values)
