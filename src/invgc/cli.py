@@ -49,8 +49,9 @@ def _emit(key, value) -> None:
 _MAX_RANGE_POINTS = 1_000_000
 
 
-def _parse_values(spec: str) -> list:
-    """Parse "start:stop[:step]" (stop inclusive) or a comma list.
+def _parse_values(spec: str, number=float) -> list:
+    """Parse "start:stop[:step]" (stop inclusive) or a comma list, whose
+    items number() reads.
 
     A range of more than _MAX_RANGE_POINTS points is refused before its
     list is built, which would otherwise exhaust memory.
@@ -81,7 +82,7 @@ def _parse_values(spec: str) -> list:
             raise UsageError(f"range {spec!r} is empty")
         return vals
     try:
-        vals = [float(t) for t in spec.split(",") if t]
+        vals = [number(t) for t in spec.split(",") if t]
     except ValueError:
         raise UsageError(f"bad list {spec!r}") from None
     if not vals:
@@ -89,9 +90,20 @@ def _parse_values(spec: str) -> list:
     return vals
 
 
+def _exact(item: str):
+    # A float keeps 53 bits, so 9007199254740993 read as ...992: an item
+    # written as an integer is read as an int.  One past a float's range
+    # still reads as inf, which _parse_ints refuses.
+    value = float(item)
+    try:
+        return int(item) if math.isfinite(value) else value
+    except ValueError:
+        return value
+
+
 def _parse_ints(spec: str) -> list:
-    vals = _parse_values(spec)
-    bad = [v for v in vals if not math.isfinite(v) or int(v) != v]
+    vals = _parse_values(spec, number=_exact)
+    bad = [v for v in vals if isinstance(v, float) and not v.is_integer()]
     if bad:
         raise UsageError(f"expected integers, got {bad[0]}")
     return [int(v) for v in vals]
@@ -448,7 +460,3 @@ def run(argv=None):
     except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed file
         sys.exit(code)
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -530,6 +530,27 @@ def test_cross_diagnose_takes_a_topk_past_a_c_long(dataset, capsys):
     assert kv[f"mean_sim_at_{huge}"] == kv["mean_sim_at_16"]
 
 
+def test_eval_reads_a_recall_cutoff_past_two_to_the_53_exactly(dataset, capsys):
+    # through a float, 9007199254740993 read as 9007199254740992
+    rc, out, err = run_main(
+        ["eval", "--query", dataset["query"], "--gallery", dataset["gallery"],
+         "--relevance", dataset["rel"], "--recall-at", "1,9007199254740993"],
+        capsys,
+    )
+    assert rc == 0, err
+    assert [line.split("\t")[0] for line in out.splitlines()] == [
+        "R@1", "R@9007199254740993", "MdR", "MnR"
+    ]
+
+
+def test_diagnose_names_a_topk_past_two_to_the_53_exactly(dataset, capsys):
+    rc, out, err = run_main(
+        ["diagnose", "--gallery", dataset["gallery"], "--topk", "1,9007199254740993"], capsys
+    )
+    assert (rc, out) == (2, "")
+    assert err == "invgc diagnose: k=9007199254740993 exceeds the 15 available neighbors\n"
+
+
 def test_console_entry_point_runs(cli_env):
     proc = subprocess.run(
         [sys.executable, "-m", "invgc", "verify-theory", "--n", "2", "--b", "0.2,0.6"],

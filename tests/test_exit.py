@@ -3,7 +3,8 @@
 Each subprocess case runs the same argv twice, through `python -m invgc`
 and through a child that ends as the entry used to, with
 sys.exit(main()) and a full interpreter finalization; the two must agree
-on every byte.
+on every byte.  The entry also starts the process with OpenBLAS at one
+thread, unless the user set its thread count.
 """
 
 import os
@@ -12,7 +13,8 @@ import sys
 
 import pytest
 
-from invgc import cli
+from invgc import cli, simgraph
+from invgc.__main__ import _BLAS_THREAD_VARS
 
 _FINALIZED = "import sys\nfrom invgc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
@@ -155,3 +157,68 @@ def test_a_failed_flush_falls_back_to_sys_exit(stdout, ended, monkeypatch):
     with pytest.raises(SystemExit) as info:
         cli.run([])
     assert info.value.code == 0 and ended == []
+
+
+# A child that runs the installed script's function and, where cli.run
+# ends the process, prints its numpy OpenBLAS thread count and its
+# thread count, the BLAS pool's workers included.
+_REPORT_AT_EXIT = (
+    "import os\n"
+    "end = os._exit\n"
+    "def report(code):\n"
+    "    from invgc import simgraph\n"
+    "    print(simgraph._BLAS_PIN.get(), len(os.listdir('/proc/self/task')), flush=True)\n"
+    "    end(code)\n"
+    "os._exit = report\n"
+    "from invgc.__main__ import main\n"
+    "main()\n"
+)
+_TINY_COMMANDS = {
+    "synth": ["synth", "--items", "4", "--refs", "6", "--dim", "3", "--out-prefix", "syn"],
+    "verify-theory": ["verify-theory", "--n", "2", "--b", "0.5"],  # loads scipy's OpenBLAS too
+}
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+
+
+def _blas_report(tmp_path, cli_env, argv, **blas_env):
+    env = {k: v for k, v in cli_env.items() if k not in _BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_AT_EXIT, *argv], cwd=tmp_path,
+        env=dict(env, **blas_env), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, tasks = proc.stdout.splitlines()[-1].split()
+    return int(threads), int(tasks)
+
+
+@needs_proc
+@pytest.mark.skipif(simgraph._BLAS_PIN is None, reason="numpy's OpenBLAS not found")
+@pytest.mark.parametrize("command", sorted(_TINY_COMMANDS))
+@pytest.mark.parametrize("blas_env", [{}, {"OPENBLAS_NUM_THREADS": ""}], ids=["unset", "empty"])
+def test_the_cli_starts_no_blas_worker_pool_by_default(command, blas_env, tmp_path, cli_env):
+    # every product runs at one BLAS thread, so a pool would only idle
+    assert _blas_report(tmp_path, cli_env, _TINY_COMMANDS[command], **blas_env) == (1, 1)
+
+
+@needs_proc
+@pytest.mark.skipif(simgraph._BLAS_PIN is None, reason="numpy's OpenBLAS not found")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its threads at the CPUs")
+@pytest.mark.parametrize("var", _BLAS_THREAD_VARS)
+def test_a_blas_thread_variable_the_user_set_wins(var, tmp_path, cli_env):
+    # the criterion-12 tests set one of these to compare against a real
+    # 2-thread library
+    threads, tasks = _blas_report(tmp_path, cli_env, _TINY_COMMANDS["synth"], **{var: "2"})
+    assert threads == 2 and tasks > 1
+
+
+def test_importing_invgc_leaves_the_environment_alone(cli_env):
+    run = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "import invgc, invgc.cli, invgc.__main__\n"
+        "invgc.simgraph  # a lazy name: loads simgraph and its BLAS lookup\n"
+        "assert dict(os.environ) == before\n"
+    )
+    env = {k: v for k, v in cli_env.items() if k not in _BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import os
 import runpy
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from invgc import cli, simgraph
+from invgc.__main__ import _BLAS_THREAD_VARS
 
 LIBRARY = ["core", "diagnostics", "embio", "retrieval", "simgraph", "synth", "theory", "tuner"]
 
@@ -49,16 +51,27 @@ def test_public_names_are_imported_on_first_use(cli_env):
 
 
 def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
-    # an installed `invgc` must end its process as `python -m invgc` does
+    # an installed `invgc` must start and end its process as `python -m
+    # invgc` does: with the BLAS thread default set, through cli.run's
+    # os._exit
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
         module, _, name = tomllib.load(f)["project"]["scripts"]["invgc"].partition(":")
-    script = getattr(importlib.import_module(module), name)
-    assert script is cli.run
-    called = []
-    monkeypatch.setattr(cli, "run", lambda: called.append(True))
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    ended = []
+    monkeypatch.setattr(cli, "main", lambda argv=None: 3)
+    monkeypatch.setattr(os, "_exit", ended.append)
+    # runpy warns when invgc.__main__ is already imported
+    monkeypatch.delitem(sys.modules, "invgc.__main__")
     runpy.run_module("invgc", run_name="__main__")
-    assert called == [True]
+    assert ended == [3]
+    assert os.environ.pop("OPENBLAS_NUM_THREADS") == "1"
+    assert (module, name) == ("invgc.__main__", "main")
+    script = getattr(importlib.import_module(module), name)
+    script()
+    assert ended == [3, 3]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_the_blas_pin_is_found_on_the_numpy_pyproject_admits():
