@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 # Each command imports the modules it runs, so it pays for no other.
 # embio stays here: it imports numpy, which every command but --help
@@ -124,13 +125,6 @@ def _load_pairing(path, queries: embio.EmbeddingSet, gallery: embio.EmbeddingSet
     return rel
 
 
-def _is_step_error(e: Exception) -> bool:
-    # Only core raises a StepError, so if core was never imported e is
-    # not one, and checking does not import it.
-    core = sys.modules.get(f"{__package__}.core")
-    return core is not None and isinstance(e, core.StepError)
-
-
 def _step_flag(args, field: str) -> str:
     """The option that set a step field ("r_g" or "r_q") in this command."""
     param = "rg" if field == "r_g" else "rq"
@@ -149,16 +143,16 @@ def _cfg_from_args(args):
         raise UsageError("--k applies only to --variant local")
     if args.p is not None and args.variant != "avgpool":
         raise UsageError("--p applies only to --variant avgpool")
-    k = 1.0 if args.k is None else args.k
-    p = 100.0 if args.p is None else args.p
+    # tune has no --rg or --rq; an option left unset keeps InvGCConfig's default
+    fields = {"rg": "r_g", "rq": "r_q", "k": "k_percent", "p": "p_percent"}
+    given = {flag: getattr(args, flag, None) for flag in fields}
     try:
-        _check_percent("--k", k)
-        _check_percent("--p", p)
+        for flag in ("k", "p"):
+            if given[flag] is not None:
+                _check_percent(f"--{flag}", given[flag])
     except ValueError as e:
         raise UsageError(str(e)) from None
-    # tune has no --rg or --rq, and sweep leaves an unset one None
-    rg, rq = (getattr(args, step, None) for step in ("rg", "rq"))
-    return InvGCConfig(args.variant, 0.0 if rg is None else rg, 0.0 if rq is None else rq, k, p)
+    return InvGCConfig(args.variant, **{fields[flag]: v for flag, v in given.items() if v is not None})
 
 
 def _emit_degeneration(report, mode: str) -> None:
@@ -424,15 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as e:
-        print(f"invgc {args.subcommand}: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, MemoryError) as e:
-        message = e.named(_step_flag(args, e.field)) if _is_step_error(e) else e
-        print(f"invgc {args.subcommand}: {message}", file=sys.stderr)
-        return EXIT_DATA
+    # each warning is one stderr line, not Python's file:line report, until main returns
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"invgc {args.subcommand}: warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except UsageError as e:
+            print(f"invgc {args.subcommand}: error: {e}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ValueError, OSError, MemoryError) as e:
+            # a refused step (core.StepError) is worded for the option that set it
+            message = e.named(_step_flag(args, e.field)) if hasattr(e, "named") else e
+            print(f"invgc {args.subcommand}: {message}", file=sys.stderr)
+            return EXIT_DATA
 
 
 def run(argv=None):

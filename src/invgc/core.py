@@ -24,6 +24,7 @@ from .simgraph import (
     Adjacency,
     SimMatrix,
     _PARTITION_CELLS,
+    _ZERO_NORM,
     _block_cells,
     _check_dims,
     _check_percent,
@@ -73,12 +74,12 @@ def build_adjacency(sim: SimMatrix, cfg: InvGCConfig) -> Adjacency:
 def row_normalize(M: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm.
 
-    Rows with norm below 1e-12 pass through as all zeros; their count is
-    reported via RuntimeWarning rather than aborting the batch.  A row
-    whose plain norm overflows is scaled by its max |x| first.
+    Rows with norm below simgraph._ZERO_NORM pass through as all zeros;
+    their count is reported via RuntimeWarning rather than aborting the
+    batch.  A row whose plain norm overflows is scaled by its max |x| first.
     """
     M, norms = _scaled_norms(M)
-    degenerate = norms < 1e-12
+    degenerate = norms < _ZERO_NORM
     n_bad = int(np.count_nonzero(degenerate))
     if n_bad:
         warnings.warn(
@@ -92,32 +93,29 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
 class StepError(ValueError):
     """A step r_g or r_q that the update cannot take.  str(e) names the
     config field, e.field; e.named(option) words the same error for the
-    option that set the step."""
+    option that set the step.  A subclass gives the two wordings as the
+    templates field_form and option_form, over {name}, the field or
+    option, and {r}, the step."""
 
-    def __init__(self, field: str, r: float, message: str):
-        super().__init__(message)
+    def __init__(self, field: str, r: float):
+        super().__init__(self.field_form.format(name=field, r=r))
         self.field, self.r = field, r
+
+    def named(self, option: str) -> str:
+        return self.option_form.format(name=option, r=self.r)
 
 
 class StepRangeError(StepError):
     """A step r that is negative or not finite."""
 
-    def __init__(self, field: str, r: float):
-        super().__init__(field, r, f"{field} must be finite and >= 0, got {r}")
-
-    def named(self, option: str) -> str:
-        return f"{option} must be finite and >= 0, got {self.r}"
+    field_form = option_form = "{name} must be finite and >= 0, got {r}"
 
 
 class StepOverflowError(StepError):
     """A step r whose product with the reference aggregate is not finite."""
 
-    def __init__(self, field: str, r: float):
-        super().__init__(field, r, f"{field}={r!r} is too large: {field} times the aggregate is not finite")
-
-    def named(self, option: str) -> str:
-        return (f"{option} value {self.r!r} is too large:"
-                " the step times the reference aggregate is not finite")
+    field_form = "{name}={r!r} is too large: {name} times the aggregate is not finite"
+    option_form = "{name} value {r!r} is too large: the step times the reference aggregate is not finite"
 
 
 def inverse_convolve_single(X: EmbeddingSet, S: Adjacency, R: EmbeddingSet, r: float) -> EmbeddingSet:

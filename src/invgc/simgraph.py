@@ -151,13 +151,16 @@ def _scaled_norms(X: np.ndarray, ids: list | None = None) -> tuple:
     return X, norms
 
 
+_ZERO_NORM = 1e-12  # no direction below it: unit_rows refuses, row_normalize zeros
+
+
 def unit_rows(X: np.ndarray, ids: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Divide each row by its norm; a zero-norm row is an error here.
 
     The unit rows are written into out when it is given; out may be X.
     """
     X, norms = _scaled_norms(X, ids)
-    bad = np.nonzero(norms < 1e-12)[0]
+    bad = np.nonzero(norms < _ZERO_NORM)[0]
     if bad.size:
         which = ids[bad[0]] if ids is not None else str(bad[0])
         raise ValueError(f"zero-norm embedding row, id {which!r}")
@@ -211,15 +214,13 @@ def _pass_blocks(n_rows: int, n_cols: int, d: int) -> list:
     return _row_blocks(n_rows, n_cols, _BLOCK_CELLS * min(4, max(1, d // 64)))
 
 
-def _row_blocks(n_rows: int, n_cols: int, cells: int | None = None) -> list:
-    # Row slices of an n_rows x n_cols matrix, about cells cells each;
-    # without cells, _BLOCK_CELLS as it is at the call, not at import,
-    # so a test that patches it is obeyed.  No block has one row unless
-    # n_rows is 1: numpy runs a 1-row product as gemv, whose sums differ
-    # in the last bit from gemm's, and sums a lone row of a column-major
-    # array pairwise where it sums the rows of a taller one in order; so
-    # a one-row tail joins the block before it.
-    step = max(2, (cells or _BLOCK_CELLS) // max(1, n_cols))
+def _row_blocks(n_rows: int, n_cols: int, cells: int) -> list:
+    # Row slices of an n_rows x n_cols matrix, about cells cells each.
+    # No block has one row unless n_rows is 1: numpy runs a 1-row product
+    # as gemv, whose sums differ in the last bit from gemm's, and sums a
+    # lone row of a column-major array pairwise where it sums the rows of
+    # a taller one in order; so a one-row tail joins the block before it.
+    step = max(2, cells // max(1, n_cols))
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()

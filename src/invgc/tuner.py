@@ -37,8 +37,8 @@ def grid_search(
     variant: str = "full",
     rg_grid=None,
     rq_grid=None,
-    k_percent: float = 1.0,
-    p_percent: float = 100.0,
+    k_percent: float = InvGCConfig.k_percent,
+    p_percent: float = InvGCConfig.p_percent,
     recall_ks=(1, 5, 10),
 ) -> TuneResult:
     """Exhaustive search over (r_g, r_q) pairs.

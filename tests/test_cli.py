@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from invgc import diagnostics, embio, simgraph
 from invgc.cli import main
-from invgc.core import InvGCConfig, _aggregate, inverse_convolve_dual
+from invgc.core import InvGCConfig, StepError, _aggregate, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
 from invgc.embio import EmbeddingSet, load_embeddings, load_relevance, save_embeddings
 from invgc.retrieval import evaluate
@@ -916,6 +917,66 @@ def test_a_negative_step_exits_two_naming_its_option(dataset, capsys, tmp_path, 
     assert rc == 2 and out == ""
     assert err == f"invgc {sub}: {flag} must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "o.emb").exists()
+
+
+@pytest.mark.parametrize("r, field_form, option_form", [
+    ("-1.0", "r_g must be finite and >= 0, got -1.0", "{} must be finite and >= 0, got -1.0"),
+    ("-inf", "r_g must be finite and >= 0, got -inf", "{} must be finite and >= 0, got -inf"),
+    ("inf", "r_g must be finite and >= 0, got inf", "{} must be finite and >= 0, got inf"),
+    ("nan", "r_g must be finite and >= 0, got nan", "{} must be finite and >= 0, got nan"),
+    ("1e308", "r_g=1e+308 is too large: r_g times the aggregate is not finite",
+     "{} value 1e+308 is too large: the step times the reference aggregate is not finite"),
+])
+def test_a_refused_step_keeps_its_wording_for_the_field_and_each_option(
+        dataset, capsys, tmp_path, r, field_form, option_form):
+    # the avgpool aggregate here reaches about 25, so 1e308 times it overflows
+    G, refG, refQ = (load_embeddings(dataset[key]) for key in ("gallery", "refg", "refq"))
+    with pytest.raises(StepError) as err:
+        inverse_convolve_dual(G, refG, refQ, InvGCConfig("avgpool", r_g=float(r)))
+    assert str(err.value) == field_form
+    val_sets = [*_val_sets(dataset, dataset["rel"]), "--variant", "avgpool"]
+    for option, argv in {
+        "--rg": ["apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+                 "--ref-query", dataset["refq"], "--variant", "avgpool", f"--rg={r}", "--rq=0",
+                 "--out", str(tmp_path / "o.emb")],
+        "--rg-grid": ["tune", *val_sets, f"--rg-grid=0,{r}"],
+        "--values": ["sweep", "--param", "rg", f"--values=0,{r}", *val_sets],
+    }.items():
+        rc, out, err = run_main(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"invgc {argv[0]}: {option_form.format(option)}\n"
+    assert not (tmp_path / "o.emb").exists()
+
+
+def test_a_cancelled_half_warns_in_one_line_in_the_commands_voice(tmp_path, cli_env):
+    # g1 - 1 * (its avgpool aggregate, r1) is the zero row, which row_normalize
+    # passes through with a RuntimeWarning; a subprocess, because tests here
+    # turn warnings into errors
+    for name, text in {"g.tsv": "g1\t1\t0\ng2\t0\t1\n", "r.tsv": "r1\t1\t0\n",
+                       "rel.tsv": "g1\tg1\ng2\tg2\n"}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    val_sets = ["--val-query", "g.tsv", "--val-gallery", "g.tsv", "--ref-gallery", "r.tsv",
+                "--ref-query", "r.tsv", "--relevance", "rel.tsv", "--variant", "avgpool"]
+    for argv, code, then in [
+        (["apply", "--gallery", "g.tsv", "--ref-gallery", "r.tsv", "--ref-query", "r.tsv",
+          "--variant", "avgpool", "--rg", "1", "--rq", "1", "--out", "o.tsv"], 0, []),
+        (["tune", *val_sets, "--rg-grid", "0,1", "--rq-grid", "0,1"], 2,
+         ["zero-norm embedding row, id 'g1'"]),
+        (["sweep", "--param", "rg", "--values", "0,1", "--rq", "1", *val_sets], 2,
+         ["zero-norm embedding row, id 'g1'"]),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "invgc", *argv], cwd=tmp_path, env=cli_env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        lines = ["warning: 1 zero-norm rows left unnormalized", *then]
+        assert proc.stderr == "".join(f"invgc {argv[0]}: {line}\n" for line in lines)
+
+
+def test_main_puts_the_warning_hook_back(dataset, capsys):
+    hook = warnings.showwarning
+    rc, _, _ = run_main(["eval", "--query", dataset["query"], "--gallery", dataset["gallery"],
+                         "--relevance", dataset["rel"]], capsys)
+    assert rc == 0 and warnings.showwarning is hook
 
 
 @pytest.mark.parametrize("bad_line, message", [

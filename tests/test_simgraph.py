@@ -422,7 +422,7 @@ def test_row_blocks_tile_the_rows_without_one_row_blocks():
     # a 1-row product runs as gemv, whose sums can differ in the last bit
     # from the gemm rows of the full matrix, so a 1-row tail is merged
     for n_rows, n_cols in [(0, 5), (1, 5), (3, 0), (7, 1 << 20), (2101, 1000), (2098, 1000), (4, 1 << 22)]:
-        blocks = simgraph._row_blocks(n_rows, n_cols)
+        blocks = simgraph._row_blocks(n_rows, n_cols, simgraph._BLOCK_CELLS)
         assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
         assert all(b.stop - b.start >= 2 for b in blocks) or n_rows == 1
         # within the cell budget but for a merged tail row, and 2 rows at least
@@ -445,7 +445,7 @@ def test_pass_blocks_scale_the_cell_budget_with_d_up_to_four_times():
                 assert (b.stop - b.start - 1) * n_cols <= max(1 << 20, 2 * n_cols)
     # the L shape: 5000 reference columns in 209-row blocks, not 52-row ones
     assert {b.stop - b.start for b in simgraph._pass_blocks(2000, 5000, 256)} == {209, 119}
-    assert {b.stop - b.start for b in simgraph._row_blocks(2000, 5000)} == {52, 24}
+    assert {b.stop - b.start for b in simgraph._row_blocks(2000, 5000, simgraph._BLOCK_CELLS)} == {52, 24}
 
 
 def test_map_blocks_cuts_each_pass_by_its_width(monkeypatch):
@@ -458,7 +458,7 @@ def test_map_blocks_cuts_each_pass_by_its_width(monkeypatch):
         return sorted(seen, key=lambda b: b.start)
 
     for d in (8, 64):
-        assert blocks(1500, 1500, d) == simgraph._row_blocks(1500, 1500)
+        assert blocks(1500, 1500, d) == simgraph._row_blocks(1500, 1500, simgraph._BLOCK_CELLS)
     wide = blocks(1500, 1500, 256)
     assert wide == simgraph._row_blocks(1500, 1500, 4 * simgraph._BLOCK_CELLS) and len(wide) == 3
     # a patched budget still sets the tiling, scaled by the same rule
