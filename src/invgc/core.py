@@ -12,12 +12,15 @@ and the subtraction see consistent unit-scale vectors.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import simgraph
 from ._choices import VARIANTS
 from .embio import EmbeddingSet
 from .simgraph import (
@@ -78,16 +81,21 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     their count is reported via RuntimeWarning rather than aborting the
     batch.  A row whose plain norm overflows is scaled by its max |x| first.
     """
-    M, norms = _scaled_norms(M)
-    degenerate = norms < _ZERO_NORM
-    n_bad = int(np.count_nonzero(degenerate))
+    out, n_bad = _unit_or_zero_rows(M)
     if n_bad:
         warnings.warn(
             f"{n_bad} zero-norm rows left unnormalized", RuntimeWarning, stacklevel=2
         )
+    return out
+
+
+def _unit_or_zero_rows(M: np.ndarray) -> tuple:
+    # row_normalize(M) without its warning, and the count of zeroed rows.
+    M, norms = _scaled_norms(M)
+    degenerate = norms < _ZERO_NORM
     out = M / np.where(degenerate, 1.0, norms)[:, None]
     out[degenerate] = 0.0
-    return out
+    return out, int(np.count_nonzero(degenerate))
 
 
 class StepError(ValueError):
@@ -156,15 +164,23 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     cfgs, and each half norm(Gn - r * A) is computed once per distinct
     (m, step); a call only averages two halves.  Each aggregate is
     dropped once its last half is built.
+
+    The two halves share nothing, so on two CPUs or more they are built
+    side by side, each with half of _worker_count() for its cosine pass.
+    There a half stops at what would print: a zero row that row_normalize
+    would warn of, or a floating-point event that the caller's np.errstate
+    reports, is raised.  Then, as after any error, both halves are built
+    again one after the other, so the warnings, their order and the error
+    (the g half's if both fail) are those of one thread.
     """
     _check_dims(G.d, refG.d, refQ.d)
     Gn = EmbeddingSet(G.ids, unit_rows(G.data, G.ids))
 
-    def halves(ref, field):
+    def halves(ref, field, normalize=row_normalize, workers=None):
         steps = {}
         for c in cfgs:
             steps.setdefault(_kept_count(c, ref.n), {})[getattr(c, field)] = None
-        aggs = _aggregate(Gn, ref, cfgs[0].variant, list(steps))
+        aggs = _aggregate(Gn, ref, cfgs[0].variant, list(steps), workers)
         out = {}
         for m, rs in steps.items():
             A = aggs.pop(0)  # the only reference left, dropped by the next pop
@@ -173,13 +189,52 @@ def _dual_over_steps(G, refG, refQ, cfgs):
                     step = r * A
                 if not np.isfinite(step).all():
                     raise StepOverflowError(field, r)
-                out[m, r] = row_normalize(np.subtract(Gn.data, step, out=step))
+                out[m, r] = normalize(np.subtract(Gn.data, step, out=step))
         return out
 
-    g_half, q_half = halves(refG, "r_g"), halves(refQ, "r_q")
+    workers = simgraph._worker_count() // 2
+    strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
+
+    def unwarned(M):  # row_normalize(M), or an error where it would warn
+        out, n_bad = _unit_or_zero_rows(M)
+        if n_bad:
+            raise ValueError(f"{n_bad} zero-norm rows")
+        return out
+
+    def quiet_halves(ref, field):
+        with np.errstate(**strict):
+            return halves(ref, field, unwarned, workers)
+
+    pair = None
+    if workers:
+        with contextlib.suppress(Exception):  # met again below, in order
+            pair = _side_by_side(lambda: quiet_halves(refG, "r_g"), lambda: quiet_halves(refQ, "r_q"))
+    g_half, q_half = pair or (halves(refG, "r_g"), halves(refQ, "r_q"))
     return lambda c: EmbeddingSet(
         G.ids, 0.5 * (g_half[_kept_count(c, refG.n), c.r_g] + q_half[_kept_count(c, refQ.n), c.r_q])
     )
+
+
+def _side_by_side(first, second) -> tuple:
+    """(first(), second()), second on a thread of its own.  Both have
+    ended when this returns or raises, and first's exception wins."""
+    done = {}
+
+    def run():
+        try:
+            done["value"] = second()
+        except BaseException as e:  # raised again below, on the calling thread
+            done["error"] = e
+
+    t = threading.Thread(target=run)
+    t.start()
+    try:
+        value = first()
+    finally:
+        t.join()
+    if "error" in done:
+        raise done["error"]
+    return value, done["value"]
 
 
 _GATHER_SHARE = 1 / 32
@@ -194,10 +249,12 @@ every column, as avgpool's default p = 100 does, needs no block.
 """
 
 
-def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> list:
+def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts,
+               workers: int | None = None) -> list:
     """S @ ref at each kept count m in counts, for variant's adjacency S
     over Gn x ref keeping each row's m largest cosines, ties included,
-    self pairs excluded.
+    self pairs excluded.  workers caps the cosine pass's threads, as in
+    _map_blocks.
 
     Neither the steps nor m enter the cosines, so a search computes this
     once per reference set.  local and avgpool threshold one row block of
@@ -240,7 +297,7 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> lis
             agg[b] = _mm(masked, ref.data)
 
     if blocked:
-        _map_blocks(block, Gn.data, Rn)
+        _map_blocks(block, Gn.data, Rn, workers=workers)
     aggs = iter(out)
     return [every if m == ref.n else next(aggs) for m in counts]
 

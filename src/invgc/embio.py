@@ -35,6 +35,7 @@ widened to float64 in memory so downstream subtraction is stable.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from collections import Counter
@@ -212,28 +213,58 @@ def _loaded_set(path: Path, ids: list, data: np.ndarray, id_file: Path) -> Embed
         raise FormatError(f"{path}: {e}") from None
 
 
+_READ_VALUES = 1 << 18
+"""float32 values _read_float32 reads at a time: a 1 MB buffer."""
+
+
+def _read_float32(f, count: int) -> tuple:
+    """(values, bytes read): count little-endian float32 values from the
+    binary file f, widened into a float64 array through one buffer of at
+    most _READ_VALUES values.  If f ends first, the bytes read fall short."""
+    values = np.empty(count)
+    buf = np.empty(min(count, _READ_VALUES), dtype="<f4")
+    for start in range(0, count, len(buf)):
+        part = buf[: count - start]
+        read = f.readinto(part)
+        if read < part.nbytes:
+            return values, start * 4 + read
+        values[start:start + len(part)] = part
+    return values, count * 4
+
+
 def _load_binary(path: Path) -> EmbeddingSet:
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header, {len(raw)} bytes at offset 0")
-    magic, version, _reserved, n, d = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 4")
-    # Refused here, before any id is built: a header that claims 2^40 rows
-    # of zero dimensions would otherwise ask for 2^40 default ids.
-    for count, what, offset in ((n, "rows", 8), (d, "dimensions", 16)):
-        if count == 0:
-            raise FormatError(f"{path}: zero {what} at offset {offset}")
-    want = n * d * 4
-    got = len(raw) - _HEADER.size
+    # The file's size is checked against the header before the payload is
+    # read, so a header that claims more rows than the file holds is
+    # refused before its array is made.
+    with open(path, "rb") as f:
+        try:
+            size = f.seek(0, io.SEEK_END)
+            f.seek(0)
+        except OSError:  # a pipe tells no size until it is read
+            f = io.BytesIO(f.read())
+            size = len(f.getbuffer())
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header, {len(head)} bytes at offset 0")
+        magic, version, _reserved, n, d = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at offset 4")
+        # Refused here, before any id is built: a header that claims 2^40 rows
+        # of zero dimensions would otherwise ask for 2^40 default ids.
+        for count, what, offset in ((n, "rows", 8), (d, "dimensions", 16)):
+            if count == 0:
+                raise FormatError(f"{path}: zero {what} at offset {offset}")
+        want = n * d * 4
+        got = size - _HEADER.size
+        if got == want:
+            values, got = _read_float32(f, n * d)  # short if the file shrank meanwhile
     if got != want:
         raise FormatError(
             f"{path}: payload is {got} bytes, expected {want} at offset {_HEADER.size}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    data = data.reshape(n, d).astype(np.float64)
+    data = values.reshape(n, d)
     sidecar = _sidecar(path)
     if sidecar.exists():
         # "\n" ends each id, as save_embeddings writes it: str.splitlines

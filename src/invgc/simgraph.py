@@ -31,6 +31,7 @@ Every product goes through _mm, a dot of two vectors as a 1 x 1 one.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import math
 import os
@@ -252,11 +253,12 @@ def _check_dims(d: int, *others: int) -> None:
             raise ValueError(f"dimension mismatch: {d} vs {e}")
 
 
-def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
+def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True,
+                workers: int | None = None) -> None:
     """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
-    that tile Xn @ Yn.T, on _worker_count() threads at most.  Xn and Yn
-    are unit rows, which this never normalizes; a self pass passes one
-    array twice.
+    that tile Xn @ Yn.T, on workers threads at most, _worker_count() if
+    None.  Xn and Yn are unit rows, which this never normalizes; a self
+    pass passes one array twice.
 
     With clip False, sims is the unclipped product, for a caller that
     reads only single cells and order statistics and clips those: the
@@ -269,12 +271,14 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
     block budget: at some shapes OpenBLAS's last bit in a cell depends on
     a product's row count, and numpy runs a self pass that fits one block
     as syrk.  Blocks finish in any order: fn must only write its own
-    rows.  The calling thread is one of the workers.  The first exception
-    fn raises, in block order, propagates.
+    rows.  The calling thread is one of the workers, and each started one
+    runs in a copy of its context, so every block sees the caller's
+    np.errstate.  The first exception fn raises, in block order,
+    propagates.
     """
     _check_dims(Xn.shape[1], Yn.shape[1])
     blocks = _pass_blocks(len(Xn), len(Yn), Xn.shape[1])
-    workers = min(_worker_count(), len(blocks))
+    workers = min(_worker_count() if workers is None else workers, len(blocks))
 
     def run(b):
         sims = _mm(Xn[b], Yn.T)
@@ -308,7 +312,7 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
         threads = []
         try:
             for _ in range(workers - 1):
-                t = threading.Thread(target=work)
+                t = threading.Thread(target=contextvars.copy_context().run, args=(work,))
                 t.start()
                 threads.append(t)
             work()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -751,8 +752,10 @@ def test_a_wide_sparse_correction_is_byte_identical_across_blas_threads_and_work
     # At d = 256 a pass takes four times the cells of a narrow one: 800 x
     # 3000 cosines are two 349-row blocks and a 102-row one, where the
     # narrow budget would cut ten.  local at 1% gathers its kept rows,
-    # avgpool at 5% multiplies the masked block.  Each run sets one
-    # OpenBLAS thread count and one _worker_count in the child.
+    # avgpool at 5% multiplies the masked block, and full runs the d x d
+    # map.  Each run sets one OpenBLAS thread count and one _worker_count
+    # in the child: one worker builds the halves one after the other, two
+    # and three build them side by side, three splitting unevenly.
     run = ("import sys\nfrom invgc import simgraph\nworkers = int(sys.argv.pop(1))\n"
            "simgraph._worker_count = lambda: workers\n" + _CALL_MAIN)
     main(["synth", "--items", "800", "--refs", "3000", "--dim", "256", "--seed", "4",
@@ -762,18 +765,20 @@ def test_a_wide_sparse_correction_is_byte_identical_across_blas_threads_and_work
             "--ref-query", "../syn.refq.emb", "--rg", "0.1", "--rq", "0.2"]
     runs = []
     for threads in ("1", "2"):
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             cwd = tmp_path / f"{threads}-{workers}"
             cwd.mkdir()
             for argv in (["--variant", "local", "--k", "1", "--out", "local.emb"],
-                         ["--variant", "avgpool", "--p", "5", "--out", "avgpool.emb"]):
+                         ["--variant", "avgpool", "--p", "5", "--out", "avgpool.emb"],
+                         ["--variant", "full", "--out", "full.emb"]):
                 proc = subprocess.run(
                     [sys.executable, "-c", run, workers, "apply", *refs, *argv], cwd=cwd,
                     env=dict(cli_env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
                 )
                 assert proc.returncode == 0, proc.stderr.decode()
             runs.append({p.name: p.read_bytes() for p in sorted(cwd.iterdir())})
-    assert sorted(runs[0]) == ["avgpool.emb", "avgpool.emb.ids", "local.emb", "local.emb.ids"]
+    assert sorted(runs[0]) == ["avgpool.emb", "avgpool.emb.ids", "full.emb", "full.emb.ids",
+                               "local.emb", "local.emb.ids"]
     for files in runs[1:]:
         assert files == runs[0]
 
@@ -900,6 +905,30 @@ def test_an_overflowing_step_exits_two_naming_its_option(dataset, capsys, tmp_pa
     assert not (tmp_path / "o.emb").exists()
 
 
+@pytest.mark.parametrize("rg, rq, flag", [
+    ("1e308", "0", "--rg"),
+    ("0", "1e308", "--rq"),
+    ("1e308", "1e308", "--rg"),  # the g half's error, as one thread builds it first
+])
+def test_a_half_refused_side_by_side_exits_two_and_leaves_no_thread(
+        dataset, capsys, tmp_path, monkeypatch, rg, rq, flag):
+    # Two workers build the halves side by side, whatever the host.  The
+    # avgpool aggregate here reaches about 25, so 1e308 times it overflows.
+    # Nothing else reaches stderr: no "Exception in thread" report.
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
+    threads = threading.active_count()
+    rc, out, err = run_main([
+        "apply", "--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
+        "--ref-query", dataset["refq"], "--variant", "avgpool", "--rg", rg, "--rq", rq,
+        "--out", str(tmp_path / "o.emb"),
+    ], capsys)
+    assert threading.active_count() == threads
+    assert (rc, out) == (2, "")
+    assert err == (f"invgc apply: {flag} value 1e+308 is too large:"
+                   " the step times the reference aggregate is not finite\n")
+    assert not (tmp_path / "o.emb").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["apply", "--rg=-1", "--rq=0"], "--rg"),
     (["tune", "--rg-grid=-1,0"], "--rg-grid"),
@@ -960,6 +989,8 @@ def test_a_cancelled_half_warns_in_one_line_in_the_commands_voice(tmp_path, cli_
     for argv, code, then in [
         (["apply", "--gallery", "g.tsv", "--ref-gallery", "r.tsv", "--ref-query", "r.tsv",
           "--variant", "avgpool", "--rg", "1", "--rq", "1", "--out", "o.tsv"], 0, []),
+        (["apply", "--gallery", "g.tsv", "--ref-gallery", "r.tsv", "--ref-query", "r.tsv",
+          "--variant", "avgpool", "--rg", "0", "--rq", "1", "--out", "q.tsv"], 0, []),
         (["tune", *val_sets, "--rg-grid", "0,1", "--rq-grid", "0,1"], 2,
          ["zero-norm embedding row, id 'g1'"]),
         (["sweep", "--param", "rg", "--values", "0,1", "--rq", "1", *val_sets], 2,

@@ -1,6 +1,8 @@
 """Convolution updates against a per-row oracle and hand-checked cases."""
 
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -589,3 +591,94 @@ def test_a_huge_step_is_dominated_by_the_aggregate_and_an_overflowing_one_is_ref
             with pytest.raises(StepOverflowError, match=f"{field}=1e\\+308 is too large") as err:
                 inverse_convolve_dual(G, refG, refQ, big)
             assert (err.value.field, err.value.r) == (field, 1e308)
+
+
+def _warnings_and_error(monkeypatch, workers, G, refG, refQ, cfgs):
+    # (the warning texts, in order, and the error, or the halves) of
+    # _dual_over_steps on a given _worker_count, and no thread left behind
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
+    threads = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            correct = core._dual_over_steps(G, refG, refQ, cfgs)
+            outcome = [correct(c).data for c in cfgs]
+        except ValueError as e:
+            outcome = (type(e), str(e))
+    assert threading.active_count() == threads
+    return [str(w.message) for w in caught], outcome
+
+
+def _pair_set(rows, prefix):
+    return EmbeddingSet([f"{prefix}{i}" for i in range(len(rows))], np.array(rows, dtype=float))
+
+
+@pytest.mark.parametrize("case", ["q cancels", "both cancel", "g refused, q cancels",
+                                  "both refused", "q overflows its aggregate", "clean"])
+def test_side_by_side_halves_warn_and_fail_as_one_thread_does(case, monkeypatch):
+    # Under local at k = 50%, each row of G keeps the reference rows of
+    # cosine 1, or all of e1 at cosine 0, so 2 e1 and 2 e2 as references
+    # cancel both gallery rows at r = 0.5, 2 e1 alone cancels one, and
+    # 1e308 times either aggregate overflows; 1e308 rows make the avgpool
+    # aggregate's column sum overflow.  On two or three workers the halves
+    # run side by side, but the warnings, their order and the error must
+    # be one worker's.
+    G = _pair_set([[1.0, 0.0], [0.0, 1.0]], "g")
+    e1, both = _pair_set([[2.0, 0.0]], "r"), _pair_set([[2.0, 0.0], [0.0, 2.0]], "q")
+    huge = _pair_set([[1e308, 1e308], [1e308, 1e308]], "h")
+    refG, refQ, cfgs = {
+        "q cancels": (e1, both, [InvGCConfig("local", 0.0, 0.5, k_percent=50.0)]),
+        "both cancel": (e1, both, [InvGCConfig("local", 0.5, 0.5, k_percent=50.0)]),
+        "g refused, q cancels": (e1, both, [InvGCConfig("local", 0.5, 0.5, k_percent=50.0),
+                                            InvGCConfig("local", 1e308, 0.5, k_percent=50.0)]),
+        "both refused": (e1, both, [InvGCConfig("local", 1e308, 1e308, k_percent=50.0)]),
+        "q overflows its aggregate": (e1, huge, [InvGCConfig("avgpool", 0.25, 1.0)]),
+        "clean": (both, e1, [InvGCConfig("local", 0.3, 0.2, k_percent=50.0)]),
+    }[case]
+    want = _warnings_and_error(monkeypatch, 1, G, refG, refQ, cfgs)
+    expected = {
+        "q cancels": ["2 zero-norm rows left unnormalized"],
+        "both cancel": ["1 zero-norm rows left unnormalized", "2 zero-norm rows left unnormalized"],
+        "g refused, q cancels": ["1 zero-norm rows left unnormalized"],
+        "both refused": [],
+        "q overflows its aggregate": ["overflow encountered in reduce"],
+        "clean": [],
+    }[case]
+    assert want[0] == expected
+    if "refused" in case:
+        assert want[1] == (StepOverflowError, "r_g=1e+308 is too large: r_g times the aggregate is not finite")
+    if case == "q overflows its aggregate":
+        assert want[1] == (StepOverflowError, "r_q=1.0 is too large: r_q times the aggregate is not finite")
+    for workers in (2, 3):
+        got = _warnings_and_error(monkeypatch, workers, G, refG, refQ, cfgs)
+        assert got[0] == want[0], workers
+        if isinstance(want[1], tuple):
+            assert got[1] == want[1], workers
+        else:
+            for a, b in zip(got[1], want[1], strict=True):
+                assert_array_equal(a, b, err_msg=f"{workers} workers")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_side_by_side_halves_do_not_depend_on_the_worker_count(variant, monkeypatch):
+    # 1% and 3% of 1500 columns gather their kept rows, 10% masks its
+    # block and 100% is the d x d map; a 64-cell budget cuts each pass
+    # into 2-row blocks, and threads switch often.  One worker builds the
+    # halves one after the other, two to eight build them side by side,
+    # three and five splitting unevenly.
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    rng = np.random.default_rng(46)
+    G = make_set(rng, 120, 12, "g")
+    refG, refQ = shared_id_reference(rng, G, 1380), make_set(rng, 1500, 12, "q")
+    cfgs = [InvGCConfig(variant, rg, rq, k_percent=p, p_percent=p)
+            for p in (1.0, 3.0, 10.0, 100.0) for rg, rq in ((0.1, 0.3), (0.7, 0.0))]
+    _, want = _warnings_and_error(monkeypatch, 1, G, refG, refQ, cfgs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5, 8):
+            _, got = _warnings_and_error(monkeypatch, workers, G, refG, refQ, cfgs)
+            for cfg, a, b in zip(cfgs, got, want, strict=True):
+                assert_array_equal(a, b, err_msg=f"{cfg}, {workers} workers")
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,7 +1,9 @@
 """Round-trips and failure modes of the embedding and relevance file I/O."""
 
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from invgc import embio
 from invgc.embio import (
     EmbeddingSet,
     FormatError,
@@ -86,6 +89,62 @@ def test_binary_header_errors(tmp_path):
     padded.write_bytes(raw + b"\x00\x00\x00\x00")
     with pytest.raises(FormatError, match="payload"):
         load_embeddings(padded, "binary")
+
+
+@pytest.mark.parametrize("change", ["one byte short", "one byte long"])
+def test_a_payload_one_byte_off_is_refused_with_its_size(change, tmp_path):
+    # two rows of three float32 values are 24 bytes after the 24-byte header
+    path = tmp_path / "t.emb"
+    save_embeddings(EmbeddingSet(["a", "b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), path, "binary")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] if change == "one byte short" else raw + b"\x00")
+    with pytest.raises(FormatError) as refused:
+        load_embeddings(path, "binary")
+    got = 23 if change == "one byte short" else 25
+    assert str(refused.value) == f"{path}: payload is {got} bytes, expected 24 at offset 24"
+
+
+def test_a_header_that_claims_more_rows_than_the_file_holds_is_refused_before_its_array(
+        tmp_path, traced_peak):
+    # 2**40 rows of 4 float32 values would be a 32 TB float64 array
+    path = tmp_path / "claims.emb"
+    path.write_bytes(struct.pack("<4sHHQQ", b"IGCE", 1, 0, 2**40, 4) + bytes(16))
+    refused, peak = traced_peak(pytest.raises, FormatError, load_embeddings, path, "binary")
+    assert peak < 1 << 20
+    assert str(refused.value) == f"{path}: payload is 16 bytes, expected {2**44} at offset 24"
+
+
+def test_a_binary_load_holds_its_float64_array_and_one_read_buffer(tmp_path, traced_peak):
+    # 5000 x 256 values make a 10.24 MB float64 array.  The payload is read
+    # into it through one 1 MB float32 buffer; holding the whole 5.12 MB
+    # file and widening it in one copy peaks near 17 MB.
+    rng = np.random.default_rng(8)
+    es = EmbeddingSet([f"g{i}" for i in range(5000)],
+                      rng.standard_normal((5000, 256)).astype(np.float32))
+    path = tmp_path / "big.emb"
+    save_embeddings(es, path, "binary")
+    back, peak = traced_peak(load_embeddings, path, "binary")
+    assert back.ids == es.ids
+    assert_array_equal(back.data, es.data)
+    assert peak < back.data.nbytes + embio._READ_VALUES * 4 + (1 << 20), peak
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_binary_payload_loads_from_a_pipe(tmp_path):
+    # a pipe has no size to check first, so it is read whole, then checked
+    rng = np.random.default_rng(9)
+    es = EmbeddingSet([str(i) for i in range(7)], rng.standard_normal((7, 5)).astype(np.float32))
+    path = tmp_path / "t.emb"
+    save_embeddings(es, path, "binary")
+    pipe = tmp_path / "pipe.emb"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    back = load_embeddings(pipe, "binary")
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.ids == es.ids
+    assert_array_equal(back.data, es.data)
 
 
 @pytest.mark.parametrize(("n", "d", "refusal"), [

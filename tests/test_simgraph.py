@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -446,6 +447,28 @@ def test_pass_blocks_scale_the_cell_budget_with_d_up_to_four_times():
     # the L shape: 5000 reference columns in 209-row blocks, not 52-row ones
     assert {b.stop - b.start for b in simgraph._pass_blocks(2000, 5000, 256)} == {209, 119}
     assert {b.stop - b.start for b in simgraph._row_blocks(2000, 5000, simgraph._BLOCK_CELLS)} == {52, 24}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_block_of_a_pass_sees_the_callers_errstate(workers, monkeypatch):
+    # 64 2-row blocks, each long enough that every worker takes some; the
+    # started workers run in copies of the caller's context, so a block
+    # raises where the caller asked np.errstate to, on whichever thread.
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 16)
+    rng = np.random.default_rng(33)
+    X = unit_rows(rng.standard_normal((128, 3)))
+    Y = unit_rows(rng.standard_normal((8, 3)))
+    seen = []
+
+    def note(b, sims):
+        time.sleep(0.001)
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+
+    with np.errstate(over="raise"):
+        simgraph._map_blocks(note, X, Y, workers=workers)
+    assert len(seen) == 64
+    assert len({ident for ident, _ in seen}) == workers
+    assert {mode for _, mode in seen} == {"raise"}
 
 
 def test_map_blocks_cuts_each_pass_by_its_width(monkeypatch):
