@@ -135,6 +135,15 @@ def _step_flag(args, field: str) -> str:
     return f"--{param}"
 
 
+def _check_option(check, option: str, values) -> None:
+    """check(option, v) for each value v, its ValueError a usage error."""
+    try:
+        for v in values:
+            check(option, v)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _cfg_from_args(args):
     from .core import InvGCConfig
     from .simgraph import _check_percent
@@ -146,12 +155,9 @@ def _cfg_from_args(args):
     # tune has no --rg or --rq; an option left unset keeps InvGCConfig's default
     fields = {"rg": "r_g", "rq": "r_q", "k": "k_percent", "p": "p_percent"}
     given = {flag: getattr(args, flag, None) for flag in fields}
-    try:
-        for flag in ("k", "p"):
-            if given[flag] is not None:
-                _check_percent(f"--{flag}", given[flag])
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    for flag in ("k", "p"):
+        if given[flag] is not None:
+            _check_option(_check_percent, f"--{flag}", [given[flag]])
     return InvGCConfig(args.variant, **{fields[flag]: v for flag, v in given.items() if v is not None})
 
 
@@ -259,7 +265,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .tuner import sweep_param
+    from .simgraph import _check_percent
+    from .tuner import _check_ratio, sweep_param
 
     # --values sets the swept parameter, so its own flag would be ignored
     # ("ratio" has none), and only a ratio sweep draws with --seed.
@@ -271,6 +278,8 @@ def cmd_sweep(args) -> int:
     if args.param == "k" and cfg.variant != "local":
         raise UsageError("--param k requires --variant local")
     values = _parse_values(args.values)
+    if args.param in ("k", "ratio"):
+        _check_option(_check_percent if args.param == "k" else _check_ratio, "--values", values)
     seed = 0 if args.seed is None else args.seed
     curve = sweep_param(cfg, args.param, values, *_load_val_sets(args), seed=seed)
     for v, r1, ddeg in curve.points:

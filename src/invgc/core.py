@@ -81,21 +81,16 @@ def row_normalize(M: np.ndarray) -> np.ndarray:
     their count is reported via RuntimeWarning rather than aborting the
     batch.  A row whose plain norm overflows is scaled by its max |x| first.
     """
-    out, n_bad = _unit_or_zero_rows(M)
+    M, norms = _scaled_norms(M)
+    degenerate = norms < _ZERO_NORM
+    out = M / np.where(degenerate, 1.0, norms)[:, None]
+    out[degenerate] = 0.0
+    n_bad = int(np.count_nonzero(degenerate))
     if n_bad:
         warnings.warn(
             f"{n_bad} zero-norm rows left unnormalized", RuntimeWarning, stacklevel=2
         )
     return out
-
-
-def _unit_or_zero_rows(M: np.ndarray) -> tuple:
-    # row_normalize(M) without its warning, and the count of zeroed rows.
-    M, norms = _scaled_norms(M)
-    degenerate = norms < _ZERO_NORM
-    out = M / np.where(degenerate, 1.0, norms)[:, None]
-    out[degenerate] = 0.0
-    return out, int(np.count_nonzero(degenerate))
 
 
 class StepError(ValueError):
@@ -165,76 +160,67 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     (m, step); a call only averages two halves.  Each aggregate is
     dropped once its last half is built.
 
-    The two halves share nothing, so on two CPUs or more they are built
-    side by side, each with half of _worker_count() for its cosine pass.
-    There a half stops at what would print: a zero row that row_normalize
-    would warn of, or a floating-point event that the caller's np.errstate
-    reports, is raised.  Then, as after any error, both halves are built
-    again one after the other, so the warnings, their order and the error
-    (the g half's if both fail) are those of one thread.
+    Everything that can print or fail runs on the calling thread, in one
+    thread's order: the g half, then the q half's steps.  On two CPUs or
+    more only the q half's aggregate pass runs beside the g half, on a
+    thread of its own, each pass on half of _worker_count() workers.
+    That pass is quiet: a floating-point event that the caller's
+    np.errstate would report is raised there, and any error drops it.
+    Then it runs again in its turn, after the g half, under the caller's
+    modes.
     """
     _check_dims(G.d, refG.d, refQ.d)
     Gn = EmbeddingSet(G.ids, unit_rows(G.data, G.ids))
 
-    def halves(ref, field, normalize=row_normalize, workers=None):
+    def kept_steps(ref, field):  # {m: {r: None}}, the distinct (m, step) pairs
         steps = {}
         for c in cfgs:
             steps.setdefault(_kept_count(c, ref.n), {})[getattr(c, field)] = None
-        aggs = _aggregate(Gn, ref, cfgs[0].variant, list(steps), workers)
+        return steps
+
+    def aggregate(ref, field, workers=None):
+        return _aggregate(Gn, ref, cfgs[0].variant, list(kept_steps(ref, field)), workers)
+
+    def half(ref, field, aggs):
         out = {}
-        for m, rs in steps.items():
+        for m, rs in kept_steps(ref, field).items():
             A = aggs.pop(0)  # the only reference left, dropped by the next pop
             for r in rs:
                 with np.errstate(over="ignore"):
                     step = r * A
                 if not np.isfinite(step).all():
                     raise StepOverflowError(field, r)
-                out[m, r] = normalize(np.subtract(Gn.data, step, out=step))
+                out[m, r] = row_normalize(np.subtract(Gn.data, step, out=step))
         return out
 
-    workers = simgraph._worker_count() // 2
+    workers = simgraph._worker_count() // 2  # per pass when two run; 0 on one CPU
     strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
 
-    def unwarned(M):  # row_normalize(M), or an error where it would warn
-        out, n_bad = _unit_or_zero_rows(M)
-        if n_bad:
-            raise ValueError(f"{n_bad} zero-norm rows")
-        return out
+    def quiet_q_pass():  # refQ's aggregates, or None where they would print or fail
+        with contextlib.suppress(Exception), np.errstate(**strict):
+            return aggregate(refQ, "r_q", workers)
 
-    def quiet_halves(ref, field):
-        with np.errstate(**strict):
-            return halves(ref, field, unwarned, workers)
+    def g_pass():
+        return half(refG, "r_g", aggregate(refG, "r_g", workers or None))
 
-    pair = None
-    if workers:
-        with contextlib.suppress(Exception):  # met again below, in order
-            pair = _side_by_side(lambda: quiet_halves(refG, "r_g"), lambda: quiet_halves(refQ, "r_q"))
-    g_half, q_half = pair or (halves(refG, "r_g"), halves(refQ, "r_q"))
+    g_half, q_aggs = _side_by_side(g_pass, quiet_q_pass) if workers else (g_pass(), None)
+    q_half = half(refQ, "r_q", q_aggs if q_aggs is not None else aggregate(refQ, "r_q"))
     return lambda c: EmbeddingSet(
         G.ids, 0.5 * (g_half[_kept_count(c, refG.n), c.r_g] + q_half[_kept_count(c, refQ.n), c.r_q])
     )
 
 
 def _side_by_side(first, second) -> tuple:
-    """(first(), second()), second on a thread of its own.  Both have
-    ended when this returns or raises, and first's exception wins."""
-    done = {}
-
-    def run():
-        try:
-            done["value"] = second()
-        except BaseException as e:  # raised again below, on the calling thread
-            done["error"] = e
-
-    t = threading.Thread(target=run)
+    """(first(), second()), second on a thread of its own, which has
+    ended when this returns or raises.  second must not raise."""
+    done = []
+    t = threading.Thread(target=lambda: done.append(second()))
     t.start()
     try:
         value = first()
     finally:
         t.join()
-    if "error" in done:
-        raise done["error"]
-    return value, done["value"]
+    return value, done[0]
 
 
 _GATHER_SHARE = 1 / 32

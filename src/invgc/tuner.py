@@ -70,14 +70,18 @@ def grid_search(
     return TuneResult(best_cfg=best[0], best_report=best[1], grid_trace=trace)
 
 
+def _check_ratio(name: str, ratio: float) -> None:
+    if not (0.0 < ratio <= 1.0):
+        raise ValueError(f"{name} must lie in (0, 1], got {ratio}")
+
+
 def subsample_reference(refG: EmbeddingSet, refQ: EmbeddingSet, ratio: float, seed: int):
     """Uniformly sample ceil(ratio * N) rows from each reference set.
 
     Selected indices are sorted so the surviving rows keep their original
     relative order; the draw is deterministic for a fixed seed.
     """
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    _check_ratio("ratio", ratio)
     rng = np.random.default_rng(seed)
 
     def pick(es: EmbeddingSet) -> EmbeddingSet:

@@ -180,18 +180,26 @@ def test_apply_flag_variant_pairing_is_enforced(dataset, capsys, tmp_path):
 
 @pytest.mark.parametrize(("command", "flag", "value"), [
     ("apply", "--k", "0"), ("tune", "--p", "101"), ("sweep", "--k", "nan"),
+    ("sweep k", "--values", "0"), ("sweep k", "--values", "101"), ("sweep k", "--values", "nan"),
+    ("sweep ratio", "--values", "0"), ("sweep ratio", "--values", "1.5"),
 ])
 def test_a_percent_outside_its_range_is_a_usage_error(command, flag, value, dataset, tmp_path, capsys):
-    variant = "local" if flag == "--k" else "avgpool"
+    command, *param = command.split()
+    variant = "local" if flag == "--k" or param == ["k"] else "avgpool"
+    # a swept k or ratio is checked before any file is read: the gallery is missing
+    missing = _val_sets(dataset, dataset["rel"])
+    missing[missing.index("--val-gallery") + 1] = str(tmp_path / "missing.emb")
     args = {
         "apply": ["--gallery", dataset["gallery"], "--ref-gallery", dataset["refg"],
                   "--ref-query", dataset["refq"], "--rg", "0", "--rq", "0", "--out", str(tmp_path / "x.emb")],
         "tune": _val_sets(dataset, dataset["rel"]),
-        "sweep": ["--param", "rg", "--values", "0,1", *_val_sets(dataset, dataset["rel"])],
+        "sweep": ["--param", *param, "--rg", "0.1", *missing] if param
+        else ["--param", "rg", "--values", "0,1", *_val_sets(dataset, dataset["rel"])],
     }[command]
     rc, out, err = run_main([command, *args, "--variant", variant, flag, value], capsys)
+    bound = "(0, 1]" if param == ["ratio"] else "(0, 100]"
     assert rc == 1 and out == ""
-    assert err == f"invgc {command}: error: {flag} must lie in (0, 100], got {float(value)}\n"
+    assert err == f"invgc {command}: error: {flag} must lie in {bound}, got {float(value)}\n"
 
 
 def test_eval_report_matches_library(dataset, capsys):

@@ -682,3 +682,78 @@ def test_side_by_side_halves_do_not_depend_on_the_worker_count(variant, monkeypa
                 assert_array_equal(a, b, err_msg=f"{cfg}, {workers} workers")
     finally:
         sys.setswitchinterval(interval)
+
+
+def _outcome_under(monkeypatch, workers, modes, G, refG, refQ, cfgs):
+    # (the warning texts, numpy's error calls, the error) of _dual_over_steps
+    # under np.errstate(**modes), with call= recording the calls, on a given
+    # _worker_count, and no thread left behind
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
+    threads, calls = threading.active_count(), []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            with np.errstate(**modes, call=lambda kind, flag: calls.append((kind, flag))):
+                correct = core._dual_over_steps(G, refG, refQ, cfgs)
+                [correct(c) for c in cfgs]
+            error = None
+        except (ValueError, FloatingPointError) as e:
+            error = (type(e), str(e))
+    assert threading.active_count() == threads
+    return [str(w.message) for w in caught], calls, error
+
+
+@pytest.mark.parametrize("case", ["q's aggregate raises", "q's aggregate calls",
+                                  "refQ has a zero row", "refG has a zero row"])
+def test_side_by_side_halves_raise_and_call_as_one_thread_does(case, monkeypatch):
+    # The sets of test_side_by_side_halves_warn_and_fail_as_one_thread_does,
+    # under modes other than numpy's defaults, and with a zero-norm reference
+    # row, which unit_rows refuses.  The q half's quiet pass meets each of
+    # these, so the calling thread meets it again in its turn.
+    G = _pair_set([[1.0, 0.0], [0.0, 1.0]], "g")
+    e1, both = _pair_set([[2.0, 0.0]], "r"), _pair_set([[2.0, 0.0], [0.0, 2.0]], "q")
+    huge = _pair_set([[1e308, 1e308], [1e308, 1e308]], "h")
+    zero = _pair_set([[0.0, 0.0], [2.0, 0.0]], "z")
+    cancel = [InvGCConfig("local", 0.5, 0.5, k_percent=50.0)]
+    modes, refG, refQ, cfgs, expected = {
+        "q's aggregate raises": ({"over": "raise"}, e1, huge, [InvGCConfig("avgpool", 0.25, 1.0)],
+                                 ([], [], (FloatingPointError, "overflow encountered in reduce"))),
+        "q's aggregate calls": ({"over": "call"}, e1, huge, [InvGCConfig("avgpool", 0.25, 1.0)],
+                                ([], [("overflow", 2)], (StepOverflowError, "r_q=1.0 is too large:"
+                                                         " r_q times the aggregate is not finite"))),
+        "refQ has a zero row": ({}, e1, zero, cancel,
+                                (["1 zero-norm rows left unnormalized"], [],
+                                 (ValueError, "zero-norm embedding row, id 'z0'"))),
+        "refG has a zero row": ({}, zero, both, cancel,
+                                ([], [], (ValueError, "zero-norm embedding row, id 'z0'"))),
+    }[case]
+    assert _outcome_under(monkeypatch, 1, modes, G, refG, refQ, cfgs) == expected
+    for workers in (2, 3):
+        assert _outcome_under(monkeypatch, workers, modes, G, refG, refQ, cfgs) == expected, workers
+
+
+def test_no_half_is_built_twice_when_a_half_cancels(monkeypatch):
+    # The zero-norm sets of the CLI's one-line warning test: at step 1 the
+    # avgpool aggregate r1 cancels g1 in both halves.  On two workers the q
+    # half's aggregate pass runs beside the g half, and each reference set
+    # gets that one pass: the cancelled rows are met after it, on the
+    # calling thread, and the grid is not built again.
+    from invgc.tuner import grid_search
+
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
+    G = _pair_set([[1.0, 0.0], [0.0, 1.0]], "g")
+    ref = _pair_set([[1.0, 0.0]], "r")
+    passes = []
+
+    def counting_aggregate(Gn, ref, *args, _aggregate=core._aggregate):
+        passes.append(ref.ids)
+        return _aggregate(Gn, ref, *args)
+
+    monkeypatch.setattr(core, "_aggregate", counting_aggregate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        with pytest.raises(ValueError, match="^zero-norm embedding row, id 'g0'$"):
+            grid_search(G, G, ref, ref, {"g0": {"g0"}, "g1": {"g1"}}, variant="avgpool",
+                        rg_grid=[0.0, 1.0], rq_grid=[0.0, 1.0])
+    assert passes == [["r0"], ["r0"]]
+    assert [str(w.message) for w in caught] == ["1 zero-norm rows left unnormalized"]

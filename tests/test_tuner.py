@@ -299,9 +299,8 @@ def test_a_k_sweep_builds_one_half_per_kept_count_and_step(monkeypatch):
         1, 1, 2, 2, 30, 60, 60]
     normalized, seen = [], []
 
-    # each half's rows are normalized once, by row_normalize or, when the
-    # halves are built side by side, by the warning-free body it shares
-    def counting_normalize(M, _normalize=core._unit_or_zero_rows):
+    # each half's rows are normalized once, by row_normalize
+    def counting_normalize(M, _normalize=core.row_normalize):
         normalized.append(M.shape)
         return _normalize(M)
 
@@ -309,7 +308,7 @@ def test_a_k_sweep_builds_one_half_per_kept_count_and_step(monkeypatch):
         seen.append(Gs)
         return degeneration_score(Gs)
 
-    monkeypatch.setattr(core, "_unit_or_zero_rows", counting_normalize)
+    monkeypatch.setattr(core, "row_normalize", counting_normalize)
     monkeypatch.setattr(diagnostics, "degeneration_score", recording_score)
     base = InvGCConfig("local", 0.1, 0.2)
     curve = sweep_param(base, "k", values, Q, G, refG, refQ, rel)
