@@ -448,8 +448,8 @@ def run(argv=None):
 
     Interpreter finalization tears down every module numpy and invgc
     loaded, 26-29 ms on a 2-core Xeon, and no command needs it: every
-    file invgc writes is closed before main returns, _map_blocks and the
-    dual update join their threads, and invgc registers no atexit hook.  So once stdout and
+    file invgc writes is closed before main returns, the task pool joins
+    its threads, and invgc registers no atexit hook.  So once stdout and
     stderr are flushed, the process ends through os._exit, which skips
     atexit hooks too.  If a flush fails (a closed pipe, a full disk) the
     process exits through sys.exit as before, so finalization reports the

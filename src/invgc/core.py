@@ -12,15 +12,12 @@ and the subtraction see consistent unit-scale vectors.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import simgraph
 from ._choices import VARIANTS
 from .embio import EmbeddingSet
 from .simgraph import (
@@ -29,13 +26,14 @@ from .simgraph import (
     _PARTITION_CELLS,
     _ZERO_NORM,
     _block_cells,
+    _block_tasks,
     _check_dims,
     _check_percent,
     _id_cells,
-    _map_blocks,
     _mm,
     _row_blocks,
     _row_thresholds,
+    _run_tasks,
     _scaled_norms,
     _top_count,
     adjacency_binary,
@@ -160,14 +158,11 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     (m, step); a call only averages two halves.  Each aggregate is
     dropped once its last half is built.
 
-    Everything that can print or fail runs on the calling thread, in one
-    thread's order: the g half, then the q half's steps.  On two CPUs or
-    more only the q half's aggregate pass runs beside the g half, on a
-    thread of its own, each pass on half of _worker_count() workers.
-    That pass is quiet: a floating-point event that the caller's
-    np.errstate would report is raised there, and any error drops it.
-    Then it runs again in its turn, after the g half, under the caller's
-    modes.
+    Both sets' aggregate tasks run as one batch in one _run_tasks pool:
+    refG and refQ are normalized and checked first, in that order, then
+    every task runs, and an error raised in one surfaces in task order,
+    refG's before refQ's.  The steps follow on the calling thread, the g
+    half's, then the q half's.
     """
     _check_dims(G.d, refG.d, refQ.d)
     Gn = EmbeddingSet(G.ids, unit_rows(G.data, G.ids))
@@ -178,13 +173,10 @@ def _dual_over_steps(G, refG, refQ, cfgs):
             steps.setdefault(_kept_count(c, ref.n), {})[getattr(c, field)] = None
         return steps
 
-    def aggregate(ref, field, workers=None):
-        return _aggregate(Gn, ref, cfgs[0].variant, list(kept_steps(ref, field)), workers)
-
     def half(ref, field, aggs):
         out = {}
         for m, rs in kept_steps(ref, field).items():
-            A = aggs.pop(0)  # the only reference left, dropped by the next pop
+            A = aggs.pop(m)  # the only reference left, dropped by the next pop
             for r in rs:
                 with np.errstate(over="ignore"):
                     step = r * A
@@ -193,38 +185,20 @@ def _dual_over_steps(G, refG, refQ, cfgs):
                 out[m, r] = row_normalize(np.subtract(Gn.data, step, out=step))
         return out
 
-    workers = simgraph._worker_count() // 2  # per pass when two run; 0 on one CPU
-    strict = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
-
-    def quiet_q_pass():  # refQ's aggregates, or None where they would print or fail
-        with contextlib.suppress(Exception), np.errstate(**strict):
-            return aggregate(refQ, "r_q", workers)
-
-    def g_pass():
-        return half(refG, "r_g", aggregate(refG, "r_g", workers or None))
-
-    g_half, q_aggs = _side_by_side(g_pass, quiet_q_pass) if workers else (g_pass(), None)
-    q_half = half(refQ, "r_q", q_aggs if q_aggs is not None else aggregate(refQ, "r_q"))
+    (g_tasks, g_aggs), (q_tasks, q_aggs) = (
+        _aggregate_tasks(Gn, ref, cfgs[0].variant, list(kept_steps(ref, field)))
+        for ref, field in ((refG, "r_g"), (refQ, "r_q")))
+    _run_tasks(g_tasks + q_tasks)
+    del g_tasks, q_tasks  # they hold both sets' unit rows
+    g_half, q_half = half(refG, "r_g", g_aggs), half(refQ, "r_q", q_aggs)
     return lambda c: EmbeddingSet(
         G.ids, 0.5 * (g_half[_kept_count(c, refG.n), c.r_g] + q_half[_kept_count(c, refQ.n), c.r_q])
     )
 
 
-def _side_by_side(first, second) -> tuple:
-    """(first(), second()), second on a thread of its own, which has
-    ended when this returns or raises.  second must not raise."""
-    done = []
-    t = threading.Thread(target=lambda: done.append(second()))
-    t.start()
-    try:
-        value = first()
-    finally:
-        t.join()
-    return value, done[0]
-
-
 _GATHER_SHARE = 1 / 32
-"""Largest share m / N_ref of a row that _aggregate sums from gathered rows.
+"""Largest share m / N_ref of a row that _aggregate_tasks sums from
+gathered rows.
 
 Measured per row block on one thread of a 2.1 GHz Xeon, at N_ref 1000
 and 5000: on 2**18-cell blocks at d 8 to 256, at m / N_ref = 1/32 the
@@ -235,21 +209,28 @@ every column, as avgpool's default p = 100 does, needs no block.
 """
 
 
-def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts,
-               workers: int | None = None) -> list:
-    """S @ ref at each kept count m in counts, for variant's adjacency S
-    over Gn x ref keeping each row's m largest cosines, ties included,
-    self pairs excluded.  workers caps the cosine pass's threads, as in
-    _map_blocks.
+def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> list:
+    """S @ ref at each kept count m in counts: _aggregate_tasks run and
+    collected."""
+    tasks, aggs = _aggregate_tasks(Gn, ref, variant, counts)
+    _run_tasks(tasks)
+    return [aggs[m] for m in counts]
+
+
+def _aggregate_tasks(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> tuple:
+    """(tasks, aggs): run by _run_tasks, the tasks fill aggs[m] with S @ ref
+    at each kept count m in counts, for variant's adjacency S over Gn x ref
+    keeping each row's m largest cosines, ties included, self pairs
+    excluded.  ref is normalized and checked here, on the calling thread.
 
     Neither the steps nor m enter the cosines, so a search computes this
     once per reference set.  local and avgpool threshold one row block of
-    cosines at a time, the rows of build_adjacency's S, with the blocks
-    spread over a few threads: each block gets one GEMM and one
-    partition.  An m of at most _GATHER_SHARE of the row sums each row's
-    kept reference rows (_kept_sums); a wider one masks the block and
-    multiplies it by ref.  m = N_ref, full's count, needs only a d x d
-    map and no cosine pass.
+    cosines at a time, the rows of build_adjacency's S, one task per
+    block: each block gets one GEMM and one partition.  An m of at most
+    _GATHER_SHARE of the row sums each row's kept reference rows
+    (_kept_sums); a wider one masks the block and multiplies it by ref.
+    m = N_ref, full's count, needs only a d x d map, one task, and no
+    cosine pass.
 
     The kept rows are gathered with numpy alone: scipy.sparse would cost
     every command about 175 ms of import, more than the gather saves.
@@ -257,19 +238,20 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts,
     Rn = unit_rows(ref.data, ref.ids)  # for avgpool too: refuses a zero-norm row
     # A point is never its own neighbour, whatever the row order of the sets.
     self_cells = _id_cells(Gn.ids, ref.ids, zip(Gn.ids, Gn.ids))
-    every = (_every_column_aggregate(Gn.data, Rn, ref.data, variant, self_cells)
-             if ref.n in counts else None)
     blocked = [m for m in counts if m < ref.n]
-    out = [np.empty((Gn.n, ref.d)) for _ in blocked]
+    aggs = {m: np.empty((Gn.n, ref.d)) for m in blocked}
+
+    def every_column():
+        aggs[ref.n] = _every_column_aggregate(Gn.data, Rn, ref.data, variant, self_cells)
 
     def block(b, sims):
         thresholds = _row_thresholds(sims, blocked)[:, :, None]
         _, own = _block_cells(*self_cells, b)
         # One count masks the block in place; several share one copy.
         masked = sims if len(blocked) == 1 else None
-        for agg, thr, m in zip(out, thresholds, blocked):
+        for m, thr in zip(blocked, thresholds):
             if m <= _GATHER_SHARE * ref.n:
-                agg[b] = _kept_sums(sims, thr, own, ref.data, variant == "local")
+                aggs[m][b] = _kept_sums(sims, thr, own, ref.data, variant == "local")
                 continue
             if masked is None:
                 masked = np.empty_like(sims)
@@ -280,12 +262,12 @@ def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts,
             else:
                 np.greater_equal(sims, thr, out=masked)
             masked[own] = 0.0
-            agg[b] = _mm(masked, ref.data)
+            aggs[m][b] = _mm(masked, ref.data)
 
+    tasks = [every_column] if ref.n in counts else []
     if blocked:
-        _map_blocks(block, Gn.data, Rn, workers=workers)
-    aggs = iter(out)
-    return [every if m == ref.n else next(aggs) for m in counts]
+        tasks += _block_tasks(block, Gn.data, Rn)
+    return tasks, aggs
 
 
 def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,

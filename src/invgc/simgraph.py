@@ -8,19 +8,21 @@ local   per row, keep entries >= the m-th largest value verbatim and
         zero the rest, m = max(1, ceil(k_percent/100 * row length))
 binary  same row threshold, but retained entries become 1 and the rest 0
 
-Every cosine the library takes comes from _map_blocks, which hands row
-blocks of 2**18 cells at d <= 64, rising with d to 2**20 from d = 256
-(_pass_blocks), to a few threads, so no pass holds an N x N_ref matrix
-unless it asks for one: cosine_similarity_matrix fills the dense matrix
-from the same blocks, for callers that want it whole.
-_map_blocks takes unit rows: each entry point normalizes each set once.
+Every cosine the library takes comes from a row block of _block_tasks,
+2**18 cells at d <= 64, rising with d to 2**20 from d = 256
+(_pass_blocks), so no pass holds an N x N_ref matrix unless it asks for
+one: cosine_similarity_matrix fills the dense matrix from the same
+blocks, for callers that want it whole.  _run_tasks, the one pool, runs
+the tasks on a few threads: _map_blocks' one pass, or core's batch of
+both reference sets' passes and d x d maps.  The blocks take unit rows:
+each entry point normalizes each set once.
 The cells a pass treats apart (self pairs, matched pairs, relevant
 items) come from _id_cells, by id; _block_cells hands each block its run.
 
 Row thresholds, norms and diagnose's Grams walk _chunks' reused buffer.
 local and binary keep m entries per row, plus ties, so they are sparse;
 a percent becomes m once, by _top_count, and everything below takes m.
-core._aggregate sums each row's kept reference rows when m is at most
+core._aggregate_tasks sums each row's kept reference rows when m is at most
 1/32 of the row and multiplies the masked block above that; when m is
 the whole row, as for avgpool's default p = 100, the aggregate is a
 d x d map, like full's.  scipy.sparse would add about 175 ms of import
@@ -253,12 +255,11 @@ def _check_dims(d: int, *others: int) -> None:
             raise ValueError(f"dimension mismatch: {d} vs {e}")
 
 
-def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True,
-                workers: int | None = None) -> None:
-    """Call fn(b, sims) for the (row slice, clipped cosine block) pairs
-    that tile Xn @ Yn.T, on workers threads at most, _worker_count() if
-    None.  Xn and Yn are unit rows, which this never normalizes; a self
-    pass passes one array twice.
+def _block_tasks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> list:
+    """One task per row block of Xn @ Yn.T, for _run_tasks: each calls
+    fn(b, sims) for its (row slice, clipped cosine block) pair.  Xn and
+    Yn are unit rows, which this never normalizes; a self pass passes
+    one array twice.
 
     With clip False, sims is the unclipped product, for a caller that
     reads only single cells and order statistics and clips those: the
@@ -270,29 +271,40 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True,
     on which thread runs it or how many run.  They can depend on the
     block budget: at some shapes OpenBLAS's last bit in a cell depends on
     a product's row count, and numpy runs a self pass that fits one block
-    as syrk.  Blocks finish in any order: fn must only write its own
-    rows.  The calling thread is one of the workers, and each started one
-    runs in a copy of its context, so every block sees the caller's
-    np.errstate.  The first exception fn raises, in block order,
-    propagates.
+    as syrk.  Blocks finish in any order: fn must only write its own rows.
     """
     _check_dims(Xn.shape[1], Yn.shape[1])
-    blocks = _pass_blocks(len(Xn), len(Yn), Xn.shape[1])
-    workers = min(_worker_count() if workers is None else workers, len(blocks))
 
     def run(b):
         sims = _mm(Xn[b], Yn.T)
         fn(b, np.clip(sims, -1.0, 1.0, out=sims) if clip else sims)
 
-    # Held for the whole pass, so the count is not set back and forth
-    # between blocks.
+    return [lambda b=b: run(b) for b in _pass_blocks(len(Xn), len(Yn), Xn.shape[1])]
+
+
+def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
+    """Run _block_tasks(fn, Xn, Yn, clip), one pass over Xn @ Yn.T."""
+    _run_tasks(_block_tasks(fn, Xn, Yn, clip))
+
+
+def _run_tasks(tasks: list) -> None:
+    """Call each task in tasks, on up to _worker_count() threads.
+
+    The calling thread is one of the workers, and each started one runs
+    in a copy of its context, so every task sees the caller's
+    np.errstate.  The first exception a task raises, in list order,
+    propagates once every thread has finished.
+    """
+    workers = min(_worker_count(), len(tasks))
+    # Held for the whole run, so the count is not set back and forth
+    # between tasks.
     with _BLAS_PIN or contextlib.nullcontext():
-        # Plain threads pulling block indices: concurrent.futures imports
+        # Plain threads pulling task indices: concurrent.futures imports
         # logging, about 7 ms of start-up for every pooled command.  After
-        # an error no block is started, but every block before it has
-        # been, so the first error in block order is among those caught.
-        todo, lock = iter(range(len(blocks))), threading.Lock()
-        errors = [None] * len(blocks)
+        # an error no task is started, but every task before it has
+        # been, so the first error in list order is among those caught.
+        todo, lock = iter(range(len(tasks))), threading.Lock()
+        errors = [None] * len(tasks)
         failed = False
 
         def work():
@@ -303,8 +315,8 @@ def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True,
                 if i is None:
                     return
                 try:
-                    run(blocks[i])
-                except BaseException as e:  # re-raised below, in block order
+                    tasks[i]()
+                except BaseException as e:  # re-raised below, in list order
                     errors[i] = e
                     with lock:
                         failed = True

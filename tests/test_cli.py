@@ -762,8 +762,8 @@ def test_a_wide_sparse_correction_is_byte_identical_across_blas_threads_and_work
     # narrow budget would cut ten.  local at 1% gathers its kept rows,
     # avgpool at 5% multiplies the masked block, and full runs the d x d
     # map.  Each run sets one OpenBLAS thread count and one _worker_count
-    # in the child: one worker builds the halves one after the other, two
-    # and three build them side by side, three splitting unevenly.
+    # in the child: one worker runs both sets' aggregate tasks one after
+    # the other, two and three share them out in one pool, three unevenly.
     run = ("import sys\nfrom invgc import simgraph\nworkers = int(sys.argv.pop(1))\n"
            "simgraph._worker_count = lambda: workers\n" + _CALL_MAIN)
     main(["synth", "--items", "800", "--refs", "3000", "--dim", "256", "--seed", "4",
@@ -920,7 +920,7 @@ def test_an_overflowing_step_exits_two_naming_its_option(dataset, capsys, tmp_pa
 ])
 def test_a_half_refused_side_by_side_exits_two_and_leaves_no_thread(
         dataset, capsys, tmp_path, monkeypatch, rg, rq, flag):
-    # Two workers build the halves side by side, whatever the host.  The
+    # Two workers share both sets' aggregate tasks, whatever the host.  The
     # avgpool aggregate here reaches about 25, so 1e308 times it overflows.
     # Nothing else reaches stderr: no "Exception in thread" report.
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)

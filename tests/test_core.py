@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -620,9 +621,9 @@ def test_side_by_side_halves_warn_and_fail_as_one_thread_does(case, monkeypatch)
     # cosine 1, or all of e1 at cosine 0, so 2 e1 and 2 e2 as references
     # cancel both gallery rows at r = 0.5, 2 e1 alone cancels one, and
     # 1e308 times either aggregate overflows; 1e308 rows make the avgpool
-    # aggregate's column sum overflow.  On two or three workers the halves
-    # run side by side, but the warnings, their order and the error must
-    # be one worker's.
+    # aggregate's column sum overflow.  On two or three workers both sets'
+    # aggregate tasks run in one pool, but the warnings, their order and
+    # the error must be one worker's.
     G = _pair_set([[1.0, 0.0], [0.0, 1.0]], "g")
     e1, both = _pair_set([[2.0, 0.0]], "r"), _pair_set([[2.0, 0.0], [0.0, 2.0]], "q")
     huge = _pair_set([[1e308, 1e308], [1e308, 1e308]], "h")
@@ -663,9 +664,9 @@ def test_side_by_side_halves_warn_and_fail_as_one_thread_does(case, monkeypatch)
 def test_side_by_side_halves_do_not_depend_on_the_worker_count(variant, monkeypatch):
     # 1% and 3% of 1500 columns gather their kept rows, 10% masks its
     # block and 100% is the d x d map; a 64-cell budget cuts each pass
-    # into 2-row blocks, and threads switch often.  One worker builds the
-    # halves one after the other, two to eight build them side by side,
-    # three and five splitting unevenly.
+    # into 2-row blocks, and threads switch often.  One worker runs both
+    # sets' aggregate tasks one after the other, two to eight share them
+    # out in one pool, three and five unevenly.
     monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
     rng = np.random.default_rng(46)
     G = make_set(rng, 120, 12, "g")
@@ -682,6 +683,31 @@ def test_side_by_side_halves_do_not_depend_on_the_worker_count(variant, monkeypa
                 assert_array_equal(a, b, err_msg=f"{cfg}, {workers} workers")
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_both_sets_aggregate_tasks_share_every_worker(monkeypatch):
+    # local at 1% gathers each block's kept rows in _kept_sums; a 64-cell
+    # budget cuts each set's pass into 2-row blocks.  Both sets' blocks go
+    # to one pool, so on three workers three threads gather, where a pool
+    # per set, each on 3 // 2 workers, would keep one of them idle.
+    monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
+    rng = np.random.default_rng(47)
+    G = make_set(rng, 60, 8, "g")
+    refG, refQ = shared_id_reference(rng, G, 340), make_set(rng, 300, 8, "q")
+    cfg = InvGCConfig("local", 0.3, 0.2, k_percent=1.0)
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    want = inverse_convolve_dual(G, refG, refQ, cfg).data
+    seen = set()
+
+    def noting_kept_sums(*args, _kept_sums=core._kept_sums):
+        seen.add(threading.get_ident())
+        time.sleep(0.001)
+        return _kept_sums(*args)
+
+    monkeypatch.setattr(core, "_kept_sums", noting_kept_sums)
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 3)
+    assert_array_equal(inverse_convolve_dual(G, refG, refQ, cfg).data, want)
+    assert len(seen) == 3
 
 
 def _outcome_under(monkeypatch, workers, modes, G, refG, refQ, cfgs):
@@ -708,8 +734,10 @@ def _outcome_under(monkeypatch, workers, modes, G, refG, refQ, cfgs):
 def test_side_by_side_halves_raise_and_call_as_one_thread_does(case, monkeypatch):
     # The sets of test_side_by_side_halves_warn_and_fail_as_one_thread_does,
     # under modes other than numpy's defaults, and with a zero-norm reference
-    # row, which unit_rows refuses.  The q half's quiet pass meets each of
-    # these, so the calling thread meets it again in its turn.
+    # row, which unit_rows refuses.  Both sets are checked before any task
+    # runs, so a zero row in refQ is refused before the g half cancels a
+    # row; a task's floating-point event comes under the caller's modes on
+    # whichever thread runs it.
     G = _pair_set([[1.0, 0.0], [0.0, 1.0]], "g")
     e1, both = _pair_set([[2.0, 0.0]], "r"), _pair_set([[2.0, 0.0], [0.0, 2.0]], "q")
     huge = _pair_set([[1e308, 1e308], [1e308, 1e308]], "h")
@@ -722,8 +750,7 @@ def test_side_by_side_halves_raise_and_call_as_one_thread_does(case, monkeypatch
                                 ([], [("overflow", 2)], (StepOverflowError, "r_q=1.0 is too large:"
                                                          " r_q times the aggregate is not finite"))),
         "refQ has a zero row": ({}, e1, zero, cancel,
-                                (["1 zero-norm rows left unnormalized"], [],
-                                 (ValueError, "zero-norm embedding row, id 'z0'"))),
+                                ([], [], (ValueError, "zero-norm embedding row, id 'z0'"))),
         "refG has a zero row": ({}, zero, both, cancel,
                                 ([], [], (ValueError, "zero-norm embedding row, id 'z0'"))),
     }[case]
@@ -734,10 +761,10 @@ def test_side_by_side_halves_raise_and_call_as_one_thread_does(case, monkeypatch
 
 def test_no_half_is_built_twice_when_a_half_cancels(monkeypatch):
     # The zero-norm sets of the CLI's one-line warning test: at step 1 the
-    # avgpool aggregate r1 cancels g1 in both halves.  On two workers the q
-    # half's aggregate pass runs beside the g half, and each reference set
-    # gets that one pass: the cancelled rows are met after it, on the
-    # calling thread, and the grid is not built again.
+    # avgpool aggregate r1 cancels g1 in both halves.  On two workers both
+    # sets' aggregate tasks run in one pool, and each reference set gets
+    # that one pass: the cancelled rows are met after it, on the calling
+    # thread, and the grid is not built again.
     from invgc.tuner import grid_search
 
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 2)
@@ -745,11 +772,11 @@ def test_no_half_is_built_twice_when_a_half_cancels(monkeypatch):
     ref = _pair_set([[1.0, 0.0]], "r")
     passes = []
 
-    def counting_aggregate(Gn, ref, *args, _aggregate=core._aggregate):
+    def counting_tasks(Gn, ref, *args, _aggregate_tasks=core._aggregate_tasks):
         passes.append(ref.ids)
-        return _aggregate(Gn, ref, *args)
+        return _aggregate_tasks(Gn, ref, *args)
 
-    monkeypatch.setattr(core, "_aggregate", counting_aggregate)
+    monkeypatch.setattr(core, "_aggregate_tasks", counting_tasks)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         with pytest.raises(ValueError, match="^zero-norm embedding row, id 'g0'$"):

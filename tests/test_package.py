@@ -123,6 +123,28 @@ def test_every_matrix_product_goes_through_mm():
     assert outside == []
 
 
+def test_every_thread_is_started_by_the_one_task_pool():
+    # simgraph._run_tasks is the one pool: it pins BLAS, copies the
+    # caller's context into each worker and raises the first error in
+    # task order.  A thread built elsewhere would do none of that.
+    root = Path(__file__).resolve().parents[1]
+    outside = []
+    for path in sorted((root / "src" / "invgc").glob("*.py")):
+        tree = ast.parse(path.read_bytes(), str(path))
+        allowed = set()
+        if path.name == "simgraph.py":
+            pool, = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_run_tasks")
+            allowed = {id(node) for node in ast.walk(pool)}
+        outside += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "Thread"
+                or isinstance(node, ast.Name) and node.id == "Thread"
+                or isinstance(node, ast.alias) and node.name == "Thread")
+            and id(node) not in allowed
+        ]
+    assert outside == []
+
+
 def test_every_source_parses_as_the_oldest_python_it_supports():
     root = Path(__file__).resolve().parents[1]
     assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")

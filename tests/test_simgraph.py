@@ -464,8 +464,9 @@ def test_every_block_of_a_pass_sees_the_callers_errstate(workers, monkeypatch):
         time.sleep(0.001)
         seen.append((threading.get_ident(), np.geterr()["over"]))
 
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
     with np.errstate(over="raise"):
-        simgraph._map_blocks(note, X, Y, workers=workers)
+        simgraph._map_blocks(note, X, Y)
     assert len(seen) == 64
     assert len({ident for ident, _ in seen}) == workers
     assert {mode for _, mode in seen} == {"raise"}

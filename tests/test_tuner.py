@@ -218,16 +218,16 @@ def test_every_grid_cell_equals_the_dual_update_for_its_config(monkeypatch):
 
 
 def _count_similarity_passes(monkeypatch) -> list:
-    # one call of the row-block map is one pass over a similarity
+    # one call of the row-block task maker is one pass over a similarity
     calls = []
-    original = simgraph._map_blocks
+    original = simgraph._block_tasks
 
-    def counting_map(fn, rows, cols, **kw):
+    def counting_tasks(fn, rows, cols, *args):
         calls.append((len(rows), len(cols)))
-        return original(fn, rows, cols, **kw)
+        return original(fn, rows, cols, *args)
 
-    for module in (simgraph, core, retrieval, diagnostics):
-        monkeypatch.setattr(module, "_map_blocks", counting_map)
+    for module in (simgraph, core):
+        monkeypatch.setattr(module, "_block_tasks", counting_tasks)
     return calls
 
 
