@@ -23,7 +23,6 @@ from .embio import EmbeddingSet
 from .simgraph import (
     Adjacency,
     SimMatrix,
-    _PARTITION_CELLS,
     _ZERO_NORM,
     _block_cells,
     _block_tasks,
@@ -31,7 +30,7 @@ from .simgraph import (
     _check_percent,
     _id_cells,
     _mm,
-    _row_blocks,
+    _plan,
     _row_thresholds,
     _run_tasks,
     _scaled_norms,
@@ -196,19 +195,6 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     )
 
 
-_GATHER_SHARE = 1 / 32
-"""Largest share m / N_ref of a row that _aggregate_tasks sums from
-gathered rows.
-
-Measured per row block on one thread of a 2.1 GHz Xeon, at N_ref 1000
-and 5000: on 2**18-cell blocks at d 8 to 256, at m / N_ref = 1/32 the
-gather takes 0.64 to 0.93 of the masked GEMM's time, at 1/16 it takes
-1.05 to 1.44.  On the wider blocks of d 128 and 256 (2**19 and 2**20
-cells) it takes 0.58 to 0.77 at 1/32 and 0.92 to 1.61 at 1/16.  Keeping
-every column, as avgpool's default p = 100 does, needs no block.
-"""
-
-
 def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> list:
     """S @ ref at each kept count m in counts: _aggregate_tasks run and
     collected."""
@@ -226,11 +212,10 @@ def _aggregate_tasks(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) 
     Neither the steps nor m enter the cosines, so a search computes this
     once per reference set.  local and avgpool threshold one row block of
     cosines at a time, the rows of build_adjacency's S, one task per
-    block: each block gets one GEMM and one partition.  An m of at most
-    _GATHER_SHARE of the row sums each row's kept reference rows
-    (_kept_sums); a wider one masks the block and multiplies it by ref.
-    m = N_ref, full's count, needs only a d x d map, one task, and no
-    cosine pass.
+    block: each block gets one GEMM and one partition.  _plan's route at
+    m sums each row's kept reference rows (_kept_sums), or masks the
+    block and multiplies it by ref; m = N_ref, full's count, needs only a
+    d x d map, one task, and no cosine pass.
 
     The kept rows are gathered with numpy alone: scipy.sparse would cost
     every command about 175 ms of import, more than the gather saves.
@@ -238,7 +223,8 @@ def _aggregate_tasks(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) 
     Rn = unit_rows(ref.data, ref.ids)  # for avgpool too: refuses a zero-norm row
     # A point is never its own neighbour, whatever the row order of the sets.
     self_cells = _id_cells(Gn.ids, ref.ids, zip(Gn.ids, Gn.ids))
-    blocked = [m for m in counts if m < ref.n]
+    routes = {m: _plan(Gn.n, ref.n, ref.d, m).route for m in counts}
+    blocked = [m for m in counts if routes[m] != "map"]
     aggs = {m: np.empty((Gn.n, ref.d)) for m in blocked}
 
     def every_column():
@@ -250,7 +236,7 @@ def _aggregate_tasks(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) 
         # One count masks the block in place; several share one copy.
         masked = sims if len(blocked) == 1 else None
         for m, thr in zip(blocked, thresholds):
-            if m <= _GATHER_SHARE * ref.n:
+            if routes[m] == "gather":
                 aggs[m][b] = _kept_sums(sims, thr, own, ref.data, variant == "local")
                 continue
             if masked is None:
@@ -264,7 +250,7 @@ def _aggregate_tasks(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) 
             masked[own] = 0.0
             aggs[m][b] = _mm(masked, ref.data)
 
-    tasks = [every_column] if ref.n in counts else []
+    tasks = [every_column] if "map" in routes.values() else []
     if blocked:
         tasks += _block_tasks(block, Gn.data, Rn)
     return tasks, aggs
@@ -276,9 +262,9 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
     its self cells, ascending, with w = sims[i, cols] if weighted, else 1.
 
     Rows with equally many kept columns run as batched _mm products over
-    _row_blocks pieces of about _PARTITION_CELLS gathered cells, one
-    vector-matrix product per row, so each row's bits are a function of
-    its kept columns alone, not of the block, the piece or its neighbours.
+    _plan's pieces of their gathered rows, one vector-matrix product per
+    row, so each row's bits are a function of its kept columns alone, not
+    of the block, the piece or its neighbours.
     """
     n_cols, d = sims.shape[1], data.shape[1]
     keep = sims >= thr
@@ -294,7 +280,7 @@ def _kept_sums(sims: np.ndarray, thr: np.ndarray, self_cells, data: np.ndarray,
         group_cells = cells[(ends[group] - m)[:, None] + np.arange(m)]
         w = sims.take(group_cells) if weighted else np.ones(group_cells.shape)
         group_cols = group_cells % n_cols
-        for piece in _row_blocks(len(group), m * d, _PARTITION_CELLS):
+        for piece in _plan(len(group), n_cols, d, m).pieces:
             out[group[piece]] = _mm(w[piece, None, :], data[group_cols[piece]])[:, 0]
     return out
 

@@ -9,25 +9,23 @@ local   per row, keep entries >= the m-th largest value verbatim and
 binary  same row threshold, but retained entries become 1 and the rest 0
 
 Every cosine the library takes comes from a row block of _block_tasks,
-2**18 cells at d <= 64, rising with d to 2**20 from d = 256
-(_pass_blocks), so no pass holds an N x N_ref matrix unless it asks for
-one: cosine_similarity_matrix fills the dense matrix from the same
-blocks, for callers that want it whole.  _run_tasks, the one pool, runs
-the tasks on a few threads: _map_blocks' one pass, or core's batch of
-both reference sets' passes and d x d maps.  The blocks take unit rows:
-each entry point normalizes each set once.
+so no pass holds an N x N_ref matrix unless it asks for one:
+cosine_similarity_matrix fills the dense matrix from the same blocks,
+for callers that want it whole.  _run_tasks, the one pool, runs the
+tasks on a few threads: _map_blocks' one pass, or core's batch of both
+reference sets' passes and d x d maps.  The blocks take unit rows: each
+entry point normalizes each set once.
 The cells a pass treats apart (self pairs, matched pairs, relevant
 items) come from _id_cells, by id; _block_cells hands each block its run.
 
 Row thresholds, norms and diagnose's Grams walk _chunks' reused buffer.
 local and binary keep m entries per row, plus ties, so they are sparse;
 a percent becomes m once, by _top_count, and everything below takes m.
-core._aggregate_tasks sums each row's kept reference rows when m is at most
-1/32 of the row and multiplies the masked block above that; when m is
-the whole row, as for avgpool's default p = 100, the aggregate is a
-d x d map, like full's.  scipy.sparse would add about 175 ms of import
-to every command, so the kept rows are gathered with numpy alone.
-Every product goes through _mm, a dot of two vectors as a 1 x 1 one.
+_plan, from the shapes alone, cuts every pass into blocks and every
+buffer into chunks, and picks core._aggregate_tasks' route from m: the
+gathered kept rows, the masked block, or, for m the whole row, a d x d
+map like full's.  Every product goes through _mm, a dot of two vectors
+as a 1 x 1 one.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import ctypes
 import math
 import os
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,17 +203,35 @@ def _block_cells(rows: np.ndarray, cols: np.ndarray, b: slice) -> tuple:
     return span, (rows[span] - b.start, cols[span])
 
 
-_BLOCK_CELLS = 1 << 18  # about 2 MB of float64 per row block
-_PARTITION_CELLS = 1 << 15
+_BLOCK_CELLS, _PARTITION_CELLS, _GATHER_SHARE = 1 << 18, 1 << 15, 1 / 32  # read by _plan alone
+_Plan = namedtuple("_Plan", "route blocks chunks pieces")
 
 
-def _pass_blocks(n_rows: int, n_cols: int, d: int) -> list:
-    # _map_blocks' row blocks: _row_blocks at _BLOCK_CELLS times d // 64,
-    # held between 1 and 4, so 2 MB at d <= 64 and 8 MB from d = 256 on.
-    # Each block's GEMM packs the whole n_cols x d panel it multiplies, so
-    # at wide d a 2**18-cell block repacks it every few dozen rows: 40
-    # times per pass over 5000 x 256 references.
-    return _row_blocks(n_rows, n_cols, _BLOCK_CELLS * min(4, max(1, d // 64)))
+def _plan(n_rows: int, n_cols: int, d: int, m: int | None = None) -> _Plan:
+    """The route and tiles for n_rows against n_cols rows of width d that
+    keep m columns a row, from these shapes alone, never the worker count
+    or the host: at some shapes OpenBLAS's last bit in a cell depends on a
+    product's row count, and numpy runs a one-block self pass as syrk.
+
+    route, at m: "map", the d x d map, when m = n_cols (full, avgpool's
+    p = 100); "gather" (core._kept_sums) when m is at most _GATHER_SHARE,
+    1/32, of n_cols; else "mask", the masked block times ref in one GEMM.
+    Per row block on one thread of a 2.1 GHz Xeon, at n_cols 1000 and
+    5000, the gather took 0.64 to 0.93 of the masked GEMM's time at 1/32
+    and 1.05 to 1.44 at 1/16 on 2**18-cell blocks at d 8 to 256, and 0.58
+    to 0.77 and 0.92 to 1.61 on the wider blocks of d 128 and 256.
+    blocks, a pass's: _BLOCK_CELLS, 2**18 cells (2 MB), times d // 64
+    held in [1, 4], so 2**20 from d = 256; at d = 256, 2**18-cell blocks
+    repacked each GEMM's n_cols x d panel 40 times a pass over 5000 refs.
+    chunks, of an n_rows x n_cols buffer, and pieces, of m * d gathered
+    cells a row: _PARTITION_CELLS, 2**15 cells.  All are _row_blocks cuts.
+    """
+    route = pieces = None
+    if m is not None:
+        route = "map" if m == n_cols else "gather" if m <= _GATHER_SHARE * n_cols else "mask"
+        pieces = _row_blocks(n_rows, m * d, _PARTITION_CELLS)
+    blocks = _row_blocks(n_rows, n_cols, _BLOCK_CELLS * min(4, max(1, d // 64)))
+    return _Plan(route, blocks, _row_blocks(n_rows, n_cols, _PARTITION_CELLS), pieces)
 
 
 def _row_blocks(n_rows: int, n_cols: int, cells: int) -> list:
@@ -231,11 +248,11 @@ def _row_blocks(n_rows: int, n_cols: int, cells: int) -> list:
 
 
 def _chunks(X: np.ndarray):
-    """Yield (b, part) for the _row_blocks chunks of X of about
-    _PARTITION_CELLS cells; part is one reused buffer laid out as X[b]."""
-    blocks = _row_blocks(*X.shape, _PARTITION_CELLS)
-    buf = np.empty_like(X[: max((b.stop - b.start for b in blocks), default=0)])
-    for b in blocks:
+    """Yield (b, part) for X's _plan chunks; part is one reused buffer
+    laid out as X[b]."""
+    chunks = _plan(*X.shape, X.shape[1]).chunks
+    buf = np.empty_like(X[: max((b.stop - b.start for b in chunks), default=0)])
+    for b in chunks:
         yield b, buf[: b.stop - b.start]
 
 
@@ -266,12 +283,9 @@ def _block_tasks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> list:
     clip is monotone, so they come out the same, without a pass over the
     block.
 
-    The blocks are _pass_blocks', which depend on the shapes alone, and
-    each product runs on one BLAS thread, so a block's bits do not depend
-    on which thread runs it or how many run.  They can depend on the
-    block budget: at some shapes OpenBLAS's last bit in a cell depends on
-    a product's row count, and numpy runs a self pass that fits one block
-    as syrk.  Blocks finish in any order: fn must only write its own rows.
+    The blocks are _plan's, and each product runs on one BLAS thread, so
+    a block's bits do not depend on which thread runs it or how many run.
+    Blocks finish in any order: fn must only write its own rows.
     """
     _check_dims(Xn.shape[1], Yn.shape[1])
 
@@ -279,7 +293,7 @@ def _block_tasks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> list:
         sims = _mm(Xn[b], Yn.T)
         fn(b, np.clip(sims, -1.0, 1.0, out=sims) if clip else sims)
 
-    return [lambda b=b: run(b) for b in _pass_blocks(len(Xn), len(Yn), Xn.shape[1])]
+    return [lambda b=b: run(b) for b in _plan(len(Xn), len(Yn), Xn.shape[1]).blocks]
 
 
 def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:

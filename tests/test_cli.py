@@ -768,7 +768,7 @@ def test_a_wide_sparse_correction_is_byte_identical_across_blas_threads_and_work
            "simgraph._worker_count = lambda: workers\n" + _CALL_MAIN)
     main(["synth", "--items", "800", "--refs", "3000", "--dim", "256", "--seed", "4",
           "--out-prefix", str(tmp_path / "syn")])
-    assert len(simgraph._pass_blocks(800, 3000, 256)) == 3
+    assert len(simgraph._plan(800, 3000, 256).blocks) == 3
     refs = ["--gallery", "../syn.gallery.emb", "--ref-gallery", "../syn.refg.emb",
             "--ref-query", "../syn.refq.emb", "--rg", "0.1", "--rq", "0.2"]
     runs = []

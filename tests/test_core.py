@@ -324,7 +324,7 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     rng = np.random.default_rng(37)
     G = make_set(rng, 1500, 12, "g")
     R = shared_id_reference(rng, G, 1000)
-    assert len(simgraph._pass_blocks(G.n, R.n, G.d)) == 12
+    assert len(simgraph._plan(G.n, R.n, G.d).blocks) == 12
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
     # the dense cosines from the unit rows and blocks _aggregate takes
     sims = SimMatrix(Gn.ids, R.ids, np.empty((G.n, R.n)))
@@ -338,7 +338,7 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     for k, p, gathered in [(0.7, 2.5, True), (10.0, 40.0, False)]:
         cfg = InvGCConfig(variant, k_percent=k, p_percent=p)
         m = _kept_count(cfg, R.n)
-        assert (m <= core._GATHER_SHARE * R.n) == gathered
+        assert (simgraph._plan(G.n, R.n, G.d, m).route == "gather") == gathered
         S = build_adjacency(sims, cfg)
         S.values[self_pairs] = 0.0
         got = _aggregate(Gn, R, variant, [m])[0]
@@ -373,7 +373,8 @@ def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference,
     refG = G if reference == "self" else shared_id_reference(rng, G, 40)
     refQ = duplicated_rows(rng, 24, 4, 5, "q")
     percents = [0.5, 1.0, 2.0, 10.0, 30.0]
-    gathered = [simgraph._top_count(p, refG.n) <= core._GATHER_SHARE * refG.n for p in percents]
+    gathered = [simgraph._plan(G.n, refG.n, G.d, simgraph._top_count(p, refG.n)).route == "gather"
+                for p in percents]
     assert gathered == [True, True, True, False, False]
     sims = cosine_similarity_matrix(G, refG).values
     for p in percents:
@@ -396,7 +397,7 @@ def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference,
         for workers in (1, 3):
             monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
             monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
-            assert len(simgraph._pass_blocks(G.n, refG.n, G.d)) == (64 if budget == 64 else 1)
+            assert len(simgraph._plan(G.n, refG.n, G.d).blocks) == (64 if budget == 64 else 1)
             for p, a, b in zip(percents, _aggregate(Gn, refG, variant, counts), want):
                 assert_array_equal(a, b, err_msg=f"{p}%, {budget} cells, {workers} workers")
             for p, m, b in zip(percents, counts, want):
@@ -436,7 +437,7 @@ def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch, traced_peak)
     G = make_set(rng, 2000, 8, "g")
     R = make_set(rng, 1000, 8, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    block = simgraph._pass_blocks(G.n, R.n, G.d)[0]
+    block = simgraph._plan(G.n, R.n, G.d).blocks[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     peaks = {}
     for variant in ("local", "avgpool"):
@@ -455,7 +456,7 @@ def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch
     G = make_set(rng, 2000, 8, "g")
     R = make_set(rng, 1000, 8, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    block = simgraph._pass_blocks(G.n, R.n, G.d)[0]
+    block = simgraph._plan(G.n, R.n, G.d).blocks[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     for variant in ("local", "avgpool"):
         _, peak = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
@@ -473,8 +474,8 @@ def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch, traced
     G = make_set(rng, 2000, 64, "g")
     R = make_set(rng, 1000, 64, "r")
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    assert simgraph._top_count(3.0, R.n) <= core._GATHER_SHARE * R.n
-    block = simgraph._pass_blocks(G.n, R.n, G.d)[0]
+    assert simgraph._plan(G.n, R.n, G.d, simgraph._top_count(3.0, R.n)).route == "gather"
+    block = simgraph._plan(G.n, R.n, G.d).blocks[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     rows_bytes = (2 * G.n + R.n) * G.d * 8
     for variant in ("local", "avgpool"):
@@ -494,7 +495,7 @@ def test_a_multi_count_search_drops_each_aggregate_after_its_last_half(monkeypat
     refG, refQ = make_set(rng, 640, 64, "r"), make_set(rng, 640, 64, "q")
     cfgs = [InvGCConfig("local", 0.1, 0.2, k_percent=k) for k in (0.5, 1, 1.5, 2, 2.5, 3)]
     assert [_kept_count(c, refG.n) for c in cfgs] == [4, 7, 10, 13, 16, 20]
-    assert 20 <= core._GATHER_SHARE * refG.n
+    assert simgraph._plan(G.n, refG.n, G.d, 20).route == "gather"
     _, peak = traced_peak(core._dual_over_steps, G, refG, refQ, cfgs)
     assert peak < 18 * G.data.nbytes, peak / G.data.nbytes
 
@@ -512,7 +513,7 @@ def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, m
     G = make_set(rng, 600, 12, "g")
     R = shared_id_reference(rng, G, 1466)
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    assert len(simgraph._pass_blocks(G.n, R.n, G.d)) == (5 if budget is None else 300)
+    assert len(simgraph._plan(G.n, R.n, G.d).blocks) == (5 if budget is None else 300)
     count_lists = [[simgraph._top_count(p, R.n) for p in percents]
                    for percents in ([1.0], [0.5, 1.0, 3.0, 50.0])]
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
@@ -540,7 +541,7 @@ def test_blocked_dual_update_matches_the_row_oracle(variant, monkeypatch):
     G = make_set(rng, 41, 4, "g")
     refG = shared_id_reference(rng, G, 9)
     refQ = EmbeddingSet(list(reversed(G.ids)), G.data[::-1])
-    assert len(simgraph._pass_blocks(G.n, refG.n, G.d)) == 20
+    assert len(simgraph._plan(G.n, refG.n, G.d).blocks) == 20
     cfg = InvGCConfig(variant, 0.3, 0.6, k_percent=8.0, p_percent=15.0)
     got = inverse_convolve_dual(G, refG, refQ, cfg)
     want = oracles.invgc_dual(

@@ -87,7 +87,7 @@ def test_intra_spanning_several_row_blocks_matches_a_dense_pool():
     for i, j in np.argwhere(matched):
         rel.setdefault(Q.ids[j], set()).add(G.ids[i])
     ks = [1, 7, 30]
-    assert len(simgraph._pass_blocks(G.n, Q.n, G.d)) == 9
+    assert len(simgraph._plan(G.n, Q.n, G.d).blocks) == 9
     cases = [
         (intra_mean_sim(G, ks, bins=9), G, ~np.eye(G.n, dtype=bool)),
         (cross_mean_sim(G, Q, rel, ks, bins=9), Q, ~matched),
@@ -401,7 +401,7 @@ def test_degeneration_score_equals_intra_mean_sim_at_1_bit_for_bit(budget):
             G = make_set(rng, int(rng.integers(2, 60)), int(rng.integers(1, 9)))
             G.data[1] = G.data[0]
             assert degeneration_score(G) == intra_mean_sim(G, [1]).mean_sim_at[1]
-            cuts.append(len(simgraph._pass_blocks(G.n, G.n, G.d)))
+            cuts.append(len(simgraph._plan(G.n, G.n, G.d).blocks))
     if budget is not None:  # every set but a 4-row one runs in 17 blocks or more
         assert sum(c >= 17 for c in cuts) == 5, cuts
     with pytest.raises(ValueError, match="need at least 2 points"):
@@ -438,7 +438,7 @@ def test_reports_and_dense_cosines_do_not_depend_on_the_blocks_or_the_workers(mo
             for workers in (1, 3):
                 monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
                 monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
-                assert len(simgraph._pass_blocks(G.n, G.n, G.d)) == (260 if budget == 64 else 2)
+                assert len(simgraph._plan(G.n, G.n, G.d).blocks) == (260 if budget == 64 else 2)
                 intra, cross, dense = run()
                 assert intra == want[0], (budget, workers)
                 assert cross == want[1], (budget, workers)
@@ -465,7 +465,7 @@ def test_one_worker_intra_pass_holds_no_partitioned_copy_of_its_block(monkeypatc
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
     rng = np.random.default_rng(48)
     G = make_set(rng, 3000, 8)
-    block = simgraph._pass_blocks(G.n, G.n, G.d)[0]
+    block = simgraph._plan(G.n, G.n, G.d).blocks[0]
     block_bytes = (block.stop - block.start) * G.n * 8
     _, peak = traced_peak(intra_mean_sim, G, [1, 10])
     assert peak < 1.5 * block_bytes, (peak, block_bytes)
@@ -491,7 +491,7 @@ def test_cross_report_follows_ids_not_row_order(seed, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simgraph, "_BLOCK_CELLS", budget)
         # the budget is obeyed as it is at d < 128
-        assert simgraph._pass_blocks(G.n, Q.n, d) == simgraph._row_blocks(G.n, Q.n, budget)
+        assert simgraph._plan(G.n, Q.n, d).blocks == simgraph._row_blocks(G.n, Q.n, budget)
         a = cross_mean_sim(G, Q, rel, ks, bins=7)
         b = cross_mean_sim(
             EmbeddingSet([G.ids[i] for i in pg], G.data[pg]),

@@ -145,6 +145,31 @@ def test_every_thread_is_started_by_the_one_task_pool():
     assert outside == []
 
 
+def test_every_tile_and_route_is_chosen_by_the_plan():
+    # simgraph._plan decides every pass's blocks, every chunk and gather
+    # piece, and every aggregate route, from the shapes alone.  A budget
+    # read or a _row_blocks cut made anywhere else would be a second rule,
+    # free to read the worker count or the host.
+    rules = {"_BLOCK_CELLS", "_PARTITION_CELLS", "_GATHER_SHARE", "_row_blocks"}
+    root = Path(__file__).resolve().parents[1]
+    outside = []
+    for path in sorted((root / "src" / "invgc").glob("*.py")):
+        tree = ast.parse(path.read_bytes(), str(path))
+        allowed = set()
+        if path.name == "simgraph.py":
+            for f in tree.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "_plan":
+                    allowed = {id(node) for node in ast.walk(f)}
+        outside += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in rules
+                or isinstance(node, ast.Attribute) and node.attr in rules
+                or isinstance(node, ast.alias) and node.name in rules)
+            and id(node) not in allowed
+        ]
+    assert outside == []
+
+
 def test_every_source_parses_as_the_oldest_python_it_supports():
     root = Path(__file__).resolve().parents[1]
     assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")

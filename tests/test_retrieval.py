@@ -189,7 +189,7 @@ def test_ranks_over_several_row_blocks_match_the_oracle_on_tie_heavy_data():
     rng = np.random.default_rng(55)
     Q = EmbeddingSet([f"q{i}" for i in range(1100)], rng.integers(1, 4, (1100, 2)).astype(float))
     G = EmbeddingSet([f"g{i}" for i in range(2000)], rng.integers(1, 4, (2000, 2)).astype(float))
-    assert len(simgraph._pass_blocks(Q.n, G.n, Q.d)) == 9
+    assert len(simgraph._plan(Q.n, G.n, Q.d).blocks) == 9
     rel = {
         qid: {G.ids[i] for i in rng.choice(G.n, size=int(rng.integers(1, 3)), replace=False)}
         for qid in Q.ids
@@ -228,7 +228,7 @@ def test_permuting_the_queries_permutes_the_rank_map(seed, budget):
     moved = EmbeddingSet([Q.ids[i] for i in order], Q.data[order])
     with mock.patch.object(simgraph, "_BLOCK_CELLS", budget):
         # the budget is obeyed as it is at d < 128
-        assert simgraph._pass_blocks(n_q, n_g, d) == simgraph._row_blocks(n_q, n_g, budget)
+        assert simgraph._plan(n_q, n_g, d).blocks == simgraph._row_blocks(n_q, n_g, budget)
         ranks, moved_ranks = rank_queries(Q, G, rel), rank_queries(moved, G, rel)
     assert list(moved_ranks) == moved.ids
     assert moved_ranks == ranks

@@ -1,5 +1,6 @@
 """Cosine matrix construction and the three adjacency variants."""
 
+import os
 import subprocess
 import sys
 import threading
@@ -307,7 +308,7 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
     X = make_set(rng, 40, 4)
     Y = make_set(rng, 8, 4, "y")
     Xu, Yu = unit_rows(X.data), unit_rows(Y.data)
-    assert len(simgraph._pass_blocks(X.n, Y.n, X.d)) == 20
+    assert len(simgraph._plan(X.n, Y.n, X.d).blocks) == 20
     threads = threading.active_count()
     got = np.full((X.n, Y.n), np.nan)
 
@@ -349,7 +350,7 @@ def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch
     rng = np.random.default_rng(32)
     X = unit_rows(rng.standard_normal((400, 3)))
     Y = unit_rows(rng.standard_normal((8, 3)))
-    starts = [b.start for b in simgraph._pass_blocks(len(X), len(Y), 3)]
+    starts = [b.start for b in simgraph._plan(len(X), len(Y), 3).blocks]
     assert len(starts) == 200
     threads = threading.active_count()
 
@@ -398,7 +399,7 @@ def test_a_one_worker_pass_runs_every_block_on_the_calling_thread(monkeypatch):
     X, Y = unit_rows(rng.standard_normal((40, 3))), unit_rows(rng.standard_normal((8, 3)))
     seen = []
     simgraph._map_blocks(lambda b, sims: seen.append((b, threading.get_ident())), X, Y)
-    assert [b for b, _ in seen] == simgraph._pass_blocks(len(X), len(Y), 3)
+    assert [b for b, _ in seen] == simgraph._plan(len(X), len(Y), 3).blocks
     assert len(seen) == 20 and {t for _, t in seen} == {threading.get_ident()}
     assert started == []
 
@@ -407,7 +408,7 @@ def test_row_thresholds_over_a_one_row_tail_equal_whole_row_partitions():
     # 2**15 cells of 1000 columns are 32-row chunks, so 65 rows leave a
     # 1-row tail, which joins the chunk before it; one-decimal values tie
     n_rows, n_cols = 65, 1000
-    chunks = simgraph._row_blocks(n_rows, n_cols, simgraph._PARTITION_CELLS)
+    chunks = simgraph._plan(n_rows, n_cols, n_cols).chunks
     assert [b.stop - b.start for b in chunks] == [32, 33]
     values = np.round(np.random.default_rng(34).standard_normal((n_rows, n_cols)), 1)
     before = values.copy()
@@ -438,15 +439,63 @@ def test_pass_blocks_scale_the_cell_budget_with_d_up_to_four_times():
     for n_rows, n_cols in [(2000, 5000), (1100, 2000), (3001, 700), (7, 1 << 20), (3, 0)]:
         for d, times in [(1, 1), (8, 1), (64, 1), (127, 1), (128, 2), (255, 3), (256, 4), (4096, 4)]:
             want = simgraph._row_blocks(n_rows, n_cols, times * cells)
-            assert simgraph._pass_blocks(n_rows, n_cols, d) == want, (n_rows, n_cols, d)
+            assert simgraph._plan(n_rows, n_cols, d).blocks == want, (n_rows, n_cols, d)
         # no block holds more than 2**20 cells, but for a merged tail row
         # and the 2 rows every block has
         for d in (1, 256, 4096, 1 << 16):
-            for b in simgraph._pass_blocks(n_rows, n_cols, d):
+            for b in simgraph._plan(n_rows, n_cols, d).blocks:
                 assert (b.stop - b.start - 1) * n_cols <= max(1 << 20, 2 * n_cols)
     # the L shape: 5000 reference columns in 209-row blocks, not 52-row ones
-    assert {b.stop - b.start for b in simgraph._pass_blocks(2000, 5000, 256)} == {209, 119}
+    assert {b.stop - b.start for b in simgraph._plan(2000, 5000, 256).blocks} == {209, 119}
     assert {b.stop - b.start for b in simgraph._row_blocks(2000, 5000, simgraph._BLOCK_CELLS)} == {52, 24}
+
+
+def test_the_plan_is_a_function_of_the_shapes_alone(monkeypatch):
+    # Every route and tile comes from _plan, so no output bit may depend on
+    # the worker count or the host: the same plans come back with the
+    # worker count patched, and with both CPU queries made to raise.
+    def plans():
+        got = []
+        for n_rows, n_cols in [(200, 1000), (2000, 5000), (5000, 5000), (41, 9), (1, 1), (3, 0)]:
+            for d in (1, 8, 64, 127, 128, 256, 4096):
+                for m in (None, 1, n_cols // 32, n_cols // 32 + 1, n_cols):
+                    got.append(simgraph._plan(n_rows, n_cols, d, m))
+        return got
+
+    want = plans()
+    calls = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(simgraph, "_worker_count", lambda w=workers: calls.append(w) or w)
+        assert plans() == want, workers
+    assert calls == []
+
+    def no_host(*args):
+        raise AssertionError("the plan asked the host")
+
+    monkeypatch.undo()  # the real _worker_count, over CPU queries that raise
+    monkeypatch.setattr(os, "sched_getaffinity", no_host, raising=False)
+    monkeypatch.setattr(os, "cpu_count", no_host)
+    assert plans() == want
+
+
+def test_the_plan_keeps_the_benchmark_shapes_tiles_and_routes():
+    def sizes(n_rows, n_cols, d):
+        return {b.stop - b.start for b in simgraph._plan(n_rows, n_cols, d).blocks}
+
+    # L (2000 x 5000 x 256): the reference passes, and eval's 2000 x 2000
+    assert sizes(2000, 5000, 256) == {209, 119}
+    assert sizes(2000, 2000, 256) == {524, 428}
+    # M (2000 x 5000 x 64): intra diagnose over 5000 rows, and eval
+    assert sizes(5000, 5000, 64) == {52, 8}
+    assert sizes(2000, 2000, 64) == {131, 35}
+    # S (200 x 1000 x 32): one block
+    assert simgraph._plan(200, 1000, 32).blocks == [slice(0, 200)]
+    # over 1000 references the gather ends at m = 31 = floor(1000 / 32)
+    routes = [simgraph._plan(200, 1000, 32, m).route for m in (1, 31, 32, 999, 1000)]
+    assert routes == ["gather", "gather", "mask", "mask", "map"]
+    assert simgraph._plan(200, 1000, 32).route is None
+    # L at --k 1 keeps m = 50 of 5000
+    assert simgraph._plan(2000, 5000, 256, simgraph._top_count(1.0, 5000)).route == "gather"
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -508,7 +557,7 @@ def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols, 
     blocks = []
     simgraph._map_blocks(lambda b, sims: blocks.append((b, sims.copy())), Xn, Yn)
     blocks.sort(key=lambda pair: pair[0].start)
-    assert [b for b, _ in blocks] == simgraph._pass_blocks(n_rows, n_cols, d)
+    assert [b for b, _ in blocks] == simgraph._plan(n_rows, n_cols, d).blocks
     for b, sims in blocks:
         assert_array_equal(sims, np.clip(_mm(Xn[b], Yn.T), -1.0, 1.0))
     assert_array_equal(np.concatenate([s for _, s in blocks]), cosine_similarity_matrix(X, Y).values)

@@ -329,7 +329,7 @@ def test_every_k_sweep_point_equals_the_dual_update_at_its_k(variant, monkeypatc
     # but 100 and 99.5 both keep all 60 columns and share one d x d map
     monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 64)
     G, Q, _, refQ, rel = small_dataset(seed=6)
-    assert len(simgraph._pass_blocks(G.n, refQ.n, G.d)) == 12
+    assert len(simgraph._plan(G.n, refQ.n, G.d).blocks) == 12
     seen = []
 
     def recording_score(Gs):
