@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
 
@@ -442,29 +441,3 @@ def main(argv=None) -> int:
             print(f"invgc {args.subcommand}: {message}", file=sys.stderr)
             return EXIT_DATA
 
-
-def run(argv=None):
-    """main(argv) as a whole process: flush, then end it at once.
-
-    Interpreter finalization tears down every module numpy and invgc
-    loaded, 26-29 ms on a 2-core Xeon, and no command needs it: every
-    file invgc writes is closed before main returns, the task pool joins
-    its threads, and invgc registers no atexit hook.  So once stdout and
-    stderr are flushed, the process ends through os._exit, which skips
-    atexit hooks too.  If a flush fails (a closed pipe, a full disk) the
-    process exits through sys.exit as before, so finalization reports the
-    error as it always did.  An argparse exit (--help, a usage error)
-    ends the same way; any other exception propagates.
-    """
-    try:
-        code = main(argv)
-    except SystemExit as e:
-        if not (e.code is None or isinstance(e.code, int)):
-            raise
-        code = e.code or EXIT_OK
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except (AttributeError, OSError, ValueError):  # no stream, a failed write, a closed file
-        sys.exit(code)
-    os._exit(code)

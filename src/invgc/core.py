@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._choices import VARIANTS
-from .embio import EmbeddingSet
+from .embio import EmbeddingSet, _all_finite
 from .simgraph import (
     Adjacency,
     SimMatrix,
@@ -179,7 +179,7 @@ def _dual_over_steps(G, refG, refQ, cfgs):
             for r in rs:
                 with np.errstate(over="ignore"):
                     step = r * A
-                if not np.isfinite(step).all():
+                if not _all_finite(step):
                     raise StepOverflowError(field, r)
                 out[m, r] = row_normalize(np.subtract(Gn.data, step, out=step))
         return out
@@ -193,14 +193,6 @@ def _dual_over_steps(G, refG, refQ, cfgs):
     return lambda c: EmbeddingSet(
         G.ids, 0.5 * (g_half[_kept_count(c, refG.n), c.r_g] + q_half[_kept_count(c, refQ.n), c.r_q])
     )
-
-
-def _aggregate(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> list:
-    """S @ ref at each kept count m in counts: _aggregate_tasks run and
-    collected."""
-    tasks, aggs = _aggregate_tasks(Gn, ref, variant, counts)
-    _run_tasks(tasks)
-    return [aggs[m] for m in counts]
 
 
 def _aggregate_tasks(Gn: EmbeddingSet, ref: EmbeddingSet, variant: str, counts) -> tuple:

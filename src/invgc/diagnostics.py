@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet
-from .simgraph import _block_cells, _chunks, _id_cells, _map_blocks, _mm, unit_rows
+from .simgraph import _block_cells, _block_tasks, _chunks, _id_cells, _mm, _run_tasks, unit_rows
 
 
 @dataclass
@@ -127,7 +127,7 @@ def _neighbour_report(X: EmbeddingSet, Y: EmbeddingSet, rows, cols, ks: list, bi
         sims.partition(top, axis=1)
         ranked[b] = np.sort(sims[:, top:], axis=1)[:, ::-1]
 
-    _map_blocks(block, Xn, Yn, clip=False)
+    _run_tasks(_block_tasks(block, Xn, Yn, clip=False))
     ranked[ranked == -np.inf] = 0.0
     for values in (ranked, row_min, excluded):
         np.clip(values, -1.0, 1.0, out=values)

@@ -73,7 +73,7 @@ class EmbeddingSet:
         dupes = [i for i, c in Counter(self.ids).items() if c > 1]
         if dupes:
             raise ValueError(f"duplicate ids: {sorted(dupes)[:5]}")
-        if not np.isfinite(self.data).all():
+        if not _all_finite(self.data):
             r, c = np.argwhere(~np.isfinite(self.data))[0]
             raise ValueError(f"non-finite value at row {r}, column {c}")
 
@@ -84,6 +84,19 @@ class EmbeddingSet:
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), with no a-sized bool array when a's sum is
+    finite (never with an inf or a NaN); an overflowing sum scans exactly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed numpy cannot draw from; in embio, which every command loads."""
+    if int(seed) != seed or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingSet, _check_ids_fit, _write_tsv
-from .simgraph import _block_cells, _id_cells, _map_blocks, unit_rows
+from .simgraph import _block_cells, _block_tasks, _id_cells, _run_tasks, unit_rows
 
 
 @dataclass
@@ -49,7 +49,7 @@ class _Relevance:
             _, cells = _block_cells(self.rows, self.cols, b)
             ranks[b] = _block_ranks(sims, *cells)
 
-        _map_blocks(block, self.queries, unit_rows(G.data, G.ids))
+        _run_tasks(_block_tasks(block, self.queries, unit_rows(G.data, G.ids)))
         return dict(zip(self.ids, ranks.tolist()))
 
 

@@ -12,7 +12,7 @@ Every cosine the library takes comes from a row block of _block_tasks,
 so no pass holds an N x N_ref matrix unless it asks for one:
 cosine_similarity_matrix fills the dense matrix from the same blocks,
 for callers that want it whole.  _run_tasks, the one pool, runs the
-tasks on a few threads: _map_blocks' one pass, or core's batch of both
+tasks on a few threads: one pass's blocks, or core's batch of both
 reference sets' passes and d x d maps.  The blocks take unit rows: each
 entry point normalizes each set once.
 The cells a pass treats apart (self pairs, matched pairs, relevant
@@ -172,7 +172,7 @@ def unit_rows(X: np.ndarray, ids: list | None = None, out: np.ndarray | None = N
 def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatrix:
     """Pairwise cosines, clamped to [-1, 1] to absorb rounding drift.
 
-    The matrix is _map_blocks' blocks, so it holds the bits of every
+    The matrix is _block_tasks' blocks, so it holds the bits of every
     blocked pass over the same sets.
     """
     Xn = unit_rows(rows.data, rows.ids)
@@ -182,7 +182,7 @@ def cosine_similarity_matrix(rows: EmbeddingSet, cols: EmbeddingSet) -> SimMatri
     def fill(b, sims):
         vals[b] = sims
 
-    _map_blocks(fill, Xn, Yn)
+    _run_tasks(_block_tasks(fill, Xn, Yn))
     return SimMatrix(list(rows.ids), list(cols.ids), vals)
 
 
@@ -294,11 +294,6 @@ def _block_tasks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> list:
         fn(b, np.clip(sims, -1.0, 1.0, out=sims) if clip else sims)
 
     return [lambda b=b: run(b) for b in _plan(len(Xn), len(Yn), Xn.shape[1]).blocks]
-
-
-def _map_blocks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> None:
-    """Run _block_tasks(fn, Xn, Yn, clip), one pass over Xn @ Yn.T."""
-    _run_tasks(_block_tasks(fn, Xn, Yn, clip))
 
 
 def _run_tasks(tasks: list) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import EmbeddingSet
+from .embio import EmbeddingSet, _check_seed
 from .simgraph import _mm, unit_rows
 
 MODALITY_GAP = 1.4
@@ -80,8 +80,7 @@ class ConeConfig:
             raise ValueError(f"cone_spread must be finite and > 0, got {self.cone_spread}")
         if not (math.isfinite(self.query_noise) and self.query_noise >= 0):
             raise ValueError(f"query_noise must be finite and >= 0, got {self.query_noise}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def generate_cone_dataset(cfg: ConeConfig):

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embio import _check_seed
+
 MC_BLOCK = 65536
 # The largest n whose gamma forms stay finite: Gamma(n/2 + 1) overflows
 # a float from n = 342.
@@ -102,6 +104,7 @@ def cap_fraction_mc(n: int, b: float, samples: int, seed: int):
     b = _check_b(b, allow_one=True)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_seed(seed)
     cutoff = math.sqrt(max(0.0, 1.0 - b * b))
     hits = 0
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
@@ -178,6 +181,7 @@ def sample_corollary_pairs(ns, bs, count: int, seed: int) -> list:
     The radii are paired in ascending order, once each, whatever the
     order of bs or its repeats.
     """
+    _check_seed(seed)
     radii = sorted(set(bs))
     r = len(radii)
     pairs = r * (r - 1) // 2

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._choices import SWEEP_PARAMS
 from .core import InvGCConfig, _dual_over_steps, inverse_convolve_dual
-from .embio import EmbeddingSet
+from .embio import EmbeddingSet, _check_seed
 from .retrieval import RetrievalReport, _Relevance, compute_metrics
 
 DEFAULT_R_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -82,6 +82,7 @@ def subsample_reference(refG: EmbeddingSet, refQ: EmbeddingSet, ratio: float, se
     relative order; the draw is deterministic for a fixed seed.
     """
     _check_ratio("ratio", ratio)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     def pick(es: EmbeddingSet) -> EmbeddingSet:

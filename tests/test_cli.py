@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from invgc import diagnostics, embio, simgraph
 from invgc.cli import main
-from invgc.core import InvGCConfig, StepError, _aggregate, inverse_convolve_dual
+from invgc.core import InvGCConfig, StepError, _aggregate_tasks, inverse_convolve_dual
 from invgc.diagnostics import cross_mean_sim, intra_mean_sim
 from invgc.embio import EmbeddingSet, load_embeddings, load_relevance, save_embeddings
 from invgc.retrieval import evaluate
@@ -441,7 +441,7 @@ def test_a_range_of_too_many_points_is_a_bad_range(spec, cli_env):
 
 def test_diagnose_checks_bins_before_the_pass(dataset, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a: calls.append(a))
+    monkeypatch.setattr(diagnostics, "_block_tasks", lambda *a, **kw: calls.append(a) or [])
     for cross in ([], ["--query", dataset["query"], "--relevance", dataset["rel"]]):
         rc, out, err = run_main(["diagnose", "--gallery", dataset["gallery"], *cross, "--bins", "0"], capsys)
         assert rc == 2 and out == ""
@@ -452,7 +452,7 @@ def test_diagnose_checks_bins_before_the_pass(dataset, capsys, monkeypatch):
 def test_diagnose_refuses_too_many_bins_before_the_pass(dataset, capsys, monkeypatch):
     # the spies keep a missing check from allocating a billion bins
     calls = []
-    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(diagnostics, "_block_tasks", lambda *a, **kw: calls.append(a) or [])
     monkeypatch.setattr(diagnostics, "_nn_histogram", lambda *a: calls.append(a))
     for cross in ([], ["--query", dataset["query"], "--relevance", dataset["rel"]]):
         argv = ["diagnose", "--gallery", dataset["gallery"], *cross, "--bins", "1000000000"]
@@ -878,7 +878,9 @@ def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
     G = load_embeddings(dataset["gallery"])
     refG = load_embeddings(dataset["refg"])
     Gn = G.data / np.linalg.norm(G.data, axis=1)[:, None]
-    A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, "full", [refG.n])
+    tasks, aggs = _aggregate_tasks(EmbeddingSet(G.ids, Gn), refG, "full", [refG.n])
+    simgraph._run_tasks(tasks)
+    A = aggs[refG.n]
     want = 0.5 * (-A / np.linalg.norm(A, axis=1)[:, None] + Gn)
     assert_allclose(load_embeddings(out).data, want, rtol=0, atol=1e-7)
 
@@ -954,6 +956,26 @@ def test_a_negative_step_exits_two_naming_its_option(dataset, capsys, tmp_path, 
     assert rc == 2 and out == ""
     assert err == f"invgc {sub}: {flag} must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "o.emb").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theory"],
+    ["verify-theory", "--n", "2", "--b", "0.5", "--mc-samples", "10"],
+    ["sweep", "--param", "ratio", "--values", "0.5", "--variant", "full", "--rg", "0.1", "--rq", "0.1"],
+], ids=["corollary-pairs", "monte-carlo", "ratio-sweep"])
+def test_a_negative_seed_exits_two_naming_the_seed(dataset, capsys, argv):
+    sets = _val_sets(dataset, dataset["rel"]) if argv[0] == "sweep" else []
+    rc, out, err = run_main([*argv, *sets, "--seed", "-1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"invgc {argv[0]}: seed must be a non-negative integer, got -1\n"
+
+
+def test_a_negative_seed_that_draws_nothing_is_not_refused(capsys):
+    # one radius has no corollary pairs, and no Monte Carlo runs
+    argv = ["verify-theory", "--n", "2", "--b", "0.5"]
+    want = run_main(argv, capsys)
+    assert want[0] == 0
+    assert run_main([*argv, "--seed", "-1"], capsys) == want
 
 
 @pytest.mark.parametrize("r, field_form, option_form", [

@@ -17,7 +17,6 @@ from invgc.core import (
     InvGCConfig,
     StepOverflowError,
     VARIANTS,
-    _aggregate,
     _kept_count,
     build_adjacency,
     forward_convolve,
@@ -31,6 +30,14 @@ from invgc.simgraph import Adjacency, SimMatrix, _id_cells, _mm, cosine_similari
 
 def make_set(rng, n, d, prefix="x"):
     return EmbeddingSet([f"{prefix}{i}" for i in range(n)], rng.standard_normal((n, d)))
+
+
+def aggregates(Gn, ref, variant, counts):
+    """S @ ref at each kept count m in counts: core._aggregate_tasks run
+    and collected."""
+    tasks, aggs = core._aggregate_tasks(Gn, ref, variant, counts)
+    simgraph._run_tasks(tasks)
+    return [aggs[m] for m in counts]
 
 
 def take_rows(es, idx):
@@ -245,7 +252,7 @@ def test_every_column_aggregate_closed_form_matches_the_dense_adjacency():
             for p in (100.0, 99.95):
                 cfg = InvGCConfig(variant, k_percent=p, p_percent=p)
                 dense = inverse_convolve_single(zero, build_adjacency(sims, cfg), R, -1.0).data
-                got, = _aggregate(Gn, R, variant, [_kept_count(cfg, R.n)])
+                got, = aggregates(Gn, R, variant, [_kept_count(cfg, R.n)])
                 assert_allclose(got, dense, rtol=0, atol=1e-12, err_msg=f"{variant} {p}%")
 
 
@@ -326,13 +333,13 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
     R = shared_id_reference(rng, G, 1000)
     assert len(simgraph._plan(G.n, R.n, G.d).blocks) == 12
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
-    # the dense cosines from the unit rows and blocks _aggregate takes
+    # the dense cosines from the unit rows and blocks _aggregate_tasks takes
     sims = SimMatrix(Gn.ids, R.ids, np.empty((G.n, R.n)))
 
     def fill(b, block):
         sims.values[b] = block
 
-    simgraph._map_blocks(fill, Gn.data, unit_rows(R.data))
+    simgraph._run_tasks(simgraph._block_tasks(fill, Gn.data, unit_rows(R.data)))
     self_pairs = _id_cells(Gn.ids, R.ids, zip(Gn.ids, Gn.ids))
     own = dict(zip(*self_pairs))
     for k, p, gathered in [(0.7, 2.5, True), (10.0, 40.0, False)]:
@@ -341,7 +348,7 @@ def test_blocked_aggregate_equals_the_dense_adjacency_bit_for_bit(variant):
         assert (simgraph._plan(G.n, R.n, G.d, m).route == "gather") == gathered
         S = build_adjacency(sims, cfg)
         S.values[self_pairs] = 0.0
-        got = _aggregate(Gn, R, variant, [m])[0]
+        got = aggregates(Gn, R, variant, [m])[0]
         if not gathered:
             assert_array_equal(got, _mm(S.values, R.data))
             continue
@@ -392,16 +399,16 @@ def test_gathered_aggregate_keeps_every_tie_at_the_threshold(variant, reference,
     # each row is a function of its kept set alone
     Gn = EmbeddingSet(list(G.ids), unit_rows(G.data))
     counts = [simgraph._top_count(p, refG.n) for p in percents]
-    want = _aggregate(Gn, refG, variant, counts)
+    want = aggregates(Gn, refG, variant, counts)
     for budget in (64, simgraph._BLOCK_CELLS):
         for workers in (1, 3):
             monkeypatch.setattr(simgraph, "_BLOCK_CELLS", budget)
             monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
             assert len(simgraph._plan(G.n, refG.n, G.d).blocks) == (64 if budget == 64 else 1)
-            for p, a, b in zip(percents, _aggregate(Gn, refG, variant, counts), want):
+            for p, a, b in zip(percents, aggregates(Gn, refG, variant, counts), want):
                 assert_array_equal(a, b, err_msg=f"{p}%, {budget} cells, {workers} workers")
             for p, m, b in zip(percents, counts, want):
-                assert_array_equal(_aggregate(Gn, refG, variant, [m])[0], b, err_msg=f"{p}% alone")
+                assert_array_equal(aggregates(Gn, refG, variant, [m])[0], b, err_msg=f"{p}% alone")
 
 
 @pytest.mark.parametrize("reference", ["self", "shared ids", "duplicated rows"])
@@ -441,7 +448,7 @@ def test_avgpool_writes_its_mask_into_the_cosine_block(monkeypatch, traced_peak)
     block_bytes = (block.stop - block.start) * R.n * 8
     peaks = {}
     for variant in ("local", "avgpool"):
-        _, peaks[variant] = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
+        _, peaks[variant] = traced_peak(aggregates, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
     assert peaks["local"] < 2.5 * block_bytes, (peaks, block_bytes)
     assert peaks["avgpool"] < peaks["local"] + block_bytes / 16, (peaks, block_bytes)
 
@@ -459,7 +466,7 @@ def test_one_worker_aggregate_holds_no_partitioned_copy_of_its_block(monkeypatch
     block = simgraph._plan(G.n, R.n, G.d).blocks[0]
     block_bytes = (block.stop - block.start) * R.n * 8
     for variant in ("local", "avgpool"):
-        _, peak = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
+        _, peak = traced_peak(aggregates, Gn, R, variant, [simgraph._top_count(5.0, R.n)])
         assert peak < 1.5 * block_bytes, (variant, peak, block_bytes)
 
 
@@ -479,7 +486,7 @@ def test_one_worker_gathered_aggregate_holds_about_one_block(monkeypatch, traced
     block_bytes = (block.stop - block.start) * R.n * 8
     rows_bytes = (2 * G.n + R.n) * G.d * 8
     for variant in ("local", "avgpool"):
-        _, peak = traced_peak(_aggregate, Gn, R, variant, [simgraph._top_count(3.0, R.n)])
+        _, peak = traced_peak(aggregates, Gn, R, variant, [simgraph._top_count(3.0, R.n)])
         assert peak < 1.5 * block_bytes + rows_bytes, (variant, peak, block_bytes, rows_bytes)
 
 
@@ -517,14 +524,14 @@ def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, m
     count_lists = [[simgraph._top_count(p, R.n) for p in percents]
                    for percents in ([1.0], [0.5, 1.0, 3.0, 50.0])]
     monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
-    want = [_aggregate(Gn, R, variant, counts) for counts in count_lists]
+    want = [aggregates(Gn, R, variant, counts) for counts in count_lists]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 3, 4):
             monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
             for counts, aggs in zip(count_lists, want):
-                got = _aggregate(Gn, R, variant, counts)
+                got = aggregates(Gn, R, variant, counts)
                 assert len(got) == len(aggs)
                 for a, b in zip(got, aggs):
                     assert_array_equal(a, b, err_msg=f"{workers} workers")
@@ -584,7 +591,7 @@ def test_a_huge_step_is_dominated_by_the_aggregate_and_an_overflowing_one_is_ref
     for variant in VARIANTS:
         cfg = InvGCConfig(variant, 1e200, 0.0, k_percent=20.0, p_percent=20.0)
         Gn = unit_rows(G.data)
-        A, = _aggregate(EmbeddingSet(G.ids, Gn), refG, variant, [_kept_count(cfg, refG.n)])
+        A, = aggregates(EmbeddingSet(G.ids, Gn), refG, variant, [_kept_count(cfg, refG.n)])
         # norm(Gn - r A) = norm(Gn / r - A), and Gn / r is below A's last bit
         want = 0.5 * (row_normalize(-A) + Gn)
         assert_allclose(inverse_convolve_dual(G, refG, refQ, cfg).data, want, rtol=0, atol=1e-15)

@@ -287,7 +287,7 @@ def test_k_and_size_validation():
 
 def test_bins_are_checked_before_the_pass(monkeypatch):
     calls = []
-    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a: calls.append(a))
+    monkeypatch.setattr(diagnostics, "_block_tasks", lambda *a, **kw: calls.append(a) or [])
     rng = np.random.default_rng(44)
     G, Q = make_set(rng, 5, 3, "g"), make_set(rng, 4, 3, "q")
     for run in (lambda: intra_mean_sim(G, [1], bins=0),
@@ -302,7 +302,7 @@ def test_too_many_bins_are_refused_before_the_pass(monkeypatch, bins):
     # a billion bins would ask _nn_histogram for about 8 GB of counts;
     # the spies keep a missing check from getting that far
     calls = []
-    monkeypatch.setattr(diagnostics, "_map_blocks", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(diagnostics, "_block_tasks", lambda *a, **kw: calls.append(a) or [])
     monkeypatch.setattr(diagnostics, "_nn_histogram", lambda *a: calls.append(a))
     rng = np.random.default_rng(44)
     G, Q = make_set(rng, 5, 3, "g"), make_set(rng, 4, 3, "q")

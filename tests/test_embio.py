@@ -328,6 +328,24 @@ def test_embedding_set_validation():
         EmbeddingSet(["a", "b"], [[1.0], [np.nan]])
 
 
+def test_a_finite_set_is_checked_without_a_bool_array_of_its_size(tmp_path, traced_peak):
+    # np.isfinite(data).all() holds one byte per cell, 1 MiB here, where
+    # the sum of a finite set holds none.  Rows of 1e308 sum past the
+    # float range, yet are finite and load; a cell that is not is found
+    # where it is.
+    data = np.ones((8, 1 << 17))
+    ids = [f"r{i}" for i in range(8)]
+    _, peak = traced_peak(EmbeddingSet, ids, data)
+    assert peak < data.size // 16
+    path = tmp_path / "huge.tsv"
+    path.write_text("a\t1e308\t1e308\nb\t-1e308\t-1e308\n", encoding="utf-8")
+    assert_array_equal(load_embeddings(path, "tsv").data, [[1e308, 1e308], [-1e308, -1e308]])
+    for bad in (np.inf, -np.inf, np.nan):
+        data[5, 70000] = bad
+        with pytest.raises(ValueError, match="non-finite value at row 5, column 70000"):
+            EmbeddingSet(ids, data)
+
+
 def test_relevance_round_trip_collapses_duplicates(tmp_path):
     path = tmp_path / "rel.tsv"
     path.write_text("q1\tg2\nq0\tg0\nq1\tg2\nq1\tg1\n", encoding="utf-8")

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from invgc import cli, simgraph
-from invgc.__main__ import _BLAS_THREAD_VARS
+from invgc.__main__ import _BLAS_THREAD_VARS, main
 
 _FINALIZED = "import sys\nfrom invgc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
@@ -70,10 +70,11 @@ def test_the_fast_exit_skips_atexit_hooks(cli_env):
     hooked = (
         "import atexit, sys\n"
         "atexit.register(print, 'atexit hook ran')\n"
-        "from invgc.cli import main, run\n"
+        "from invgc import cli\n"
+        "from invgc.__main__ import main\n"
     )
     out = {}
-    for name, end in (("run", "run(sys.argv[1:])"), ("sys.exit", "sys.exit(main(sys.argv[1:]))")):
+    for name, end in (("run", "main()"), ("sys.exit", "sys.exit(cli.main(sys.argv[1:]))")):
         proc = subprocess.run(
             [sys.executable, "-c", hooked + end, *_SHORT], env=cli_env, capture_output=True, text=True
         )
@@ -110,14 +111,16 @@ class _Ended(Exception):
 
 @pytest.fixture
 def ended(monkeypatch):
-    """The codes run passes to os._exit, which raises instead of ending."""
+    """The codes main passes to os._exit, which raises instead of ending.
+    The BLAS thread count is set, so main leaves the environment alone."""
     codes = []
 
     def fake_exit(code):
         codes.append(code)
         raise _Ended
 
-    monkeypatch.setattr(cli.os, "_exit", fake_exit)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     return codes
 
 
@@ -127,20 +130,20 @@ def ended(monkeypatch):
     (lambda: sys.exit(1), 1),
 ])
 def test_run_ends_with_mains_code(outcome, code, ended, monkeypatch):
-    monkeypatch.setattr(cli, "main", lambda argv: outcome())
+    monkeypatch.setattr(cli, "main", lambda argv=None: outcome())
     with pytest.raises(_Ended):
-        cli.run([])
+        main()
     assert ended == [code]
 
 
 @pytest.mark.parametrize("error", [SystemExit("message"), KeyboardInterrupt(), RuntimeError("bug")])
 def test_run_lets_other_exits_and_errors_through(error, ended, monkeypatch):
-    def fail(argv):
+    def fail(argv=None):
         raise error
 
     monkeypatch.setattr(cli, "main", fail)
     with pytest.raises(type(error)) as info:
-        cli.run([])
+        main()
     assert info.value is error and ended == []
 
 
@@ -152,16 +155,16 @@ class _ClosedPipe:
 # sys.stdout is None when the process starts with file descriptor 1 closed
 @pytest.mark.parametrize("stdout", [_ClosedPipe(), None], ids=["closed-pipe", "no-stdout"])
 def test_a_failed_flush_falls_back_to_sys_exit(stdout, ended, monkeypatch):
-    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    monkeypatch.setattr(cli, "main", lambda argv=None: 0)
     monkeypatch.setattr(sys, "stdout", stdout)
     with pytest.raises(SystemExit) as info:
-        cli.run([])
+        main()
     assert info.value.code == 0 and ended == []
 
 
-# A child that runs the installed script's function and, where cli.run
-# ends the process, prints its numpy OpenBLAS thread count and its
-# thread count, the BLAS pool's workers included.
+# A child that runs the installed script's function and, where it ends
+# the process, prints its numpy OpenBLAS thread count and its thread
+# count, the BLAS pool's workers included.
 _REPORT_AT_EXIT = (
     "import os\n"
     "end = os._exit\n"

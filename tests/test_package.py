@@ -52,8 +52,7 @@ def test_public_names_are_imported_on_first_use(cli_env):
 
 def test_the_installed_script_is_the_function_main_module_runs(monkeypatch):
     # an installed `invgc` must start and end its process as `python -m
-    # invgc` does: with the BLAS thread default set, through cli.run's
-    # os._exit
+    # invgc` does: with the BLAS thread default set, through os._exit
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
         module, _, name = tomllib.load(f)["project"]["scripts"]["invgc"].partition(":")
@@ -140,6 +139,36 @@ def test_every_thread_is_started_by_the_one_task_pool():
             if (isinstance(node, ast.Attribute) and node.attr == "Thread"
                 or isinstance(node, ast.Name) and node.id == "Thread"
                 or isinstance(node, ast.alias) and node.name == "Thread")
+            and id(node) not in allowed
+        ]
+    assert outside == []
+
+
+def test_only_the_process_entry_ends_the_process_or_writes_the_environment():
+    # invgc.__main__.main is the process: it alone sets the BLAS thread
+    # default and ends through os._exit.  Anywhere else an os._exit would
+    # end the caller's process, and an environment write outlive the call.
+    ends = {"_exit", "putenv", "unsetenv"}
+    writes = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+    def environ(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                or isinstance(node, ast.Name) and node.id == "environ")
+
+    root = Path(__file__).resolve().parents[1]
+    outside = []
+    for path in sorted((root / "src" / "invgc").glob("*.py")):
+        tree = ast.parse(path.read_bytes(), str(path))
+        allowed = set()
+        if path.name == "__main__.py":
+            entry, = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+            allowed = {id(node) for node in ast.walk(entry)}
+        outside += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in ends
+                or isinstance(node, ast.alias) and node.name in ends
+                or isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and environ(node.value)
+                or isinstance(node, ast.Attribute) and node.attr in writes and environ(node.value))
             and id(node) not in allowed
         ]
     assert outside == []

@@ -299,7 +299,7 @@ def test_mm_falls_back_to_einsum_without_the_openblas_symbols(monkeypatch):
         assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeypatch):
+def test_a_pass_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeypatch):
     # a 16-cell budget cuts 40 x 8 cosines into twenty 2-row blocks for
     # three threads; each fills its rows, and the pool is gone after the pass
     monkeypatch.setattr(simgraph, "_BLOCK_CELLS", 16)
@@ -319,7 +319,7 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
     if pin is not None:
         # one pin around the whole pass: the count is set once and restored once
         monkeypatch.setattr(pin, "set", lambda n, _set=pin.set: sets.append(n) or _set(n))
-    simgraph._map_blocks(fill, Xu, Yu)
+    simgraph._run_tasks(simgraph._block_tasks(fill, Xu, Yu))
     assert len(sets) == (0 if pin is None else 2)
     assert threading.active_count() == threads
     Xn, Yn = (S.data / np.linalg.norm(S.data, axis=1)[:, None] for S in (X, Y))
@@ -332,14 +332,14 @@ def test_map_blocks_tiles_the_matrix_and_propagates_a_later_blocks_error(monkeyp
             raise error
 
     with pytest.raises(RuntimeError) as raised:
-        simgraph._map_blocks(fail_later, Xu, Yu)
+        simgraph._run_tasks(simgraph._block_tasks(fail_later, Xu, Yu))
     assert raised.value is error
     assert threading.active_count() == threads
     if pin is not None:
         assert pin._inside == 0
 
 
-def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch):
+def test_a_pass_runs_every_block_once_on_more_threads_than_cores(monkeypatch):
     # 400 x 8 cosines in 2-row blocks: eight threads that switch often
     # pull 200 block indices from one counter, so a lost update would run
     # a block twice or not at all.  When two blocks fail, no block starts
@@ -364,7 +364,7 @@ def test_map_blocks_runs_every_block_once_on_more_threads_than_cores(monkeypatch
 
         def run():
             try:
-                simgraph._map_blocks(note, X, Y)
+                simgraph._run_tasks(simgraph._block_tasks(note, X, Y))
             except RuntimeError as e:
                 raised.append(e)
 
@@ -398,7 +398,7 @@ def test_a_one_worker_pass_runs_every_block_on_the_calling_thread(monkeypatch):
     rng = np.random.default_rng(33)
     X, Y = unit_rows(rng.standard_normal((40, 3))), unit_rows(rng.standard_normal((8, 3)))
     seen = []
-    simgraph._map_blocks(lambda b, sims: seen.append((b, threading.get_ident())), X, Y)
+    simgraph._run_tasks(simgraph._block_tasks(lambda b, sims: seen.append((b, threading.get_ident())), X, Y))
     assert [b for b, _ in seen] == simgraph._plan(len(X), len(Y), 3).blocks
     assert len(seen) == 20 and {t for _, t in seen} == {threading.get_ident()}
     assert started == []
@@ -515,19 +515,19 @@ def test_every_block_of_a_pass_sees_the_callers_errstate(workers, monkeypatch):
 
     monkeypatch.setattr(simgraph, "_worker_count", lambda: workers)
     with np.errstate(over="raise"):
-        simgraph._map_blocks(note, X, Y)
+        simgraph._run_tasks(simgraph._block_tasks(note, X, Y))
     assert len(seen) == 64
     assert len({ident for ident, _ in seen}) == workers
     assert {mode for _, mode in seen} == {"raise"}
 
 
-def test_map_blocks_cuts_each_pass_by_its_width(monkeypatch):
+def test_a_pass_cuts_its_blocks_by_its_width(monkeypatch):
     rng = np.random.default_rng(36)
 
     def blocks(n_rows, n_cols, d):
         X, Y = unit_rows(rng.standard_normal((n_rows, d))), unit_rows(rng.standard_normal((n_cols, d)))
         seen = []
-        simgraph._map_blocks(lambda b, sims: seen.append(b), X, Y)
+        simgraph._run_tasks(simgraph._block_tasks(lambda b, sims: seen.append(b), X, Y))
         return sorted(seen, key=lambda b: b.start)
 
     for d in (8, 64):
@@ -555,7 +555,7 @@ def test_sim_blocks_are_the_rows_of_the_full_matrix_bit_for_bit(n_rows, n_cols, 
     Y = make_set(rng, n_cols, d, "y")
     Xn, Yn = unit_rows(X.data), unit_rows(Y.data)
     blocks = []
-    simgraph._map_blocks(lambda b, sims: blocks.append((b, sims.copy())), Xn, Yn)
+    simgraph._run_tasks(simgraph._block_tasks(lambda b, sims: blocks.append((b, sims.copy())), Xn, Yn))
     blocks.sort(key=lambda pair: pair[0].start)
     assert [b for b, _ in blocks] == simgraph._plan(n_rows, n_cols, d).blocks
     for b, sims in blocks:
@@ -580,7 +580,8 @@ def test_sim_blocks_check_their_inputs_before_the_first_block(monkeypatch):
         raise AssertionError("a block ran")
 
     with pytest.raises(ValueError, match="dimension mismatch"):
-        simgraph._map_blocks(no_block, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+        simgraph._run_tasks(
+            simgraph._block_tasks(no_block, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])))
     # the entries normalize each set before the first block's product
     monkeypatch.setattr(simgraph, "_mm", no_block)
     A = EmbeddingSet(["a"], [[1.0, 0.0]])

@@ -222,11 +222,11 @@ def _count_similarity_passes(monkeypatch) -> list:
     calls = []
     original = simgraph._block_tasks
 
-    def counting_tasks(fn, rows, cols, *args):
+    def counting_tasks(fn, rows, cols, *args, **kwargs):
         calls.append((len(rows), len(cols)))
-        return original(fn, rows, cols, *args)
+        return original(fn, rows, cols, *args, **kwargs)
 
-    for module in (simgraph, core):
+    for module in (simgraph, core, retrieval, diagnostics):
         monkeypatch.setattr(module, "_block_tasks", counting_tasks)
     return calls
 
