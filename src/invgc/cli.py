@@ -134,18 +134,17 @@ def _step_flag(args, field: str) -> str:
     return f"--{param}"
 
 
-def _check_option(check, option: str, values) -> None:
-    """check(option, v) for each value v, its ValueError a usage error."""
+def _check_option(check, option: str, values, *bounds) -> None:
+    """check(option, v, *bounds) for each value v, its ValueError a usage error."""
     try:
         for v in values:
-            check(option, v)
+            check(option, v, *bounds)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
 def _cfg_from_args(args):
     from .core import InvGCConfig
-    from .simgraph import _check_percent
 
     if args.k is not None and args.variant != "local":
         raise UsageError("--k applies only to --variant local")
@@ -156,7 +155,7 @@ def _cfg_from_args(args):
     given = {flag: getattr(args, flag, None) for flag in fields}
     for flag in ("k", "p"):
         if given[flag] is not None:
-            _check_option(_check_percent, f"--{flag}", [given[flag]])
+            _check_option(embio._check_share, f"--{flag}", [given[flag]], 100)
     return InvGCConfig(args.variant, **{fields[flag]: v for flag, v in given.items() if v is not None})
 
 
@@ -187,9 +186,11 @@ def _load_val_sets(args) -> tuple:
 
 
 def cmd_diagnose(args) -> int:
-    from .diagnostics import cross_mean_sim, intra_mean_sim
+    from .diagnostics import _MAX_BINS, cross_mean_sim, intra_mean_sim
 
     ks = _parse_ints(args.topk)
+    _check_option(embio._check_count, "--topk", ks)
+    _check_option(embio._check_count, "--bins", [args.bins], 1, _MAX_BINS)
     if (args.query is None) != (args.relevance is None):
         raise UsageError("--query and --relevance must be given together")
     G = _load_set(args.gallery)
@@ -224,6 +225,7 @@ def cmd_eval(args) -> int:
     from .retrieval import evaluate
 
     Ks = _parse_ints(args.recall_at)
+    _check_option(embio._check_count, "--recall-at", Ks)
     Q = _load_set(args.query)
     G = _load_set(args.gallery)
     rel = _load_pairing(args.relevance, Q, G)
@@ -264,8 +266,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .simgraph import _check_percent
-    from .tuner import _check_ratio, sweep_param
+    from .tuner import sweep_param
 
     # --values sets the swept parameter, so its own flag would be ignored
     # ("ratio" has none), and only a ratio sweep draws with --seed.
@@ -278,7 +279,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--param k requires --variant local")
     values = _parse_values(args.values)
     if args.param in ("k", "ratio"):
-        _check_option(_check_percent if args.param == "k" else _check_ratio, "--values", values)
+        _check_option(embio._check_share, "--values", values, 100 if args.param == "k" else 1)
     seed = 0 if args.seed is None else args.seed
     curve = sweep_param(cfg, args.param, values, *_load_val_sets(args), seed=seed)
     for v, r1, ddeg in curve.points:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._choices import VARIANTS
-from .embio import EmbeddingSet, _all_finite
+from .embio import EmbeddingSet, _all_finite, _check_share
 from .simgraph import (
     Adjacency,
     SimMatrix,
@@ -27,7 +27,6 @@ from .simgraph import (
     _block_cells,
     _block_tasks,
     _check_dims,
-    _check_percent,
     _id_cells,
     _mm,
     _plan,
@@ -58,8 +57,8 @@ class InvGCConfig:
         for name, r in (("r_g", self.r_g), ("r_q", self.r_q)):
             if not (math.isfinite(r) and r >= 0.0):
                 raise StepRangeError(name, r)
-        _check_percent("k_percent", self.k_percent)
-        _check_percent("p_percent", self.p_percent)
+        _check_share("k_percent", self.k_percent, 100)
+        _check_share("p_percent", self.p_percent, 100)
 
 
 def build_adjacency(sim: SimMatrix, cfg: InvGCConfig) -> Adjacency:
@@ -184,11 +183,12 @@ def _dual_over_steps(G, refG, refQ, cfgs):
                 out[m, r] = row_normalize(np.subtract(Gn.data, step, out=step))
         return out
 
-    (g_tasks, g_aggs), (q_tasks, q_aggs) = (
+    (tasks, g_aggs), (q_tasks, q_aggs) = (
         _aggregate_tasks(Gn, ref, cfgs[0].variant, list(kept_steps(ref, field)))
         for ref, field in ((refG, "r_g"), (refQ, "r_q")))
-    _run_tasks(g_tasks + q_tasks)
-    del g_tasks, q_tasks  # they hold both sets' unit rows
+    tasks += q_tasks
+    del q_tasks  # so each task, and the unit rows it holds, goes once it has run
+    _run_tasks(tasks)
     g_half, q_half = half(refG, "r_g", g_aggs), half(refQ, "r_q", q_aggs)
     return lambda c: EmbeddingSet(
         G.ids, 0.5 * (g_half[_kept_count(c, refG.n), c.r_g] + q_half[_kept_count(c, refQ.n), c.r_q])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import EmbeddingSet
+from .embio import EmbeddingSet, _check_count
 from .simgraph import _block_cells, _block_tasks, _chunks, _id_cells, _mm, _run_tasks, unit_rows
 
 
@@ -35,19 +35,15 @@ def _nn_histogram(nn_values: np.ndarray, bins: int) -> list:
     return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
-def _check_bins(bins: int) -> None:
-    # _nn_histogram holds a count and a tuple per bin: a million bins
-    # take about 128 MB
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if bins > 1_000_000:
-        raise ValueError(f"bins must be <= 1000000, got {bins}")
+# _nn_histogram holds a count and a tuple per bin: a million bins take
+# about 128 MB
+_MAX_BINS = 1_000_000
 
 
 def _check_ks(ks, limit: int | None) -> list:
-    ks = [int(k) for k in ks]
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError(f"k values must be positive, got {ks}")
+    ks = [_check_count("k", k) for k in ks]
+    if not ks:
+        raise ValueError("need at least one k")
     if limit is not None and max(ks) > limit:
         raise ValueError(f"k={max(ks)} exceeds the {limit} available neighbors")
     return ks
@@ -58,7 +54,7 @@ def intra_mean_sim(G: EmbeddingSet, ks, bins: int = 20) -> DegenerationReport:
     if G.n < 2:
         raise ValueError("need at least 2 points")
     ks = _check_ks(ks, G.n - 1)
-    _check_bins(bins)
+    bins = _check_count("bins", bins, 1, _MAX_BINS)
     diag = np.arange(G.n)
     return _neighbour_report(G, G, diag, diag, ks, bins)
 
@@ -73,7 +69,7 @@ def cross_mean_sim(G: EmbeddingSet, Q: EmbeddingSet, rel: dict, ks, bins: int = 
     leave rows with fewer than k candidates.
     """
     ks = _check_ks(ks, None)
-    _check_bins(bins)
+    bins = _check_count("bins", bins, 1, _MAX_BINS)
     rows, cols = _id_cells(G.ids, Q.ids, ((g, q) for q, gs in rel.items() for g in gs))
     return _neighbour_report(G, Q, rows, cols, ks, bins)
 

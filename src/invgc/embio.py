@@ -93,10 +93,24 @@ def _all_finite(a: np.ndarray) -> bool:
         return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
 
 
-def _check_seed(seed) -> None:
-    """Refuse a seed numpy cannot draw from; in embio, which every command loads."""
-    if int(seed) != seed or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def _check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """value as an int, or the one refusal of a count (a k, a size, a seed)
+    that is not a finite integer in [lo, hi]; in embio, which every
+    command loads."""
+    try:
+        ok = int(value) == value and lo <= value and (hi is None or value <= hi)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, a str
+        ok = False
+    if not ok:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+    return int(value)
+
+
+def _check_share(name: str, value: float, top: int) -> None:
+    """Refuse a share (a percent, top 100, or a ratio, top 1) outside (0, top]."""
+    if not (0.0 < value <= top):
+        raise ValueError(f"{name} must lie in (0, {top}], got {value}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import EmbeddingSet, _check_ids_fit, _write_tsv
+from .embio import EmbeddingSet, _check_count, _check_ids_fit, _write_tsv
 from .simgraph import _block_cells, _block_tasks, _id_cells, _run_tasks, unit_rows
 
 
@@ -84,9 +84,7 @@ def compute_metrics(ranks: dict, Ks) -> RetrievalReport:
     """Aggregate a rank map into R@K, MdR, MnR."""
     if not ranks:
         raise ValueError("empty rank map")
-    Ks = [int(k) for k in Ks]
-    if any(k < 1 for k in Ks):
-        raise ValueError(f"K values must be positive, got {Ks}")
+    Ks = [_check_count("K", k) for k in Ks]
     arr = np.array(list(ranks.values()), dtype=np.float64)
     recall = {k: float(100.0 * np.count_nonzero(arr <= k) / arr.size) for k in Ks}
     # The middle of the sorted ranks, not np.median, whose first call

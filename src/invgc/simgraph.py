@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embio import EmbeddingSet
+from .embio import EmbeddingSet, _check_share
 
 
 class _OneBlasThread:
@@ -297,7 +297,8 @@ def _block_tasks(fn, Xn: np.ndarray, Yn: np.ndarray, clip: bool = True) -> list:
 
 
 def _run_tasks(tasks: list) -> None:
-    """Call each task in tasks, on up to _worker_count() threads.
+    """Call each task in tasks, on up to _worker_count() threads, setting
+    its item in tasks to None as it starts.
 
     The calling thread is one of the workers, and each started one runs
     in a copy of its context, so every task sees the caller's
@@ -323,12 +324,16 @@ def _run_tasks(tasks: list) -> None:
                     i = None if failed else next(todo, None)
                 if i is None:
                     return
+                # The list drops each task as it starts, and the task goes
+                # once it has run, so what it alone holds is freed then.
+                task, tasks[i] = tasks[i], None
                 try:
-                    tasks[i]()
+                    task()
                 except BaseException as e:  # re-raised below, in list order
                     errors[i] = e
                     with lock:
                         failed = True
+                del task
 
         threads = []
         try:
@@ -345,11 +350,6 @@ def _run_tasks(tasks: list) -> None:
             raise first
 
 
-def _check_percent(name: str, pct: float) -> None:
-    if not (0.0 < pct <= 100.0):
-        raise ValueError(f"{name} must lie in (0, 100], got {pct}")
-
-
 def row_percentile_threshold(row, k_percent: float) -> float:
     """The m-th largest value of the row, m = max(1, ceil(k%/100 * len)).
 
@@ -359,7 +359,7 @@ def row_percentile_threshold(row, k_percent: float) -> float:
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.size == 0:
         raise ValueError("empty row")
-    _check_percent("k_percent", k_percent)
+    _check_share("k_percent", k_percent, 100)
     return float(_row_thresholds(row[None, :], [_top_count(k_percent, row.size)])[0, 0])
 
 
@@ -390,14 +390,14 @@ def adjacency_full(sim: SimMatrix, center: bool) -> Adjacency:
 
 
 def adjacency_local(sim: SimMatrix, k_percent: float) -> Adjacency:
-    _check_percent("k_percent", k_percent)
+    _check_share("k_percent", k_percent, 100)
     thr = _row_thresholds(sim.values, [_top_count(k_percent, sim.values.shape[1])])[0]
     vals = np.where(sim.values >= thr[:, None], sim.values, 0.0)
     return Adjacency(vals, "local", float(k_percent), False)
 
 
 def adjacency_binary(sim: SimMatrix, p_percent: float) -> Adjacency:
-    _check_percent("p_percent", p_percent)
+    _check_share("p_percent", p_percent, 100)
     thr = _row_thresholds(sim.values, [_top_count(p_percent, sim.values.shape[1])])[0]
     vals = (sim.values >= thr[:, None]).astype(np.float64)
     return Adjacency(vals, "binary", float(p_percent), False)

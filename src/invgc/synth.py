@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import EmbeddingSet, _check_seed
+from .embio import EmbeddingSet, _check_count
 from .simgraph import _mm, unit_rows
 
 MODALITY_GAP = 1.4
@@ -69,18 +69,14 @@ class ConeConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name, v, lo in (
-            ("n_items", self.n_items, 2),
-            ("n_ref", self.n_ref, 2),
-            ("dim", self.dim, 2),
-        ):
-            if int(v) != v or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v}")
+        self.n_items = _check_count("n_items", self.n_items, 2)
+        self.n_ref = _check_count("n_ref", self.n_ref, 2)
+        self.dim = _check_count("dim", self.dim, 2)
         if not (math.isfinite(self.cone_spread) and self.cone_spread > 0):
             raise ValueError(f"cone_spread must be finite and > 0, got {self.cone_spread}")
         if not (math.isfinite(self.query_noise) and self.query_noise >= 0):
             raise ValueError(f"query_noise must be finite and >= 0, got {self.query_noise}")
-        _check_seed(self.seed)
+        self.seed = _check_count("seed", self.seed, 0)
 
 
 def generate_cone_dataset(cfg: ConeConfig):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import _check_seed
+from .embio import _check_count
 
 MC_BLOCK = 65536
 # The largest n whose gamma forms stay finite: Gamma(n/2 + 1) overflows
@@ -55,12 +55,6 @@ class CapCheck:
     mc_stderr: float | None = None
 
 
-def _check_n(n) -> int:
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
-    return int(n)
-
-
 def _check_b(b, allow_one: bool) -> float:
     hi = 1.0 if allow_one else 1.0 - 1e-15
     if not (0.0 < b <= hi):
@@ -79,7 +73,7 @@ def cap_fraction_exact(n: int, b: float) -> float:
     # Imported here: scipy.special costs every other command its start-up.
     from scipy.special import betainc
 
-    n = _check_n(n)
+    n = _check_count("n", n, 2)
     b = _check_b(b, allow_one=True)
     fraction = float(0.5 * betainc((n + 1) / 2.0, 0.5, b * b))
     if fraction < sys.float_info.min:
@@ -100,16 +94,15 @@ def cap_fraction_mc(n: int, b: float, samples: int, seed: int):
 
     Returns (estimate, stderr) with stderr = sqrt(p(1-p)/samples).
     """
-    n = _check_n(n)
+    n = _check_count("n", n, 2)
     b = _check_b(b, allow_one=True)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_seed(seed)
+    samples = _check_count("samples", samples)
+    seed = _check_count("seed", seed, 0)
     cutoff = math.sqrt(max(0.0, 1.0 - b * b))
     hits = 0
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
         count = min(MC_BLOCK, samples - start)
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), block)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
         g = rng.standard_normal((count, n))
         radii = rng.random(count) ** (1.0 / n)
         first = g[:, 0] / np.linalg.norm(g, axis=1) * radii
@@ -121,7 +114,7 @@ def cap_fraction_mc(n: int, b: float, samples: int, seed: int):
 
 def _check_cap_bounds(name: str, n: int, b: float, bounds) -> CapCheck:
     # bounds(n, b) -> (lower, upper), taken after n and b are checked
-    n = _check_n(n)
+    n = _check_count("n", n, 2)
     b = _check_b(b, allow_one=False)
     exact = cap_fraction_exact(n, b)
     lower, upper = bounds(n, b)
@@ -141,7 +134,7 @@ def check_thm1_bounds(n: int, b: float) -> CapCheck:
 
 def check_corollary(n: int, b1: float, b2: float) -> CapCheck:
     """Ratio bound for two radii b1 < b2."""
-    n = _check_n(n)
+    n = _check_count("n", n, 2)
     b1 = _check_b(b1, allow_one=False)
     b2 = _check_b(b2, allow_one=False)
     if not b1 < b2:
@@ -157,7 +150,7 @@ def sphere_area_volume_ratio(n: int) -> float:
     Refuses n > _LEMMA2_MAX_N.  lgamma would reach further, but its error
     passes lemma2's 1e-12 tolerance from n = 80.
     """
-    n = _check_n(n)
+    n = _check_count("n", n, 2)
     if n > _LEMMA2_MAX_N:
         raise ValueError(
             f"n={n} is too large for the lemma2 gamma forms, which stay finite up to n={_LEMMA2_MAX_N}"
@@ -181,7 +174,7 @@ def sample_corollary_pairs(ns, bs, count: int, seed: int) -> list:
     The radii are paired in ascending order, once each, whatever the
     order of bs or its repeats.
     """
-    _check_seed(seed)
+    count, seed = _check_count("count", count, 0), _check_count("seed", seed, 0)
     radii = sorted(set(bs))
     r = len(radii)
     pairs = r * (r - 1) // 2
@@ -212,9 +205,9 @@ def run_theory_suite(
     thm1 per (n, b), and the ratio bound on sampled radius pairs, which
     a grid of one distinct radius has none of.  mc_samples 0 runs no
     Monte Carlo."""
-    if mc_samples < 0:
-        raise ValueError(f"mc_samples must be >= 0, got {mc_samples}")
-    ns = [_check_n(n) for n in ns]
+    mc_samples = _check_count("mc_samples", mc_samples, 0)
+    corollary_count = _check_count("corollary_count", corollary_count, 0)
+    ns = [_check_count("n", n, 2) for n in ns]
     bs = [_check_b(b, allow_one=False) for b in bs]
     checks = [check_lemma2(n) for n in ns]
     for n in ns:

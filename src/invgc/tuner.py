@@ -9,7 +9,7 @@ import numpy as np
 
 from ._choices import SWEEP_PARAMS
 from .core import InvGCConfig, _dual_over_steps, inverse_convolve_dual
-from .embio import EmbeddingSet, _check_seed
+from .embio import EmbeddingSet, _check_count, _check_share
 from .retrieval import RetrievalReport, _Relevance, compute_metrics
 
 DEFAULT_R_GRID = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -70,19 +70,14 @@ def grid_search(
     return TuneResult(best_cfg=best[0], best_report=best[1], grid_trace=trace)
 
 
-def _check_ratio(name: str, ratio: float) -> None:
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"{name} must lie in (0, 1], got {ratio}")
-
-
 def subsample_reference(refG: EmbeddingSet, refQ: EmbeddingSet, ratio: float, seed: int):
     """Uniformly sample ceil(ratio * N) rows from each reference set.
 
     Selected indices are sorted so the surviving rows keep their original
     relative order; the draw is deterministic for a fixed seed.
     """
-    _check_ratio("ratio", ratio)
-    _check_seed(seed)
+    _check_share("ratio", ratio, 1)
+    seed = _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     def pick(es: EmbeddingSet) -> EmbeddingSet:

@@ -350,7 +350,7 @@ def test_verify_theory_pairs_the_sorted_distinct_radii(radii, thm3_bs, capsys):
 def test_verify_theory_refuses_negative_mc_samples(capsys):
     rc, out, err = run_main(["verify-theory", "--n", "2", "--b", "0.3,0.6", "--mc-samples", "-1"], capsys)
     assert (rc, out) == (2, "")
-    assert err == "invgc verify-theory: mc_samples must be >= 0, got -1\n"
+    assert err == "invgc verify-theory: mc_samples must be an integer >= 0, got -1\n"
 
 
 def test_verify_theory_wide_bounds_reported_and_strict_exit(capsys):
@@ -444,8 +444,8 @@ def test_diagnose_checks_bins_before_the_pass(dataset, capsys, monkeypatch):
     monkeypatch.setattr(diagnostics, "_block_tasks", lambda *a, **kw: calls.append(a) or [])
     for cross in ([], ["--query", dataset["query"], "--relevance", dataset["rel"]]):
         rc, out, err = run_main(["diagnose", "--gallery", dataset["gallery"], *cross, "--bins", "0"], capsys)
-        assert rc == 2 and out == ""
-        assert err == "invgc diagnose: bins must be >= 1, got 0\n"
+        assert rc == 1 and out == ""
+        assert err == "invgc diagnose: error: --bins must be an integer in [1, 1000000], got 0\n"
     assert calls == []
 
 
@@ -457,8 +457,8 @@ def test_diagnose_refuses_too_many_bins_before_the_pass(dataset, capsys, monkeyp
     for cross in ([], ["--query", dataset["query"], "--relevance", dataset["rel"]]):
         argv = ["diagnose", "--gallery", dataset["gallery"], *cross, "--bins", "1000000000"]
         rc, out, err = run_main(argv, capsys)
-        assert rc == 2 and out == ""
-        assert err == "invgc diagnose: bins must be <= 1000000, got 1000000000\n"
+        assert rc == 1 and out == ""
+        assert err == "invgc diagnose: error: --bins must be an integer in [1, 1000000], got 1000000000\n"
     assert calls == []
 
 
@@ -467,10 +467,11 @@ def test_data_errors_exit_two(dataset, capsys, tmp_path):
         ["diagnose", "--gallery", str(tmp_path / "missing.emb")], capsys
     )
     assert rc == 2
+    # a k past the set's neighbours depends on the data; --topk 0 is a usage error
     rc, _, err = run_main(
-        ["diagnose", "--gallery", dataset["gallery"], "--topk", "0"], capsys
+        ["diagnose", "--gallery", dataset["gallery"], "--topk", "16"], capsys
     )
-    assert rc == 2 and "k values must be positive" in err
+    assert rc == 2 and err == "invgc diagnose: k=16 exceeds the 15 available neighbors\n"
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\t1.0\nb\tnan\n", encoding="utf-8")
     rc, _, err = run_main(["diagnose", "--gallery", str(bad)], capsys)
@@ -866,6 +867,21 @@ def test_a_usage_error_is_found_before_any_file_is_read(sub, message, capsys, tm
     assert err == f"invgc {sub}: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--query", None, "--gallery", None, "--relevance", None, "--recall-at", "1,0"],
+     "--recall-at must be an integer >= 1, got 0"),
+    (["diagnose", "--gallery", None, "--topk", "0"], "--topk must be an integer >= 1, got 0"),
+    (["diagnose", "--gallery", None, "--bins", "0"], "--bins must be an integer in [1, 1000000], got 0"),
+    (["diagnose", "--gallery", None, "--bins", "1000001"], "--bins must be an integer in [1, 1000000], got 1000001"),
+], ids=["recall-at", "topk", "bins", "too-many-bins"])
+def test_a_count_outside_its_range_is_a_usage_error_before_any_file_is_read(argv, message, capsys, tmp_path):
+    # every input path (None) is missing, so a data error would name a file
+    argv = [str(tmp_path / "missing.emb") if a is None else a for a in argv]
+    rc, out, err = run_main(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err == f"invgc {argv[0]}: error: {message}\n"
+
+
 def test_a_huge_step_is_corrected_without_warnings(dataset, capsys, tmp_path):
     # 1e200 * the aggregate is finite, but each row's sum of squares is not
     out = tmp_path / "huge.emb"
@@ -967,7 +983,7 @@ def test_a_negative_seed_exits_two_naming_the_seed(dataset, capsys, argv):
     sets = _val_sets(dataset, dataset["rel"]) if argv[0] == "sweep" else []
     rc, out, err = run_main([*argv, *sets, "--seed", "-1"], capsys)
     assert (rc, out) == (2, "")
-    assert err == f"invgc {argv[0]}: seed must be a non-negative integer, got -1\n"
+    assert err == f"invgc {argv[0]}: seed must be an integer >= 0, got -1\n"
 
 
 def test_a_negative_seed_that_draws_nothing_is_not_refused(capsys):

@@ -507,6 +507,21 @@ def test_a_multi_count_search_drops_each_aggregate_after_its_last_half(monkeypat
     assert peak < 18 * G.data.nbytes, peak / G.data.nbytes
 
 
+def test_one_worker_full_update_frees_each_sets_unit_rows_once_its_task_has_run(monkeypatch, traced_peak):
+    # In units of G's 1000 x 64 array: Gn is 1 and each 2000-row set's
+    # unit rows 2, and each set's d x d map task writes a 1-unit
+    # aggregate.  Holding refG's task, and its unit rows, through refQ's
+    # peaks at 1 + 2 + 2 + 1 + 1 = 7; freeing it once it has run, at
+    # 1 + 2 + 2 + 1 = 6, while refG's task runs (the halves also reach 6).
+    monkeypatch.setattr(simgraph, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(45)
+    G = make_set(rng, 1000, 64, "g")
+    refG, refQ = make_set(rng, 2000, 64, "r"), make_set(rng, 2000, 64, "q")
+    assert simgraph._plan(G.n, refG.n, G.d, refG.n).route == "map"
+    _, peak = traced_peak(inverse_convolve_dual, G, refG, refQ, InvGCConfig("full", 0.01, 0.01))
+    assert peak < 6.6 * G.data.nbytes, peak / G.data.nbytes
+
+
 @pytest.mark.parametrize("budget", [None, 64])
 @pytest.mark.parametrize("variant", ["local", "avgpool"])
 def test_pooled_aggregate_does_not_depend_on_the_worker_count(variant, budget, monkeypatch):

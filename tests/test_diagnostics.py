@@ -273,16 +273,25 @@ def test_each_histogram_count_lies_between_its_own_printed_edges():
 def test_k_and_size_validation():
     rng = np.random.default_rng(44)
     G = make_set(rng, 5, 3)
-    with pytest.raises(ValueError, match="k values must be positive"):
+    with pytest.raises(ValueError, match=r"^need at least one k$"):
         intra_mean_sim(G, [])
-    with pytest.raises(ValueError, match="k values must be positive"):
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 0$"):
         intra_mean_sim(G, [0])
     with pytest.raises(ValueError, match="exceeds the 4 available"):
         intra_mean_sim(G, [5])
     with pytest.raises(ValueError, match="need at least 2 points"):
         intra_mean_sim(EmbeddingSet(["a"], [[1.0, 0.0]]), [1])
-    with pytest.raises(ValueError, match="bins must be >= 1"):
+    with pytest.raises(ValueError, match=r"^bins must be an integer in \[1, 1000000\], got 0$"):
         nn_similarity_histogram(G, bins=0)
+
+
+def test_a_fractional_k_or_bin_count_is_refused():
+    # not truncated to MeanSim@1, nor passed to numpy's histogram
+    G = make_set(np.random.default_rng(44), 5, 3)
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got 1\.5$"):
+        intra_mean_sim(G, [1.5])
+    with pytest.raises(ValueError, match=r"^bins must be an integer in \[1, 1000000\], got 2\.5$"):
+        intra_mean_sim(G, [1], bins=2.5)
 
 
 def test_bins_are_checked_before_the_pass(monkeypatch):
@@ -290,9 +299,9 @@ def test_bins_are_checked_before_the_pass(monkeypatch):
     monkeypatch.setattr(diagnostics, "_block_tasks", lambda *a, **kw: calls.append(a) or [])
     rng = np.random.default_rng(44)
     G, Q = make_set(rng, 5, 3, "g"), make_set(rng, 4, 3, "q")
-    for run in (lambda: intra_mean_sim(G, [1], bins=0),
-                lambda: cross_mean_sim(G, Q, {"q0": {"g0"}}, [1], bins=-3)):
-        with pytest.raises(ValueError, match="bins must be >= 1"):
+    for run, bins in ((lambda: intra_mean_sim(G, [1], bins=0), 0),
+                      (lambda: cross_mean_sim(G, Q, {"q0": {"g0"}}, [1], bins=-3), -3)):
+        with pytest.raises(ValueError, match=rf"^bins must be an integer in \[1, 1000000\], got {bins}$"):
             run()
     assert calls == []
 
@@ -309,7 +318,7 @@ def test_too_many_bins_are_refused_before_the_pass(monkeypatch, bins):
     for run in (lambda: intra_mean_sim(G, [1], bins=bins),
                 lambda: cross_mean_sim(G, Q, {"q0": {"g0"}}, [1], bins=bins),
                 lambda: nn_similarity_histogram(G, bins)):
-        with pytest.raises(ValueError, match=f"bins must be <= 1000000, got {bins}"):
+        with pytest.raises(ValueError, match=rf"^bins must be an integer in \[1, 1000000\], got {bins}$"):
             run()
     assert calls == []
 

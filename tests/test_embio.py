@@ -400,3 +400,26 @@ def test_validate_pairing_reports_every_mismatch():
     assert bad.unknown_query_ids == ["qX"]
     assert bad.unknown_gallery_ids == ["gX"]
     assert bad.queries_without_relevance == ["q1", "q2"]
+
+
+@pytest.mark.parametrize("value", [None, "3", 2.5, float("nan"), float("inf"), -float("inf"), 0, 11])
+def test_a_count_that_is_not_a_finite_integer_in_range_is_refused(value):
+    with pytest.raises(ValueError, match=rf"^c must be an integer in \[1, 10\], got {re.escape(str(value))}$"):
+        embio._check_count("c", value, 1, 10)
+
+
+def test_a_count_is_returned_as_an_int():
+    for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+        checked = embio._check_count("c", value)
+        assert checked == 3 and type(checked) is int
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
+        embio._check_count("seed", -1, 0)
+
+
+def test_one_share_check_words_percents_and_ratios():
+    embio._check_share("k_percent", 100.0, 100)
+    embio._check_share("ratio", 1.0, 1)
+    for name, value, top in (("k_percent", 0.0, 100), ("p_percent", 100.5, 100),
+                             ("ratio", float("nan"), 1), ("ratio", 1.5, 1)):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, {top}\], got {value}$"):
+            embio._check_share(name, value, top)

@@ -144,6 +144,34 @@ def test_every_thread_is_started_by_the_one_task_pool():
     assert outside == []
 
 
+def test_every_integer_check_is_the_one_count_check():
+    # embio._check_count is the one rule for a count (a k, a size, a
+    # seed): a finite integer in [lo, hi], refused with one message.  An
+    # int(x) == x or int(x) != x test written anywhere else is a second rule.
+    def integer_test(node):
+        return (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+                and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "int" and len(call.args) == 1
+                        and ast.dump(call.args[0]) == ast.dump(other)
+                        for call, other in ((node.left, node.comparators[0]),
+                                            (node.comparators[0], node.left))))
+
+    root = Path(__file__).resolve().parents[1]
+    outside = []
+    for path in sorted((root / "src" / "invgc").glob("*.py")):
+        tree = ast.parse(path.read_bytes(), str(path))
+        allowed = set()
+        if path.name == "embio.py":
+            check, = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_check_count")
+            allowed = {id(node) for node in ast.walk(check)}
+        outside += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if integer_test(node) and id(node) not in allowed
+        ]
+    assert outside == []
+
+
 def test_only_the_process_entry_ends_the_process_or_writes_the_environment():
     # invgc.__main__.main is the process: it alone sets the BLAS thread
     # default and ends through os._exit.  Anywhere else an os._exit would

@@ -149,8 +149,14 @@ def test_missing_relevance_is_an_error():
 def test_metric_argument_validation():
     with pytest.raises(ValueError, match="empty rank map"):
         compute_metrics({}, (1,))
-    with pytest.raises(ValueError, match="K values must be positive"):
+    with pytest.raises(ValueError, match=r"^K must be an integer >= 1, got 0$"):
         compute_metrics({"a": 1}, (0, 5))
+
+
+def test_a_fractional_K_is_refused_not_truncated():
+    # not truncated to R@1
+    with pytest.raises(ValueError, match=r"^K must be an integer >= 1, got 1\.5$"):
+        compute_metrics({"a": 1}, [1.5])
 
 
 def test_evaluate_composes_rank_and_metrics():

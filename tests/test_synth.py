@@ -127,10 +127,24 @@ def test_config_validation():
         ConeConfig(cone_spread=0.0)
     with pytest.raises(ValueError, match="query_noise must be finite and >= 0"):
         ConeConfig(query_noise=-0.1)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
         ConeConfig(seed=-1)
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got 1\.5$"):
         ConeConfig(seed=1.5)
+
+
+def test_an_infinite_or_fractional_size_is_refused():
+    with pytest.raises(ValueError, match=r"^dim must be an integer >= 2, got inf$"):
+        ConeConfig(dim=float("inf"))
+    with pytest.raises(ValueError, match=r"^n_items must be an integer >= 2, got 2\.5$"):
+        ConeConfig(n_items=2.5)
+    # an integral float is taken as its int
+    *sets, rel = generate_cone_dataset(ConeConfig(n_items=15.0, n_ref=20.0, dim=8.0, seed=5.0))
+    *want, want_rel = generate_cone_dataset(ConeConfig(n_items=15, n_ref=20, dim=8, seed=5))
+    assert rel == want_rel
+    for got, expected in zip(sets, want):
+        assert got.ids == expected.ids
+        assert_array_equal(got.data, expected.data)
 
 
 def test_spread_controls_reference_sets_too():

@@ -174,14 +174,29 @@ def test_argument_validation():
         cap_fraction_exact(3, 1.2)
     with pytest.raises(ValueError, match="1 exclusive"):
         check_thm3_bounds(3, 1.0)
-    with pytest.raises(ValueError, match="samples must be >= 1"):
+    with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got 0$"):
         cap_fraction_mc(3, 0.5, 0, seed=0)
     with pytest.raises(ValueError, match="no b1 < b2 pairs"):
         sample_corollary_pairs([2], [0.5], 10, seed=0)
     with pytest.raises(ValueError, match="no b1 < b2 pairs"):
         sample_corollary_pairs([2], [0.5, 0.5], 10, seed=0)
-    with pytest.raises(ValueError, match="mc_samples must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=r"^mc_samples must be an integer >= 0, got -1$"):
         run_theory_suite([2], [0.3, 0.6], mc_samples=-1)
+
+
+def test_every_count_is_refused_with_the_one_template():
+    # each is refused before numpy sees it, and a NaN sample count does not
+    # skip the Monte Carlo silently
+    with pytest.raises(ValueError, match=r"^samples must be an integer >= 1, got 2\.5$"):
+        cap_fraction_mc(3, 0.5, 2.5, 1)
+    with pytest.raises(ValueError, match=r"^corollary_count must be an integer >= 0, got -1$"):
+        run_theory_suite([2, 3], [0.3, 0.6], corollary_count=-1)
+    with pytest.raises(ValueError, match=r"^count must be an integer >= 0, got -1$"):
+        sample_corollary_pairs([2, 3], [0.3, 0.6], -1, seed=0)
+    with pytest.raises(ValueError, match=r"^mc_samples must be an integer >= 0, got nan$"):
+        run_theory_suite([2], [0.5], mc_samples=float("nan"))
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got inf$"):
+        cap_fraction_exact(float("inf"), 0.5)
 
 
 def test_suite_row_order_and_contents():
